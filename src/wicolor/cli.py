@@ -125,7 +125,8 @@ def _run_method(args, G: WeightedDigraph, digest: str, method: str, out: str | N
     stat_pairs: tuple[tuple[str, int], ...] = ()
     if method == "exact":
         result = exact_chi_w(G)
-        assert result is not None, "search up to n colors cannot fail"
+        if result is None:
+            raise AssertionError("search up to n colors cannot fail")
     elif method == "fpt-indegree":
         solver = IndegreeSolver(G, _obtain_decomposition(args, G))
         result = solver.solve()

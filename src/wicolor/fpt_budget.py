@@ -1,36 +1,52 @@
 """Tree-decomposition dynamic program over fixed-point budgets.
 
 Weights must be b-bit fixed point, i.e. multiples of 2^-b.  Every
-vertex starts with budget 2^b - 1 units (the largest value strictly
-below 1): its remaining capacity for incoming same-color weight.  The
-Color recursion enumerates colorings of a bag only (no in-neighbor
-tracking; budgets carry that information instead) and subtracts each
-arc's units from its head exactly once, at the rootmost bag containing
-both endpoints.  The Distribute recursion splits the remaining budget
-of shared vertices among the children, one child ordinal at a time,
-taking the best split.
+vertex has a budget of 2^b - 1 units (the largest value strictly below
+1): its capacity for incoming same-color weight.  Each arc's units are
+charged to its head exactly once, at the rootmost bag containing both
+endpoints, and only when both endpoints share a color.
 
-State is polynomial in n for fixed width and b: colorings and budget
-maps range over bag vertices only.
+The program decides k-colorability for k = 1, 2, ... and stops at the
+first k that works; width+1 colors always suffice.  For one k it fills
+the bags bottom-up.  The table of a bag maps each k-coloring of the
+vertices it shares with its parent to the antichain of minimal demand
+vectors: the units its subtree charges to each shared vertex, over the
+colorings of the subtree that keep every other vertex within budget.
+A parent combines one coloring of its own bag, its own charges and one
+stored vector per child, keeping a sum only while no vertex goes over
+2^b - 1.  Storing only the minimal vectors suffices because a parent
+can use any demand that a smaller one would also fit (Cygan et al.,
+Parameterized Algorithms, 2015, ch. 7).
+
+State is polynomial in n for fixed width and b: colorings and demand
+vectors range over bag vertices only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import inf
 
 from .decomposition import TreeDecomposition, validate_decomposition
 from .errors import PreconditionError
 from .graph import Coloring, WeightedDigraph, is_valid_coloring
 from .oracle import SolveResult
 
+Vector = tuple[int, ...]
+
 
 @dataclass(frozen=True)
 class BudgetMemoStats:
-    """Memo shape after a solve, split by recursion: Color entries,
-    Distribute entries, total hits, and the largest number of vertex
-    slots in any key."""
+    """Table shape of the last decide(k) run (for a solve: the run that
+    decided the answer).
+
+    color_entries counts the stored (bag, shared coloring, minimal
+    demand vector) entries; distribute_entries counts the partial sums
+    kept after adding each child's vector, over the bag colorings that
+    completed; hits counts the child entries those colorings read, one
+    per child; max_key_width is the most vertices any vector of the
+    run spans.
+    """
 
     color_entries: int
     distribute_entries: int
@@ -66,8 +82,13 @@ def min_precision_bits(G: WeightedDigraph) -> int | None:
     return bits
 
 
-def _encode(mapping: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(mapping.items()))
+def _minimal(vectors) -> list[Vector]:
+    """The antichain of componentwise-minimal vectors among `vectors`."""
+    kept: list[Vector] = []
+    for vec in sorted(set(vectors), key=sum):  # a dominating vector sorts first
+        if not any(all(a <= b for a, b in zip(low, vec)) for low in kept):
+            kept.append(vec)
+    return kept
 
 
 class BudgetSolver:
@@ -94,230 +115,195 @@ class BudgetSolver:
         self.full = (1 << bits) - 1
         self.palette = D.width + 1
 
+        # per bag: its vertices with the ones shared with the parent
+        # first, so a coloring's prefix is the key of its table entry
         self.shared_set: list[frozenset[int]] = []
-        self.free_order: list[tuple[int, ...]] = []
+        self.order: list[tuple[int, ...]] = []
         for i, bag in enumerate(D.bags):
             parent = D.parent[i]
             shared = frozenset() if parent is None else bag & D.bags[parent]
             self.shared_set.append(shared)
-            self.free_order.append(tuple(sorted(bag - shared)))
+            self.order.append(tuple(sorted(shared)) + tuple(sorted(bag - shared)))
+        position = [{v: p for p, v in enumerate(order)} for order in self.order]
 
         # each arc is charged at exactly one bag: the rootmost bag
         # containing both endpoints (its parent does not)
         scale = 1 << bits
-        self.charge_list: list[list[tuple[int, int, int]]] = [[] for _ in D.bags]
-        charged: dict[tuple[int, int], int] = {}
+        self.charge_list: list[list[tuple[int, int, int]]] = []
+        self._charges: list[list[tuple[int, int, int]]] = []
         for i, bag in enumerate(D.bags):
-            parent = D.parent[i]
-            for t, h, w in G.arcs:
-                if t in bag and h in bag:
-                    if parent is None or not (t in D.bags[parent] and h in D.bags[parent]):
-                        self.charge_list[i].append((t, h, int(w * scale)))
-                        charged[(t, h)] = charged.get((t, h), 0) + 1
-        assert all(charged.get((t, h), 0) == 1 for t, h, _ in G.arcs), (
-            "every arc must be charged at exactly one bag"
-        )
-
-        self.child_shared: dict[tuple[int, int], tuple[int, ...]] = {}
-        for i in range(len(D.bags)):
-            for child in D.children[i]:
-                self.child_shared[(i, child)] = tuple(sorted(D.bags[i] & D.bags[child]))
-
-        self.color_memo: dict[tuple, float] = {}
-        self.distribute_memo: dict[tuple, float] = {}
-        self.hits = 0
-        self.considered_counts: dict[tuple[int, int], int] = {}
-
-    # -- recursion ---------------------------------------------------
-
-    def _charged_budgets(
-        self, bag: int, coloring: Coloring, inherited: dict[int, int]
-    ) -> dict[int, int] | None:
-        """Budgets of all bag vertices after this bag's charges, or None
-        when some vertex overdraws."""
-        budgets = {
-            v: inherited[v] if v in inherited else self.full
-            for v in self.decomposition.bags[bag]
-        }
-        for t, h, units in self.charge_list[bag]:
-            if coloring[t] == coloring[h]:
-                budgets[h] -= units
-        if any(r < 0 for r in budgets.values()):
-            return None
-        return budgets
-
-    def color_node(self, bag: int, partial: Coloring, budgets: dict[int, int]) -> float:
-        """Minimum color count for the subtree rooted at `bag`, given
-        colors and remaining budgets of the vertices shared with the
-        parent bag; inf when infeasible."""
-        shared = self.shared_set[bag]
-        if set(partial) != shared or set(budgets) != shared:
-            raise PreconditionError(
-                f"colors and budgets must cover exactly the shared set of bag {bag}",
-                witness=bag,
+            parent = D.bags[D.parent[i]] if D.parent[i] is not None else frozenset()
+            charges = sorted(
+                (t, h, int(w * scale))
+                for h in bag
+                for t, w in G.in_arcs[h]
+                if t in bag and not (t in parent and h in parent)
             )
-        key = (bag, _encode(partial), _encode(budgets))
-        if key in self.color_memo:
-            self.hits += 1
-            return self.color_memo[key]
+            self.charge_list.append(charges)
+            self._charges.append(
+                [(position[i][t], position[i][h], units) for t, h, units in charges if units]
+            )
+        charged = sorted((t, h) for charges in self.charge_list for t, h, _ in charges)
+        if charged != sorted((t, h) for t, h, _ in G.arcs):
+            raise AssertionError("every arc must be charged at exactly one bag")
 
-        free = self.free_order[bag]
-        best: float = inf
-        for combo in product(range(1, self.palette + 1), repeat=len(free)):
-            coloring = dict(partial)
-            coloring.update(zip(free, combo))
-            local = max(coloring.values(), default=0)
-            if local >= best:
-                continue
-            after = self._charged_budgets(bag, coloring, budgets)
-            if after is None:
-                continue
-            value = max(local, self.distribute_budget(bag, coloring, after, 1))
-            if value < best:
-                best = value
-        self.color_memo[key] = best
-        return best
+        # per bag: each child with the positions of its shared vertices
+        self._kids: list[list[tuple[int, tuple[int, ...]]]] = [
+            [
+                (child, tuple(position[i][v] for v in self.order[child][: len(self.shared_set[child])]))
+                for child in D.children[i]
+            ]
+            for i in range(len(D.bags))
+        ]
 
-    def distribute_budget(
-        self, bag: int, coloring: Coloring, budgets: dict[int, int], ordinal: int
-    ) -> float:
-        """Best achievable maximum over children ordinal, ordinal+1, ...
-        of `bag`, minimized over all ways to split the budgets of shared
-        vertices; 0 when fewer than `ordinal` children exist."""
-        if ordinal < 1:
-            raise PreconditionError(f"child ordinal must be >= 1, got {ordinal}")
-        children = self.decomposition.children[bag]
-        if ordinal > len(children):
-            return 0
-        key = (bag, ordinal, _encode(coloring), _encode(budgets))
-        if key in self.distribute_memo:
-            self.hits += 1
-            return self.distribute_memo[key]
+        self.tables: list[dict[tuple[int, ...], list[Vector]]] = [{} for _ in D.bags]
+        self.considered_counts: dict[tuple[int, int], int] = {}
+        self._stats = BudgetMemoStats(0, 0, 0, 0)
 
-        child = children[ordinal - 1]
-        shared = self.child_shared[(bag, child)]
-        child_partial = {v: coloring[v] for v in shared}
-        best: float = inf
-        for combo in product(*(range(budgets[v] + 1) for v in shared)):
-            split = dict(zip(shared, combo))
-            child_value = self.color_node(child, child_partial, split)
-            if child_value >= best:
-                continue
-            rest = dict(budgets)
-            for v, units in split.items():
-                rest[v] -= units
-            value = max(child_value, self.distribute_budget(bag, coloring, rest, ordinal + 1))
-            if value < best:
-                best = value
-        self.distribute_memo[key] = best
-        return best
+    # -- decision DP ---------------------------------------------------
+
+    def _layers(self, bag: int, colors: tuple[int, ...]) -> list[list[Vector]] | None:
+        """Demand vectors over the bag's vertices (in self.order[bag])
+        under `colors`: layer 0 holds the bag's own charges, layer j adds
+        one stored vector of child j to each sum of layer j-1, keeping
+        the minimal sums with no vertex over budget.  None when a child
+        has no entry for these colors or some layer is empty."""
+        full = self.full
+        own = [0] * len(colors)
+        for t, h, units in self._charges[bag]:
+            if colors[t] == colors[h]:
+                own[h] += units
+        if max(own, default=0) > full:
+            return None
+        layers = [[tuple(own)]]
+        for child, pos in self._kids[bag]:
+            front = self.tables[child].get(tuple(colors[p] for p in pos))
+            if front is None:
+                return None
+            sums = []
+            for base in layers[-1]:
+                for demand in front:
+                    total = list(base)
+                    for p, units in zip(pos, demand):
+                        total[p] += units
+                    if all(total[p] <= full for p in pos):
+                        sums.append(tuple(total))
+            if not sums:
+                return None
+            # one base plus an antichain is an antichain already
+            layers.append(sums if len(layers) == 1 else _minimal(sums))
+        return layers
+
+    def decide(self, k: int) -> bool:
+        """Fill the demand tables for k colors, leaves first; True when
+        the whole graph is k-colorable.  Stops at the first bag whose
+        table is empty."""
+        if k < 1:
+            raise PreconditionError(f"color count must be >= 1, got {k}")
+        D = self.decomposition
+        self.tables = [{} for _ in D.bags]
+        color_entries = distribute_entries = hits = width = 0
+        feasible = True
+        for bag in reversed(D.preorder):
+            ns = len(self.shared_set[bag])
+            width = max(width, len(self.order[bag]))
+            found: dict[tuple[int, ...], list[Vector]] = {}
+            for colors in product(range(1, k + 1), repeat=len(self.order[bag])):
+                layers = self._layers(bag, colors)
+                if layers is not None:
+                    hits += len(self._kids[bag])
+                    distribute_entries += sum(len(layer) for layer in layers[1:])
+                    found.setdefault(colors[:ns], []).extend(vec[:ns] for vec in layers[-1])
+            table = self.tables[bag] = {key: _minimal(vecs) for key, vecs in found.items()}
+            color_entries += sum(len(front) for front in table.values())
+            if not table:
+                feasible = False
+                break
+        self._stats = BudgetMemoStats(color_entries, distribute_entries, hits, width)
+        return feasible
+
+    def demands(self, bag: int, colors: Coloring) -> list[dict[int, int]]:
+        """Minimal demand vectors stored for `bag` by the last decide(k),
+        given the colors of its shared vertices; empty when no coloring
+        of the subtree extends them."""
+        shared = self.shared_set[bag]
+        if set(colors) != shared:
+            raise PreconditionError(
+                f"colors must cover exactly the shared set of bag {bag}", witness=bag
+            )
+        keys = self.order[bag][: len(shared)]
+        front = self.tables[bag].get(tuple(colors[v] for v in keys), [])
+        return [dict(zip(keys, demand)) for demand in front]
 
     # -- public API --------------------------------------------------
 
     def solve(self) -> SolveResult:
-        root = self.decomposition.root
-        value = self.color_node(root, {}, {})
-        assert value != inf, "width+1 colors always suffice"
-        witness = self._replay()
-        assert is_valid_coloring(self.graph, witness)
-        return SolveResult(max(1, int(value)), witness)
+        k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)
+        if k is None:
+            raise AssertionError("width+1 colors always suffice")
+        witness = self._replay(k)
+        if not is_valid_coloring(self.graph, witness):
+            raise AssertionError("replayed witness is not a valid coloring")
+        return SolveResult(k, witness)
 
-    def _replay(self) -> Coloring:
-        """Rebuild one optimal coloring by re-walking accepted choices.
+    def _replay(self, k: int) -> Coloring:
+        """Rebuild one k-coloring from the tables of decide(k), root first.
 
-        Along the replayed path every bag is visited once, so the
-        per-arc considered_counts end up exactly 1: each arc's charge
-        is applied (or skipped for differing colors) exactly once.
+        Each child gets the stored demand vector it was summed with as
+        its budget; every bag is visited once, so the per-arc
+        considered_counts end up exactly 1.
         """
         witness: Coloring = {}
-        deciding = self._deciding_bags()
-
-        def replay_color(bag: int, partial: Coloring, budgets: dict[int, int], target: float) -> None:
-            free = self.free_order[bag]
-            for combo in product(range(1, self.palette + 1), repeat=len(free)):
-                coloring = dict(partial)
-                coloring.update(zip(free, combo))
-                local = max(coloring.values(), default=0)
-                if local > target:
+        stack: list[tuple[int, tuple[int, ...], Vector]] = [(self.decomposition.root, (), ())]
+        while stack:
+            bag, inherited, budget = stack.pop()
+            ns = len(inherited)
+            for free in product(range(1, k + 1), repeat=len(self.order[bag]) - ns):
+                colors = inherited + free
+                layers = self._layers(bag, colors)
+                if layers is None:
                     continue
-                after = self._charged_budgets(bag, coloring, budgets)
-                if after is None:
-                    continue
-                rest_value = self.distribute_budget(bag, coloring, after, 1)
-                if max(local, rest_value) != target:
-                    continue
-                for t, h, _ in self.charge_list[bag]:
-                    self.considered_counts[(t, h)] = (
-                        self.considered_counts.get((t, h), 0) + 1
-                    )
-                for v in free:
-                    assert v not in witness, f"vertex {v} colored twice"
-                    assert deciding[v] == bag, f"vertex {v} fixed away from its deciding bag"
-                    witness[v] = coloring[v]
-                for v, c in partial.items():
-                    assert witness[v] == c, f"inherited color of {v} drifted"
-                replay_distribute(bag, coloring, after, 1, rest_value)
-                return
-            raise AssertionError("replay failed to rediscover the memoized optimum")
-
-        def replay_distribute(
-            bag: int, coloring: Coloring, budgets: dict[int, int], ordinal: int, target: float
-        ) -> None:
-            children = self.decomposition.children[bag]
-            if ordinal > len(children):
-                assert target == 0
-                return
-            child = children[ordinal - 1]
-            shared = self.child_shared[(bag, child)]
-            child_partial = {v: coloring[v] for v in shared}
-            for combo in product(*(range(budgets[v] + 1) for v in shared)):
-                split = dict(zip(shared, combo))
-                child_value = self.color_node(child, child_partial, split)
-                if child_value > target:
-                    continue
-                rest = dict(budgets)
-                for v, units in split.items():
-                    rest[v] -= units
-                rest_value = self.distribute_budget(bag, coloring, rest, ordinal + 1)
-                if max(child_value, rest_value) != target:
-                    continue
-                replay_color(child, child_partial, split, child_value)
-                replay_distribute(bag, coloring, rest, ordinal + 1, rest_value)
-                return
-            raise AssertionError("replay failed to rediscover a feasible split")
-
-        root = self.decomposition.root
-        replay_color(root, {}, {}, self.color_node(root, {}, {}))
-        assert set(witness) == set(self.graph.vertices), "witness not total"
+                total = next(
+                    (vec for vec in layers[-1] if all(a <= b for a, b in zip(vec, budget))), None
+                )
+                if total is not None:
+                    break
+            else:
+                raise AssertionError(f"replay failed to rediscover a stored demand at bag {bag}")
+            for v, c in zip(self.order[bag][ns:], colors[ns:]):
+                if v in witness:
+                    raise AssertionError(f"vertex {v} colored twice")
+                witness[v] = c
+            for t, h, _ in self.charge_list[bag]:
+                self.considered_counts[(t, h)] = self.considered_counts.get((t, h), 0) + 1
+            # walk the layers back: some stored vector of each child
+            # leads from a sum of the previous layer to the current one
+            for j in range(len(self._kids[bag]) - 1, -1, -1):
+                child, pos = self._kids[bag][j]
+                key = tuple(colors[p] for p in pos)
+                previous = set(layers[j])
+                for demand in self.tables[child][key]:
+                    rest = list(total)
+                    for p, units in zip(pos, demand):
+                        rest[p] -= units
+                    if tuple(rest) in previous:
+                        break
+                else:
+                    raise AssertionError(f"replay lost the demand of child bag {child}")
+                total = tuple(rest)
+                stack.append((child, key, demand))
+        if set(witness) != set(self.graph.vertices):
+            raise AssertionError("witness not total")
         return witness
 
-    def _deciding_bags(self) -> dict[int, int]:
-        D = self.decomposition
-        out: dict[int, int] = {}
-        for v in self.graph.vertices:
-            holders = {i for i, bag in enumerate(D.bags) if v in bag}
-            rootmost = [
-                i for i in holders if D.parent[i] is None or D.parent[i] not in holders
-            ]
-            assert len(rootmost) == 1
-            out[v] = rootmost[0]
-        return out
-
     def memo_stats(self) -> BudgetMemoStats:
-        widths = [len(key[1]) for key in self.color_memo]
-        widths.extend(len(key[2]) for key in self.distribute_memo)
-        return BudgetMemoStats(
-            color_entries=len(self.color_memo),
-            distribute_entries=len(self.distribute_memo),
-            hits=self.hits,
-            max_key_width=max(widths, default=0),
-        )
+        return self._stats
 
 
 def solve_fpt_budget(
     G: WeightedDigraph, D: TreeDecomposition, bits: int | None = None
 ) -> SolveResult:
-    """Exact chromatic value and witness via the budget-splitting DP.
+    """Exact chromatic value and witness via the budget DP.
 
     With bits omitted, the smallest sufficient precision is detected;
     non-dyadic weights are rejected.

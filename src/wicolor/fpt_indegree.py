@@ -215,16 +215,18 @@ class IndegreeSolver:
     def solve(self) -> SolveResult:
         root = self.decomposition.root
         value = self.color_subtree(root, {})
-        assert value != inf, "width+1 colors always suffice"
+        if value == inf:
+            raise AssertionError("width+1 colors always suffice")
         witness = self._replay()
-        assert is_valid_coloring(self.graph, witness)
+        if not is_valid_coloring(self.graph, witness):
+            raise AssertionError("replayed witness is not a valid coloring")
         return SolveResult(max(1, int(value)), witness)
 
     def _replay(self) -> Coloring:
         """Rebuild one optimal coloring by re-walking accepted choices.
 
         Each vertex is committed exactly once, at the rootmost bag whose
-        extended set V_i contains it; the asserts pin that down.
+        extended set V_i contains it; the checks pin that down.
         """
         witness: Coloring = {}
         deciding = self._deciding_bags()
@@ -247,22 +249,27 @@ class IndegreeSolver:
                 if value != target:
                     return False
                 for v in self.free_order[bag]:
-                    assert v not in witness, f"vertex {v} colored twice"
-                    assert deciding[v] == bag, f"vertex {v} fixed away from its deciding bag"
+                    if v in witness:
+                        raise AssertionError(f"vertex {v} colored twice")
+                    if deciding[v] != bag:
+                        raise AssertionError(f"vertex {v} fixed away from its deciding bag")
                     witness[v] = coloring[v]
                 for v, c in partial.items():
-                    assert witness[v] == c, f"inherited color of {v} drifted"
+                    if witness[v] != c:
+                        raise AssertionError(f"inherited color of {v} drifted")
                 for child, restriction, child_value in plan:
                     replay(child, restriction, child_value)
                 found = True
                 return True
 
             self._scan(bag, partial, lambda: target + 1, visit)
-            assert found, "replay failed to rediscover the memoized optimum"
+            if not found:
+                raise AssertionError("replay failed to rediscover the memoized optimum")
 
         root = self.decomposition.root
         replay(root, {}, self.color_subtree(root, {}))
-        assert set(witness) == set(self.graph.vertices), "witness not total"
+        if set(witness) != set(self.graph.vertices):
+            raise AssertionError("witness not total")
         return witness
 
     def _deciding_bags(self) -> dict[int, int]:
@@ -273,7 +280,8 @@ class IndegreeSolver:
             rootmost = [
                 i for i in holders if D.parent[i] is None or D.parent[i] not in holders
             ]
-            assert len(rootmost) == 1
+            if len(rootmost) != 1:
+                raise AssertionError(f"bags holding {v} are disconnected")
             out[v] = rootmost[0]
         return out
 

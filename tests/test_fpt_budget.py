@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +19,12 @@ from wicolor import (
     exact_chi_w,
     is_valid_coloring,
     min_precision_bits,
+    parse_coloring,
     random_instance,
+    serialize_digraph,
     solve_fpt_budget,
 )
+from wicolor.cli import main
 
 F = Fraction
 
@@ -28,6 +34,42 @@ def fan_instance() -> tuple[WeightedDigraph, TreeDecomposition]:
     G = WeightedDigraph(5, [(j, 1, F(1, 2)) for j in (2, 3, 4, 5)])
     D = TreeDecomposition([{1}, {1, 2, 3}, {1, 4, 5}], [(0, 1), (0, 2)])
     return G, D
+
+
+def star_instance(children: int, bits: int, seed: int) -> tuple[WeightedDigraph, TreeDecomposition]:
+    """Hub bag {1} with `children` leaf bags {1, a, b}.  Both a and b
+    feed vertex 1, and a heavy arc between them often keeps them apart,
+    so at two colors every leaf draws on vertex 1's one budget."""
+    rng = random.Random(seed)
+    scale = 1 << bits
+    arcs = []
+    bags = [{1}]
+    for i in range(children):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        bags.append({1, a, b})
+        arcs += [(v, 1, F(rng.randint(1, scale // 2), scale)) for v in (a, b)]
+        arcs += [(u, v, F(1)) for u, v in ((a, b), (b, a)) if rng.random() < 0.5]
+        arcs += [(1, v, F(rng.randint(1, scale), scale)) for v in (a, b) if rng.random() < 0.5]
+    G = WeightedDigraph(1 + 2 * children, arcs)
+    return G, TreeDecomposition(bags, [(0, i) for i in range(1, children + 1)])
+
+
+def ladder(k: int, bits: int, seed: int) -> WeightedDigraph:
+    """The 2 x k ladder with dyadic weights on both arc directions of
+    every edge; column j holds vertices 2j+1 and 2j+2, so min-fill
+    eliminates it as a chain of depth 2k-1."""
+    rng = random.Random(seed)
+    scale = 1 << bits
+    arcs = []
+    for j in range(k):
+        top, bottom = 2 * j + 1, 2 * j + 2
+        pairs = [(top, bottom)]
+        if j + 1 < k:
+            pairs += [(top, top + 2), (bottom, bottom + 2)]
+        for u, v in pairs:
+            arcs.append((u, v, F(rng.randint(1, scale), scale)))
+            arcs.append((v, u, F(rng.randint(1, scale), scale)))
+    return WeightedDigraph(2 * k, arcs)
 
 
 def two_feeders() -> tuple[WeightedDigraph, TreeDecomposition]:
@@ -81,12 +123,15 @@ class TestSmallExamples:
     def test_single_heavy_arc(self):
         G = WeightedDigraph(2, [(1, 2, F(1))])
         solver = BudgetSolver(G, TreeDecomposition([{1, 2}]), 1)
-        assert solver.color_node(0, {}, {}) == 2
+        assert not solver.decide(1)
+        assert solver.decide(2)
+        assert solver.solve().chromatic == 2
 
     def test_single_light_arc(self):
         G = WeightedDigraph(2, [(1, 2, F(1, 2))])
         solver = BudgetSolver(G, TreeDecomposition([{1, 2}]), 1)
-        assert solver.color_node(0, {}, {}) == 1
+        assert solver.decide(1)
+        assert solver.solve().chromatic == 1
 
     def test_heavy_path(self):
         G = WeightedDigraph(3, [(1, 2, F(1)), (2, 3, F(1))])
@@ -117,7 +162,10 @@ class TestSmallExamples:
         G = WeightedDigraph(3, [(2, 3, F(1))])
         D = TreeDecomposition([{1}, {2, 3}], [(0, 1)])
         solver = BudgetSolver(G, D, 1)
-        assert solver.distribute_budget(0, {1: 1}, {1: 1}, 1) == 2
+        assert not solver.decide(1)
+        assert solver.decide(2)
+        # the child shares nothing, so its table has the one empty key
+        assert solver.demands(1, {}) == [{}]
         assert solver.solve().chromatic == 2
 
 
@@ -127,33 +175,46 @@ class TestDistribute:
         # single-colored, so one child always pays with a second color
         G, D = two_feeders()
         solver = BudgetSolver(G, D, 2)
-        assert solver.distribute_budget(0, {1: 1}, {1: 3}, 1) == 2
+        assert not solver.decide(1)
+        assert solver.demands(1, {1: 1}) == [{1: 2}]  # each child alone fits
+        assert solver.demands(2, {1: 1}) == [{1: 2}]
+        assert solver.decide(2)
 
     def test_generous_budget_allows_one_color(self):
         G = WeightedDigraph(3, [(2, 1, F(1, 4)), (3, 1, F(1, 4))])
         D = TreeDecomposition([{1}, {1, 2}, {1, 3}], [(0, 1), (0, 2)])
-        solver = BudgetSolver(G, D, 2)
         # each child spends 1 unit; 3 units cover both
-        assert solver.distribute_budget(0, {1: 1}, {1: 3}, 1) == 1
-        assert solver.distribute_budget(0, {1: 1}, {1: 1}, 1) == 2
+        assert BudgetSolver(G, D, 2).decide(1)
+        # a root-bag arc of 2 units leaves 1 unit: one child only
+        G = WeightedDigraph(4, [(2, 1, F(1, 4)), (3, 1, F(1, 4)), (4, 1, F(2, 4))])
+        D = TreeDecomposition([{1, 4}, {1, 2}, {1, 3}], [(0, 1), (0, 2)])
+        solver = BudgetSolver(G, D, 2)
+        assert not solver.decide(1)
+        assert solver.solve().chromatic == 2 == exact_chi_w(G).chromatic
 
     def test_past_last_child_is_zero(self):
         G, D = two_feeders()
         solver = BudgetSolver(G, D, 2)
-        assert solver.distribute_budget(0, {1: 1}, {1: 3}, 3) == 0
+        solver.decide(2)
         leaf = 1
-        assert solver.distribute_budget(leaf, {1: 1, 2: 1}, {1: 3, 2: 3}, 1) == 0
+        # with no children past its own charges, a leaf adds nothing:
+        # colored apart from vertex 2 it charges nothing; sharing
+        # a color costs 2 units, which the zero vector dominates
+        assert solver.demands(leaf, {1: 1}) == [{1: 0}]
+        assert solver.demands(leaf, {1: 2}) == [{1: 0}]
+        solver.decide(1)
+        assert solver.demands(leaf, {1: 1}) == [{1: 2}]
 
-    def test_ordinal_must_be_positive(self):
+    def test_color_count_must_be_positive(self):
         G, D = two_feeders()
         solver = BudgetSolver(G, D, 2)
         with pytest.raises(PreconditionError):
-            solver.distribute_budget(0, {1: 1}, {1: 3}, 0)
+            solver.decide(0)
 
     def test_matches_brute_force_over_all_splits(self):
-        # independent check of the split recursion: enumerate every way
-        # to hand out vertex 1's budget to the two children, computing
-        # child feasibility directly from the definition
+        # independent check of the demand sums: enumerate every way to
+        # hand out vertex 1's budget to the two children, computing child
+        # feasibility directly from the definition
         G, D = two_feeders()
         bits = 2
         full = (1 << bits) - 1
@@ -169,8 +230,99 @@ class TestDistribute:
             for s2 in range(full + 1)
             if s1 + s2 <= full
         )
-        solver = BudgetSolver(G, D, bits)
-        assert solver.distribute_budget(0, {1: 1}, {1: full}, 1) == best == 2
+        assert BudgetSolver(G, D, bits).solve().chromatic == best == 2
+
+
+class TestSharedBudget:
+    @pytest.mark.parametrize("children", [3, 4, 5])
+    def test_star_children_share_the_hub_budget(self, children):
+        for seed in range(6):
+            bits = 2 + seed % 2
+            G, D = star_instance(children, bits, seed=2500 + 10 * children + seed)
+            expected = exact_chi_w(G).chromatic
+            for root in range(len(D.bags)):
+                result = BudgetSolver(G, D.root_at(root), bits).solve()
+                assert result.chromatic == expected, (children, seed, root)
+                assert is_valid_coloring(G, result.witness)
+
+    def test_star_needs_the_split(self):
+        # four leaves each charge vertex 1 two of its three units: each
+        # leaf alone fits one color, no two leaves together do
+        G = WeightedDigraph(9, [(v, 1, F(1, 4)) for v in range(2, 10)])
+        D = TreeDecomposition(
+            [{1}] + [{1, 2 + 2 * i, 3 + 2 * i} for i in range(4)], [(0, i) for i in range(1, 5)]
+        )
+        solver = BudgetSolver(G, D, 2)
+        assert not solver.decide(1)
+        assert all(solver.demands(leaf, {1: 1}) == [{1: 2}] for leaf in range(1, 5))
+        assert solver.solve().chromatic == exact_chi_w(G).chromatic == 2
+
+
+class TestLongChains:
+    """The 800-vertex ladder decomposes into a chain of 800 bags."""
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_library_solves_the_chain(self, bits):
+        G = ladder(400, bits, seed=4000 + bits)
+        D = build_decomposition(G, "min-fill")
+        result = solve_fpt_budget(G, D)
+        assert result.chromatic == 2
+        assert is_valid_coloring(G, result.witness)
+        assert not is_valid_coloring(G, {v: 1 for v in G.vertices})
+
+    @pytest.mark.parametrize("bits", [1, 3])
+    def test_cli_solves_the_chain(self, bits, tmp_path, capsys):
+        G = ladder(400, bits, seed=4000 + bits)
+        graph, out = tmp_path / "ladder.wig", tmp_path / "ladder.col"
+        graph.write_text(serialize_digraph(G), encoding="utf-8")
+        code = main(["solve", str(graph), "--method", "fpt-budget", "--out", str(out)])
+        assert code == 0
+        assert "solver=fpt-budget chromatic=2" in capsys.readouterr().out
+        assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from fractions import Fraction
+from wicolor import TreeDecomposition, WeightedDigraph, cli, fpt_budget, fpt_indegree
+
+assert False, "assert statements must be stripped"
+G = WeightedDigraph(2, [(1, 2, Fraction(1, 2))])
+D = TreeDecomposition([{1, 2}])
+fpt_indegree.is_valid_coloring = fpt_budget.is_valid_coloring = lambda G, c: False
+cli.exact_chi_w = lambda G: None
+runs = {
+    "fpt-indegree": lambda: fpt_indegree.IndegreeSolver(G, D).solve(),
+    "fpt-budget": lambda: fpt_budget.BudgetSolver(G, D, 1).solve(),
+    "cli-exact": lambda: cli.main(["solve", sys.argv[1], "--method", "exact"]),
+}
+for name, run in runs.items():
+    try:
+        run()
+    except AssertionError as exc:
+        print(name, "raised", exc)
+    else:
+        print(name, "returned")
+"""
+
+
+def test_witness_checks_survive_optimized_mode(tmp_path):
+    graph = tmp_path / "g.wig"
+    graph.write_text("p wig 2 1\ne 1 2 1/2\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, str(graph)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "", "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if not line.startswith("instance=")]
+    assert [line.split()[:2] for line in lines] == [
+        ["fpt-indegree", "raised"],
+        ["fpt-budget", "raised"],
+        ["cli-exact", "raised"],
+    ], proc.stdout
 
 
 class TestPreconditions:
@@ -194,13 +346,14 @@ class TestPreconditions:
         D = build_decomposition(G, "exact-small")
         assert solve_fpt_budget(G, D).chromatic == exact_chi_w(G).chromatic
 
-    def test_color_node_requires_shared_cover(self):
+    def test_demands_require_shared_cover(self):
         G, D = two_feeders()
         solver = BudgetSolver(G, D, 2)
+        solver.decide(2)
         with pytest.raises(PreconditionError, match="shared set"):
-            solver.color_node(1, {}, {})
+            solver.demands(1, {})
         with pytest.raises(PreconditionError, match="shared set"):
-            solver.color_node(1, {1: 1}, {})
+            solver.demands(1, {1: 1, 2: 1})
 
 
 class TestChargingDiscipline:
@@ -278,26 +431,28 @@ class TestMemoization:
         second.solve()
         assert first.memo_stats() == second.memo_stats()
 
-    def test_repeat_query_hits_the_table(self):
+    def test_parent_colorings_read_the_child_tables(self):
+        # fan at 2 colors: the root's two colorings of vertex 1 each read
+        # the entry of both children, and each child stores one minimal
+        # vector per color of vertex 1 (its free pair colored apart)
         G, D = fan_instance()
         solver = BudgetSolver(G, D, 2)
-        solver.color_node(0, {}, {})
-        before = solver.memo_stats()
-        solver.color_node(0, {}, {})
-        after = solver.memo_stats()
-        assert after.entries == before.entries
-        assert after.hits == before.hits + 1
+        assert solver.solve().chromatic == 2
+        stats = solver.memo_stats()
+        assert stats.hits == 4
+        assert stats.color_entries == 1 + 2 + 2
+        assert solver.demands(1, {1: 2}) == [{1: 0}]
+        assert solver.memo_stats() == stats  # reading a table changes nothing
 
     def test_budget_keys_stay_in_range(self):
         G, D = fan_instance()
         solver = BudgetSolver(G, D, 2)
-        solver.solve()
-        for _, _, encoded in solver.color_memo:
-            for _, units in encoded:
-                assert 0 <= units <= solver.full
-        for _, _, _, encoded in solver.distribute_memo:
-            for _, units in encoded:
-                assert 0 <= units <= solver.full
+        k = solver.solve().chromatic
+        for table in solver.tables:
+            for colors, front in table.items():
+                assert all(1 <= c <= k for c in colors)
+                for demand in front:
+                    assert all(0 <= units <= solver.full for units in demand)
 
     def test_entries_bounded_by_state_space(self):
         for seed in range(15):
