@@ -174,7 +174,8 @@ def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:
         coloring[offender] = target
         steps += 1
         new_mono = _monochromatic_count(adjacency, coloring)
-        assert new_mono < mono, "recolor step failed to reduce monochromatic edges"
+        if new_mono >= mono:
+            raise AssertionError("recolor step failed to reduce monochromatic edges")
         mono = new_mono
     return coloring, steps
 
@@ -221,7 +222,8 @@ def subcubic_two_coloring_trace(H: UndirectedWeightedGraph) -> tuple[Coloring, i
         coloring[offender] = 3 - coloring[offender]
         flips += 1
         new_mono = _monochromatic_count(adjacency, coloring)
-        assert new_mono < mono, "flip failed to reduce monochromatic edges"
+        if new_mono >= mono:
+            raise AssertionError("flip failed to reduce monochromatic edges")
         mono = new_mono
     return coloring, flips
 

@@ -6,8 +6,9 @@ endpoints of every arc share some bag, and (3) the bags containing any
 fixed vertex induce a connected subtree.  Width is the largest bag size
 minus one.
 
-Decompositions here are rooted; the dynamic programs in this package
-walk them from the root down.  Bag indices are 0-based internally (the
+Decompositions here are rooted: the dynamic programs in this package key
+each bag's table by the colors it shares with its parent, and read their
+witnesses from the root down.  Bag indices are 0-based internally (the
 text format is 1-based, see `formats`).
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InstanceTooLargeError, PreconditionError
 from .graph import UndirectedWeightedGraph, WeightedDigraph
@@ -429,6 +430,29 @@ def extended_bags(D: TreeDecomposition, G: WeightedDigraph) -> tuple[frozenset[i
     return tuple(out)
 
 
+def shared_first_layout(D: TreeDecomposition, tracked: Sequence[frozenset[int]]):
+    """Per-bag layout for a DP whose bag i tracks the vertices tracked[i]
+    and keys its table by the colors of those it shares with its parent.
+
+    Returns (shared, order, position, kids): shared[i] is tracked[i] ∩
+    tracked[parent]; order[i] lists tracked[i] with the shared vertices
+    first, each part ascending, so a coloring's prefix is its key;
+    position[i] maps each vertex to its index in order[i]; kids[i] pairs
+    each child with the positions in order[i] of that child's shared
+    vertices, in the child's order.
+    """
+    shared = [
+        frozenset() if p is None else tracked[i] & tracked[p] for i, p in enumerate(D.parent)
+    ]
+    order = [tuple(sorted(s)) + tuple(sorted(tracked[i] - s)) for i, s in enumerate(shared)]
+    position = [{v: p for p, v in enumerate(vertices)} for vertices in order]
+    kids = [
+        [(c, tuple(position[i][v] for v in order[c][: len(shared[c])])) for c in D.children[i]]
+        for i in range(len(order))
+    ]
+    return shared, order, position, kids
+
+
 def deciding_bag(D: TreeDecomposition, G: WeightedDigraph, v: int, mode: str = BAG_ONLY) -> int:
     """Index of the rootmost bag whose relevant set contains v.
 
@@ -452,5 +476,6 @@ def deciding_bag(D: TreeDecomposition, G: WeightedDigraph, v: int, mode: str = B
     rootmost = [
         i for i in holders if D.parent[i] is None or D.parent[i] not in holders
     ]
-    assert len(rootmost) == 1, f"bags holding {v} are disconnected"
+    if len(rootmost) != 1:
+        raise PreconditionError(f"bags holding {v} are disconnected", witness=v)
     return rootmost[0]

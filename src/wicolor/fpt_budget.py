@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .decomposition import TreeDecomposition, validate_decomposition
+from .decomposition import TreeDecomposition, shared_first_layout, validate_decomposition
 from .errors import PreconditionError
 from .graph import Coloring, WeightedDigraph, is_valid_coloring
 from .oracle import SolveResult
@@ -115,16 +115,7 @@ class BudgetSolver:
         self.full = (1 << bits) - 1
         self.palette = D.width + 1
 
-        # per bag: its vertices with the ones shared with the parent
-        # first, so a coloring's prefix is the key of its table entry
-        self.shared_set: list[frozenset[int]] = []
-        self.order: list[tuple[int, ...]] = []
-        for i, bag in enumerate(D.bags):
-            parent = D.parent[i]
-            shared = frozenset() if parent is None else bag & D.bags[parent]
-            self.shared_set.append(shared)
-            self.order.append(tuple(sorted(shared)) + tuple(sorted(bag - shared)))
-        position = [{v: p for p, v in enumerate(order)} for order in self.order]
+        self.shared_set, self.order, position, self._kids = shared_first_layout(D, D.bags)
 
         # each arc is charged at exactly one bag: the rootmost bag
         # containing both endpoints (its parent does not)
@@ -146,15 +137,6 @@ class BudgetSolver:
         charged = sorted((t, h) for charges in self.charge_list for t, h, _ in charges)
         if charged != sorted((t, h) for t, h, _ in G.arcs):
             raise AssertionError("every arc must be charged at exactly one bag")
-
-        # per bag: each child with the positions of its shared vertices
-        self._kids: list[list[tuple[int, tuple[int, ...]]]] = [
-            [
-                (child, tuple(position[i][v] for v in self.order[child][: len(self.shared_set[child])]))
-                for child in D.children[i]
-            ]
-            for i in range(len(D.bags))
-        ]
 
         self.tables: list[dict[tuple[int, ...], list[Vector]]] = [{} for _ in D.bags]
         self.considered_counts: dict[tuple[int, int], int] = {}

@@ -2,55 +2,61 @@
 in-neighbors.
 
 For each bag X_i let V_i be X_i together with every in-neighbor of a
-bag vertex.  The recursion enumerates colorings of V_i extending the
-inherited coloring of V_i ∩ V_p (p the parent bag), accepts those where
-every bag vertex keeps same-color weighted indegree below 1 (checkable
-locally because all in-neighbors of X_i lie inside V_i), and combines
-children by taking the maximum of their minimum color counts.
-Memoization is keyed on (bag, coloring restricted to V_i ∩ V_p): the
-recursion reads nothing else.
+bag vertex.  Whether a bag vertex keeps same-color weighted indegree
+below 1 can be checked inside V_i, since all its in-neighbors lie there.
 
-The palette is capped at width+1 colors, which always suffices.  Cost
-grows exponentially in |V_i|, i.e. in width times maximum indegree; the
-solver stays exact but is only practical when both are small.
+The program decides k-colorability for k = 1, 2, ... and stops at the
+first k that works; width+1 colors always suffice.  For one k it
+searches top-down from the root.  A state is a bag and a k-coloring of
+V_i ∩ V_p (p the parent bag): the subtree reads nothing else.  The
+search tries the colorings of V_i that extend the state and pass the
+local indegree check, asks each child about the coloring it inherits,
+and stops at the first coloring every child accepts.  The memo stores
+that coloring, or None when there is none, so the witness is read from
+the memo root first without a second search.  An explicit stack of
+per-state generators drives the search, so no call recurses per tree
+level.
+
+Cost grows exponentially in |V_i|, i.e. in width times maximum
+indegree; the solver stays exact but is only practical when both are
+small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from typing import Generator
 
-from .decomposition import TreeDecomposition, extended_bags, validate_decomposition
+from .decomposition import (
+    TreeDecomposition,
+    extended_bags,
+    shared_first_layout,
+    validate_decomposition,
+)
 from .errors import PreconditionError
 from .graph import Coloring, WeightedDigraph, is_valid_coloring
 from .oracle import SolveResult
 
-MemoKey = tuple[int, tuple[tuple[int, int], ...]]
+Colors = tuple[int, ...]
+MemoKey = tuple[int, Colors]
 
 
 @dataclass(frozen=True)
 class MemoStats:
-    """Memo table shape after a solve: entry count, hit count, and the
-    largest number of (vertex, color) pairs in any key."""
+    """Memo table shape of the last decide(k) run (for a solve: the run
+    that decided the answer): entry count, hit count, and the largest
+    number of (vertex, color) pairs in any key."""
 
     entries: int
     hits: int
     max_key_width: int
 
 
-def _encode(partial: Coloring) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(partial.items()))
-
-
 class IndegreeSolver:
-    """One solve against a fixed graph and validated rooted decomposition.
+    """One solve against a fixed graph and validated rooted decomposition;
+    create a fresh instance per solve."""
 
-    Owns its memo table; create a fresh instance per solve.  Set
-    memoize=False to force pure recursion (same values, no table), which
-    exists so tests can confirm memoization never changes results.
-    """
-
-    def __init__(self, G: WeightedDigraph, D: TreeDecomposition, *, memoize: bool = True):
+    def __init__(self, G: WeightedDigraph, D: TreeDecomposition):
         violations = validate_decomposition(G, D)
         if violations:
             raise PreconditionError(
@@ -59,231 +65,165 @@ class IndegreeSolver:
             )
         self.graph = G
         self.decomposition = D
-        self.memoize = memoize
         self.palette = D.width + 1
-        self.extended = extended_bags(D, G)
         self.scale = G.weight_scale
+        self.inherited_set, self.order, position, self._kids = shared_first_layout(
+            D, extended_bags(D, G)
+        )
 
-        self.inherited_set: list[frozenset[int]] = []
-        self.free_order: list[tuple[int, ...]] = []
-        for i in range(len(D.bags)):
-            parent = D.parent[i]
-            shared = (
-                frozenset() if parent is None else self.extended[i] & self.extended[parent]
-            )
-            self.inherited_set.append(shared)
-            self.free_order.append(tuple(sorted(self.extended[i] - shared)))
-
-        # per bag: exact in-arc units of each bag vertex, and for each
-        # vertex of V_i the bag vertices it feeds (positive arcs only;
-        # zero-weight arcs cannot affect any sum)
-        self.bag_in_units: list[dict[int, list[tuple[int, int]]]] = []
-        self.watchers: list[dict[int, list[tuple[int, int]]]] = []
+        # per bag and position p in self.order[bag]: each positive arc
+        # into a bag vertex whose endpoints sit at p and at an earlier
+        # position q, as (q, head position, units); an arc is checked
+        # once, when its later endpoint gets a color
+        self._back: list[list[list[tuple[int, int, int]]]] = []
         for i, bag in enumerate(D.bags):
-            in_units = {
-                v: [(t, int(w * self.scale)) for t, w in G.in_arcs[v] if w > 0]
-                for v in bag
-            }
-            watch: dict[int, list[tuple[int, int]]] = {u: [] for u in self.extended[i]}
-            for v, pairs in in_units.items():
-                for t, units in pairs:
-                    watch[t].append((v, units))
-            self.bag_in_units.append(in_units)
-            self.watchers.append(watch)
+            back: list[list[tuple[int, int, int]]] = [[] for _ in self.order[i]]
+            for h in bag:
+                for t, w in G.in_arcs[h]:
+                    if w > 0:
+                        a, b = position[i][t], position[i][h]
+                        back[max(a, b)].append((min(a, b), b, int(w * self.scale)))
+            self._back.append(back)
 
-        self.memo: dict[MemoKey, float] = {}
+        self.k = 0
+        self.memo: dict[MemoKey, Colors | None] = {}
         self.hits = 0
 
-    # -- recursion ---------------------------------------------------
+    # -- decision DP ---------------------------------------------------
 
-    def color_subtree(self, bag: int, partial: Coloring) -> float:
-        """Minimum color count for the subtree rooted at `bag`, given the
-        inherited coloring of V_bag ∩ V_parent; inf when infeasible."""
-        if set(partial) != self.inherited_set[bag]:
+    def _colorings(self, bag: int, key: Colors) -> Generator[list[int], None, None]:
+        """Each k-coloring of V_bag, in self.order[bag], that starts with
+        `key` and keeps every bag vertex's same-color in-units below the
+        scale.  Free vertices take colors ascending; the yielded list is
+        live, so copy it to keep it."""
+        back, scale, k = self._back[bag], self.scale, self.k
+        m, ns = len(back), len(key)
+        colors = list(key) + [0] * (m - ns)
+        spent = [0] * m  # same-color in-units of each bag vertex so far
+
+        def charge(p: int, sign: int) -> bool:
+            ok = True
+            for q, head, units in back[p]:
+                if colors[q] == colors[p]:
+                    spent[head] += sign * units
+                    ok = ok and spent[head] < scale
+            return ok
+
+        if not all(charge(p, 1) for p in range(ns)):
+            return  # the inherited colors alone already violate
+        p = ns
+        while True:
+            if p == m:
+                yield colors
+            elif colors[p] < k:
+                colors[p] += 1
+                if charge(p, 1):
+                    p += 1
+                else:
+                    charge(p, -1)
+                continue
+            else:
+                colors[p] = 0
+            p -= 1  # position p is exhausted: back up one position
+            if p < ns:
+                return
+            charge(p, -1)
+
+    def _search(self, bag: int, key: Colors) -> Generator[MemoKey, bool, Colors | None]:
+        """The first coloring of V_bag extending `key` that every child
+        accepts, or None.  Yields each child state it needs and expects
+        the child's answer sent back."""
+        for colors in self._colorings(bag, key):
+            for child, pos in self._kids[bag]:
+                if not (yield child, tuple(colors[p] for p in pos)):
+                    break
+            else:
+                return tuple(colors)
+        return None
+
+    def bag_coloring(self, bag: int, partial: Coloring) -> Coloring | None:
+        """The coloring of V_bag stored for the state `partial` (colors
+        1..k of V_bag ∩ V_parent, k from the last decide(k)): the first
+        that passes the local check and that every child accepts, or
+        None when no coloring of the subtree extends `partial`.  Read
+        from the memo, or searched and stored there."""
+        shared = self.inherited_set[bag]
+        if set(partial) != shared:
             raise PreconditionError(
                 f"partial coloring must cover exactly the shared set of bag {bag}",
                 witness=bag,
             )
-        key = (bag, _encode(partial))
-        if self.memoize and key in self.memo:
+        if not all(1 <= c <= self.k for c in partial.values()):
+            raise PreconditionError(f"partial coloring uses a color outside 1..{self.k}")
+        key = tuple(partial[v] for v in self.order[bag][: len(shared)])
+        stack = []
+        if (bag, key) in self.memo:
             self.hits += 1
-            return self.memo[key]
+        else:
+            stack.append(((bag, key), self._search(bag, key)))
+        answer: bool | None = None  # sent to the top search: None starts it
+        while stack:
+            state, search = stack[-1]
+            try:
+                asked = search.send(answer)
+            except StopIteration as done:
+                stack.pop()
+                self.memo[state] = done.value
+                answer = done.value is not None
+                continue
+            if asked in self.memo:
+                self.hits += 1
+                answer = self.memo[asked] is not None
+            else:
+                stack.append((asked, self._search(*asked)))
+                answer = None
+        colors = self.memo[bag, key]
+        return None if colors is None else dict(zip(self.order[bag], colors))
 
-        best: float = inf
-
-        def visit(coloring: Coloring, local: int) -> bool:
-            nonlocal best
-            value = self._combine(bag, coloring, local, best)
-            if value < best:
-                best = value
-            return False
-
-        self._scan(bag, partial, lambda: best, visit)
-        if self.memoize:
-            self.memo[key] = best
-        return best
-
-    def _combine(self, bag: int, coloring: Coloring, local: int, stop_at: float) -> float:
-        """max of the local color count and all child subtree values,
-        abandoned (inf) once the running value reaches stop_at."""
-        value: float = local
-        for child in self.decomposition.children[bag]:
-            if value >= stop_at:
-                return inf
-            restriction = {v: coloring[v] for v in self.inherited_set[child]}
-            child_value = self.color_subtree(child, restriction)
-            if child_value > value:
-                value = child_value
-        if value >= stop_at:
-            return inf
-        return value
-
-    def _scan(self, bag: int, partial: Coloring, bound_getter, visit) -> bool:
-        """Enumerate colorings of the free vertices of `bag` in vertex
-        order, colors ascending 1..palette, extending `partial`.
-
-        Branches are pruned when a bag vertex's same-color in-units
-        reach the scale (indegree would hit 1) or when the running max
-        color reaches bound_getter().  `visit(coloring, local)` runs on
-        every surviving full coloring (live dict; copy to keep); a True
-        return stops the enumeration early.  Returns whether stopped.
-        """
-        coloring: Coloring = dict(partial)
-        in_units = self.bag_in_units[bag]
-        watchers = self.watchers[bag]
-        order = self.free_order[bag]
-        scale = self.scale
-
-        # spent[v] = same-color in-units of bag vertex v over assigned tails
-        spent: dict[int, int] = {}
-        for v in in_units:
-            if v in coloring:
-                own = sum(
-                    units
-                    for t, units in in_units[v]
-                    if coloring.get(t) == coloring[v]
-                )
-                if own >= scale:
-                    return False  # inherited colors alone already violate
-                spent[v] = own
-
-        def assign(u: int, color: int, undo: list[tuple[int, int]]) -> bool:
-            if u in in_units:
-                own = sum(
-                    units for t, units in in_units[u] if coloring.get(t) == color
-                )
-                if own >= scale:
-                    return False
-                spent[u] = own
-                undo.append((u, -1))
-            for v, units in watchers[u]:
-                if v != u and coloring.get(v) == color:
-                    spent[v] += units
-                    undo.append((v, units))
-                    if spent[v] >= scale:
-                        return False
-            return True
-
-        baseline = max(partial.values(), default=0)
-
-        def descend(idx: int, local: int) -> bool:
-            if idx == len(order):
-                return visit(coloring, local)
-            u = order[idx]
-            for c in range(1, self.palette + 1):
-                if max(local, c) >= bound_getter():
-                    break
-                coloring[u] = c
-                undo: list[tuple[int, int]] = []
-                if assign(u, c, undo):
-                    if descend(idx + 1, max(local, c)):
-                        return True
-                del coloring[u]
-                for v, units in reversed(undo):
-                    if units < 0:
-                        del spent[v]
-                    else:
-                        spent[v] -= units
-            return False
-
-        if baseline >= bound_getter():
-            return False
-        return descend(0, baseline)
+    def decide(self, k: int) -> bool:
+        """Whether the graph is k-colorable; starts a fresh memo for k."""
+        if k < 1:
+            raise PreconditionError(f"color count must be >= 1, got {k}")
+        self.k, self.memo, self.hits = k, {}, 0
+        return self.bag_coloring(self.decomposition.root, {}) is not None
 
     # -- public API --------------------------------------------------
 
     def solve(self) -> SolveResult:
-        root = self.decomposition.root
-        value = self.color_subtree(root, {})
-        if value == inf:
+        k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)
+        if k is None:
             raise AssertionError("width+1 colors always suffice")
-        witness = self._replay()
+        witness = self._witness()
         if not is_valid_coloring(self.graph, witness):
-            raise AssertionError("replayed witness is not a valid coloring")
-        return SolveResult(max(1, int(value)), witness)
+            raise AssertionError("witness read from the memo is not a valid coloring")
+        return SolveResult(k, witness)
 
-    def _replay(self) -> Coloring:
-        """Rebuild one optimal coloring by re-walking accepted choices.
+    def _witness(self) -> Coloring:
+        """Join the stored bag colorings of the last decide(k), root first.
 
-        Each vertex is committed exactly once, at the rootmost bag whose
-        extended set V_i contains it; the checks pin that down.
+        Each vertex is colored at the rootmost bag whose V_i holds it and
+        inherited below; the checks pin that down.
         """
         witness: Coloring = {}
-        deciding = self._deciding_bags()
-
-        def replay(bag: int, partial: Coloring, target: float) -> None:
-            found = False
-
-            def visit(coloring: Coloring, local: int) -> bool:
-                nonlocal found
-                value: float = local
-                plan: list[tuple[int, Coloring, float]] = []
-                for child in self.decomposition.children[bag]:
-                    restriction = {v: coloring[v] for v in self.inherited_set[child]}
-                    child_value = self.color_subtree(child, restriction)
-                    plan.append((child, restriction, child_value))
-                    if child_value > value:
-                        value = child_value
-                    if value > target:
-                        return False
-                if value != target:
-                    return False
-                for v in self.free_order[bag]:
-                    if v in witness:
-                        raise AssertionError(f"vertex {v} colored twice")
-                    if deciding[v] != bag:
-                        raise AssertionError(f"vertex {v} fixed away from its deciding bag")
-                    witness[v] = coloring[v]
-                for v, c in partial.items():
-                    if witness[v] != c:
+        stack: list[MemoKey] = [(self.decomposition.root, ())]
+        while stack:
+            bag, key = stack.pop()
+            colors = self.memo.get((bag, key))
+            if colors is None:
+                raise AssertionError(f"no stored coloring for an accepted state of bag {bag}")
+            for v, c in zip(self.order[bag], colors):
+                if v in self.inherited_set[bag]:
+                    if witness.get(v) != c:
                         raise AssertionError(f"inherited color of {v} drifted")
-                for child, restriction, child_value in plan:
-                    replay(child, restriction, child_value)
-                found = True
-                return True
-
-            self._scan(bag, partial, lambda: target + 1, visit)
-            if not found:
-                raise AssertionError("replay failed to rediscover the memoized optimum")
-
-        root = self.decomposition.root
-        replay(root, {}, self.color_subtree(root, {}))
+                elif v in witness:
+                    raise AssertionError(f"vertex {v} colored twice")
+                else:
+                    witness[v] = c
+            for child, pos in self._kids[bag]:
+                stack.append((child, tuple(colors[p] for p in pos)))
         if set(witness) != set(self.graph.vertices):
             raise AssertionError("witness not total")
         return witness
-
-    def _deciding_bags(self) -> dict[int, int]:
-        D = self.decomposition
-        out: dict[int, int] = {}
-        for v in self.graph.vertices:
-            holders = {i for i, ext in enumerate(self.extended) if v in ext}
-            rootmost = [
-                i for i in holders if D.parent[i] is None or D.parent[i] not in holders
-            ]
-            if len(rootmost) != 1:
-                raise AssertionError(f"bags holding {v} are disconnected")
-            out[v] = rootmost[0]
-        return out
 
     def memo_stats(self) -> MemoStats:
         width = max((len(key[1]) for key in self.memo), default=0)

@@ -290,10 +290,16 @@ class TestStructuralQueries:
         with pytest.raises(ValueError, match="unknown mode"):
             deciding_bag(D, G, 1, "bag-sometimes")
 
+    def test_deciding_bag_rejects_disconnected_holders(self):
+        G = WeightedDigraph(2)
+        D = TreeDecomposition([{1}, {2}, {1}], [(0, 1), (1, 2)])  # 1 skips bag 1
+        with pytest.raises(PreconditionError, match="disconnected"):
+            deciding_bag(D, G, 1, BAG_ONLY)
+
     def test_extended_holders_form_subtrees_when_valid(self):
         # the with-inneighbors mode relies on V_i holders being connected;
         # check that on random valid decompositions the rootmost bag is
-        # well defined for every vertex (the assert inside would trip).
+        # well defined for every vertex (deciding_bag raises otherwise).
         for seed in range(10):
             G = random_instance(8, 0.35, seed=300 + seed)
             D = build_decomposition(G, "min-fill")

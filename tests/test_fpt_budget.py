@@ -23,6 +23,7 @@ from wicolor import (
     random_instance,
     serialize_digraph,
     solve_fpt_budget,
+    solve_fpt_indegree,
 )
 from wicolor.cli import main
 
@@ -54,12 +55,11 @@ def star_instance(children: int, bits: int, seed: int) -> tuple[WeightedDigraph,
     return G, TreeDecomposition(bags, [(0, i) for i in range(1, children + 1)])
 
 
-def ladder(k: int, bits: int, seed: int) -> WeightedDigraph:
-    """The 2 x k ladder with dyadic weights on both arc directions of
-    every edge; column j holds vertices 2j+1 and 2j+2, so min-fill
-    eliminates it as a chain of depth 2k-1."""
+def ladder(k: int, scale: int, seed: int) -> WeightedDigraph:
+    """The 2 x k ladder with weights m/scale, m in 1..scale, on both arc
+    directions of every edge; column j holds vertices 2j+1 and 2j+2, so
+    min-fill eliminates it as a chain of depth 2k-1."""
     rng = random.Random(seed)
-    scale = 1 << bits
     arcs = []
     for j in range(k):
         top, bottom = 2 * j + 1, 2 * j + 2
@@ -261,24 +261,41 @@ class TestSharedBudget:
 class TestLongChains:
     """The 800-vertex ladder decomposes into a chain of 800 bags."""
 
-    @pytest.mark.parametrize("bits", [1, 3])
-    def test_library_solves_the_chain(self, bits):
-        G = ladder(400, bits, seed=4000 + bits)
+    CHAINS = [
+        pytest.param("fpt-budget", 1, id="1"),
+        pytest.param("fpt-budget", 3, id="3"),
+        pytest.param("fpt-indegree", 1, id="fpt-indegree"),
+    ]
+
+    @pytest.mark.parametrize("method,bits", CHAINS)
+    def test_library_solves_the_chain(self, method, bits):
+        G = ladder(400, 1 << bits, seed=4000 + bits)
         D = build_decomposition(G, "min-fill")
-        result = solve_fpt_budget(G, D)
+        solve = solve_fpt_budget if method == "fpt-budget" else solve_fpt_indegree
+        result = solve(G, D)
         assert result.chromatic == 2
         assert is_valid_coloring(G, result.witness)
         assert not is_valid_coloring(G, {v: 1 for v in G.vertices})
 
-    @pytest.mark.parametrize("bits", [1, 3])
-    def test_cli_solves_the_chain(self, bits, tmp_path, capsys):
-        G = ladder(400, bits, seed=4000 + bits)
+    @pytest.mark.parametrize("method,bits", CHAINS)
+    def test_cli_solves_the_chain(self, method, bits, tmp_path, capsys):
+        G = ladder(400, 1 << bits, seed=4000 + bits)
         graph, out = tmp_path / "ladder.wig", tmp_path / "ladder.col"
         graph.write_text(serialize_digraph(G), encoding="utf-8")
-        code = main(["solve", str(graph), "--method", "fpt-budget", "--out", str(out)])
+        code = main(["solve", str(graph), "--method", method, "--out", str(out)])
         assert code == 0
-        assert "solver=fpt-budget chromatic=2" in capsys.readouterr().out
+        assert f"solver={method} chromatic=2" in capsys.readouterr().out
         assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
+
+    def test_auto_solves_a_rational_chain(self, tmp_path, capsys):
+        # tenths are not dyadic, so auto picks the indegree DP
+        G = ladder(128, 10, seed=1280)
+        graph, out = tmp_path / "ladder.wig", tmp_path / "ladder.col"
+        graph.write_text(serialize_digraph(G), encoding="utf-8")
+        assert main(["solve", str(graph), "--out", str(out)]) == 0
+        assert "solver=fpt-indegree" in capsys.readouterr().out
+        assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
+        assert not is_valid_coloring(G, {v: 1 for v in G.vertices})
 
 
 OPTIMIZED_SCRIPT = """

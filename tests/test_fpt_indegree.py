@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 
 import pytest
 
@@ -30,7 +29,7 @@ class TestSmallExamples:
     def test_isolated_vertex(self):
         G = WeightedDigraph(1)
         solver = solver_for(G, TreeDecomposition([{1}]))
-        assert solver.color_subtree(0, {}) == 1
+        assert solver.decide(1)
         result = solver.solve()
         assert result == exact_chi_w(G)
 
@@ -44,7 +43,8 @@ class TestSmallExamples:
     def test_heavy_two_cycle_needs_two(self):
         G = WeightedDigraph(2, [(1, 2, F(1)), (2, 1, F(1))])
         solver = solver_for(G, TreeDecomposition([{1, 2}]))
-        assert solver.color_subtree(0, {}) == 2
+        assert not solver.decide(1)
+        assert solver.decide(2)
         result = solver.solve()
         assert result.chromatic == 2
         assert result.witness[1] != result.witness[2]
@@ -93,8 +93,9 @@ class TestPreconditions:
     def test_partial_must_match_shared_set(self):
         G = WeightedDigraph(2, [(1, 2, F(1, 2))])
         solver = solver_for(G, TreeDecomposition([{1, 2}]))
+        solver.decide(1)
         with pytest.raises(PreconditionError, match="shared set"):
-            solver.color_subtree(0, {1: 1})
+            solver.bag_coloring(0, {1: 1})
 
     def test_infeasible_inherited_coloring_is_inf(self):
         # both in-neighbors of 3 share its color: indegree reaches 1
@@ -103,9 +104,13 @@ class TestPreconditions:
         solver = IndegreeSolver(G, D)
         # V_child = {3} plus in-neighbors {1, 2}; child inherits all three
         assert solver.inherited_set[1] == frozenset({1, 2, 3})
-        assert solver.color_subtree(1, {1: 1, 2: 1, 3: 1}) == inf
-        # feasible, and the inherited color 2 counts toward the value
-        assert solver.color_subtree(1, {1: 1, 2: 2, 3: 1}) == 2
+        solver.decide(2)
+        assert solver.bag_coloring(1, {1: 1, 2: 1, 3: 1}) is None
+        # feasible, and the inherited color 2 needs at least two colors
+        assert solver.bag_coloring(1, {1: 1, 2: 2, 3: 1}) == {1: 1, 2: 2, 3: 1}
+        solver.decide(1)
+        with pytest.raises(PreconditionError, match="outside 1..1"):
+            solver.bag_coloring(1, {1: 1, 2: 2, 3: 1})
 
 
 class TestAgainstOracle:
@@ -133,6 +138,18 @@ class TestAgainstOracle:
                 D = build_decomposition(G, strategy)
                 assert IndegreeSolver(G, D).solve().chromatic == expected
 
+    @pytest.mark.parametrize(
+        "p,seed,bits", [(0.4, 1, 2), (0.4, 3, 2), (0.5, 5, 1)], ids=["s1", "s3", "s5"]
+    )
+    def test_wide_dense_instances(self, p, seed, bits):
+        # widths 5-7: every width+1 color count is in play
+        G = random_instance(10, p, seed=seed, bits=bits)
+        D = build_decomposition(G, "exact-small")
+        assert 5 <= D.width <= 7
+        result = IndegreeSolver(G, D).solve()
+        assert result.chromatic == exact_chi_w(G).chromatic
+        assert is_valid_coloring(G, result.witness)
+
     def test_root_choice_does_not_matter(self):
         G = random_instance(6, 0.5, seed=42, bits=2)
         D = build_decomposition(G, "exact-small")
@@ -144,26 +161,11 @@ class TestAgainstOracle:
 
 
 class TestMemoization:
-    def test_pure_recursion_matches_memoized(self):
-        for seed in range(12):
-            G = random_instance(6, 0.45, seed=1700 + seed, bits=2)
-            D = build_decomposition(G, "exact-small")
-            memoized = IndegreeSolver(G, D).solve()
-            pure = IndegreeSolver(G, D, memoize=False).solve()
-            assert memoized == pure
-
-    def test_pure_solver_keeps_no_table(self, golden5):
-        solver = solver_for(golden5, memoize=False)
-        solver.solve()
-        stats = solver.memo_stats()
-        assert stats.entries == 0
-        assert stats.hits == 0
-
     def test_repeat_query_hits_the_table(self, prism_digraph):
         solver = solver_for(prism_digraph)
-        solver.color_subtree(solver.decomposition.root, {})
+        solver.decide(3)
         before = solver.memo_stats()
-        solver.color_subtree(solver.decomposition.root, {})
+        solver.bag_coloring(solver.decomposition.root, {})
         after = solver.memo_stats()
         assert after.entries == before.entries
         assert after.hits == before.hits + 1
