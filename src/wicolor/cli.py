@@ -10,9 +10,11 @@ precondition (also: validation subcommands reporting an invalid input),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -120,7 +122,14 @@ def _auto_method(G: WeightedDigraph) -> str:
     return "exact"
 
 
-def _run_method(args, G: WeightedDigraph, digest: str, method: str, out: str | None) -> RunReport:
+def _run_method(
+    args,
+    G: WeightedDigraph,
+    digest: str,
+    method: str,
+    out: str | None,
+    decomposition: Callable[[], TreeDecomposition],
+) -> RunReport:
     start = time.perf_counter()
     stat_pairs: tuple[tuple[str, int], ...] = ()
     if method == "exact":
@@ -128,7 +137,7 @@ def _run_method(args, G: WeightedDigraph, digest: str, method: str, out: str | N
         if result is None:
             raise AssertionError("search up to n colors cannot fail")
     elif method == "fpt-indegree":
-        solver = IndegreeSolver(G, _obtain_decomposition(args, G))
+        solver = IndegreeSolver(G, decomposition())
         result = solver.solve()
         if args.stats:
             stats = solver.memo_stats()
@@ -141,7 +150,7 @@ def _run_method(args, G: WeightedDigraph, digest: str, method: str, out: str | N
         bits = args.bits if args.bits is not None else min_precision_bits(G)
         if bits is None:
             raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
-        solver = BudgetSolver(G, _obtain_decomposition(args, G), bits)
+        solver = BudgetSolver(G, decomposition(), bits)
         result = solver.solve()
         if args.stats:
             stats = solver.memo_stats()
@@ -165,6 +174,8 @@ def _run_method(args, G: WeightedDigraph, digest: str, method: str, out: str | N
 def cmd_solve(args) -> int:
     G, digest = _load_digraph(args.graph)
     print(f"instance={args.graph} digest={digest} n={G.n} arcs={len(G.arcs)}")
+    # read or built on first use and shared by both DPs under --all-methods
+    decomposition = functools.cache(lambda: _obtain_decomposition(args, G))
     if args.all_methods:
         methods = ["exact", "fpt-budget", "fpt-indegree"]
         if min_precision_bits(G) is None:
@@ -172,10 +183,10 @@ def cmd_solve(args) -> int:
         methods.sort()
         for method in methods:
             out = f"{args.out}.{method}" if args.out else None
-            print(_run_method(args, G, digest, method, out).as_line())
+            print(_run_method(args, G, digest, method, out, decomposition).as_line())
         return EXIT_OK
     method = args.method if args.method != "auto" else _auto_method(G)
-    print(_run_method(args, G, digest, method, args.out).as_line())
+    print(_run_method(args, G, digest, method, args.out, decomposition).as_line())
     return EXIT_OK
 
 

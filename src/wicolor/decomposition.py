@@ -286,13 +286,19 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
 
 
 def _order_exact(adj: dict[int, set[int]]) -> list[int]:
-    """Elimination order of minimum width, via subset dynamic programming.
+    """Elimination order of minimum width, via a decision search per width.
 
     Simplicial vertices are peeled first (always safe: eliminating one
-    adds no fill and its degree lower-bounds the width anyway).  The
-    remainder is solved exactly: f(S) = min over next vertex v of
-    max(degree of v after eliminating S, f(S + v)), with elimination
-    neighborhoods computed as reachability through S.
+    adds no fill and its degree lower-bounds the width anyway).  On the
+    remainder, widths t are tried upward from its minimum degree (a lower
+    bound): feasible(S) asks whether the vertices outside the eliminated
+    set S can follow in some order of width <= t.  It holds once at most
+    t + 1 vertices remain; otherwise it tries each remaining vertex in
+    index order whose degree after eliminating S, computed as
+    reachability through S, is at most t.  Only the subsets that fail
+    are remembered.  The first t that succeeds is the minimum width, and
+    the order takes, step by step, the first vertex of degree <= t whose
+    elimination leaves a feasible set.
     """
     adj = {v: set(s) for v, s in adj.items()}
     prefix: list[int] = []
@@ -327,25 +333,24 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
             result |= fresh & ~eliminated
         return result & ~(1 << i)
 
-    memo: dict[int, int] = {full: -1}
-
-    def best_width(eliminated: int) -> int:
-        cached = memo.get(eliminated)
-        if cached is not None:
-            return cached
-        value = m  # any order stays below m
+    def feasible(eliminated: int) -> bool:
+        if m - eliminated.bit_count() <= target + 1:
+            return True
+        if eliminated in failed:
+            return False
         for i in range(m):
             bit = 1 << i
-            if eliminated & bit:
-                continue
-            deg = neighbors_through(i, eliminated).bit_count()
-            if deg >= value:
-                continue
-            value = min(value, max(deg, best_width(eliminated | bit)))
-        memo[eliminated] = value
-        return value
+            if not eliminated & bit and neighbors_through(i, eliminated).bit_count() <= target:
+                if feasible(eliminated | bit):
+                    return True
+        failed.add(eliminated)
+        return False
 
-    target = best_width(0)
+    target = min(len(adj[v]) for v in rest)
+    failed: set[int] = set()
+    while not feasible(0):
+        target += 1
+        failed = set()
     order = prefix
     eliminated = 0
     while eliminated != full:
@@ -354,7 +359,7 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
             if eliminated & bit:
                 continue
             deg = neighbors_through(i, eliminated).bit_count()
-            if deg <= target and best_width(eliminated | bit) <= target:
+            if deg <= target and feasible(eliminated | bit):
                 order.append(rest[i])
                 eliminated |= bit
                 break

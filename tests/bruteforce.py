@@ -139,3 +139,102 @@ def treewidth_by_elimination(graph) -> int:
         if elimination_order_within(graph, limit) is not None:
             return limit
     raise AssertionError("limit n-1 always admits an order")
+
+
+def _eliminate(adj: dict[int, set[int]], v: int) -> None:
+    nbrs = adj.pop(v)
+    for u in nbrs:
+        adj[u].discard(v)
+    for u in nbrs:
+        for w in nbrs:
+            if u < w:
+                adj[u].add(w)
+                adj[w].add(u)
+
+
+def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
+    nbrs = list(adj[v])
+    return all(
+        w in adj[u] for i, u in enumerate(nbrs) for w in nbrs[i + 1 :]
+    )
+
+
+def reference_exact_order(adj: dict[int, set[int]]) -> list[int]:
+    """Elimination order of minimum width, via subset dynamic programming.
+
+    The min-max formulation `exact-small` used before it became a
+    decision search, kept as the reference its orders must equal.
+    Simplicial vertices are peeled first (always safe: eliminating one
+    adds no fill and its degree lower-bounds the width anyway).  The
+    remainder is solved exactly: f(S) = min over next vertex v of
+    max(degree of v after eliminating S, f(S + v)), with elimination
+    neighborhoods computed as reachability through S.  Among optimal
+    orders, each step takes the lowest-index vertex that keeps the width.
+    """
+    adj = {v: set(s) for v, s in adj.items()}
+    prefix: list[int] = []
+    while True:
+        v = next((u for u in sorted(adj) if _is_simplicial(adj, u)), None)
+        if v is None:
+            break
+        prefix.append(v)
+        _eliminate(adj, v)
+    if not adj:
+        return prefix
+
+    rest = sorted(adj)
+    index = {v: i for i, v in enumerate(rest)}
+    m = len(rest)
+    masks = [0] * m
+    for v in rest:
+        for u in adj[v]:
+            masks[index[v]] |= 1 << index[u]
+    full = (1 << m) - 1
+
+    def neighbors_through(i: int, eliminated: int) -> int:
+        seen = (1 << i) | masks[i]
+        frontier = masks[i] & eliminated
+        result = masks[i] & ~eliminated
+        while frontier:
+            j = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            fresh = masks[j] & ~seen
+            seen |= fresh
+            frontier |= fresh & eliminated
+            result |= fresh & ~eliminated
+        return result & ~(1 << i)
+
+    memo: dict[int, int] = {full: -1}
+
+    def best_width(eliminated: int) -> int:
+        cached = memo.get(eliminated)
+        if cached is not None:
+            return cached
+        value = m  # any order stays below m
+        for i in range(m):
+            bit = 1 << i
+            if eliminated & bit:
+                continue
+            deg = neighbors_through(i, eliminated).bit_count()
+            if deg >= value:
+                continue
+            value = min(value, max(deg, best_width(eliminated | bit)))
+        memo[eliminated] = value
+        return value
+
+    target = best_width(0)
+    order = prefix
+    eliminated = 0
+    while eliminated != full:
+        for i in range(m):
+            bit = 1 << i
+            if eliminated & bit:
+                continue
+            deg = neighbors_through(i, eliminated).bit_count()
+            if deg <= target and best_width(eliminated | bit) <= target:
+                order.append(rest[i])
+                eliminated |= bit
+                break
+        else:
+            raise AssertionError("optimal elimination order reconstruction failed")
+    return order

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from wicolor import (
+    build_decomposition,
     is_valid_coloring,
     parse_coloring,
     parse_decomposition,
     parse_digraph,
 )
+from wicolor import cli
 from wicolor.cli import main
 from wicolor.data import load_text
 
@@ -115,6 +117,19 @@ class TestSolve:
         assert code == 0
         for method in ("exact", "fpt-budget", "fpt-indegree"):
             assert (files / f"w.{method}").exists()
+
+    def test_all_methods_build_the_decomposition_once(self, files, capsys, monkeypatch):
+        calls = []
+
+        def counting_build(graph, strategy="min-fill"):
+            calls.append(strategy)
+            return build_decomposition(graph, strategy)
+
+        monkeypatch.setattr(cli, "build_decomposition", counting_build)
+        code, out, _ = run(capsys, "solve", str(files / "prism10.wug"), "--all-methods")
+        assert code == 0
+        assert calls == ["exact-small"]
+        assert len(out.strip().splitlines()) == 4
 
     def test_stats_reported(self, files, capsys):
         code, out, _ = run(

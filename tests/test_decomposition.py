@@ -16,11 +16,14 @@ from wicolor import (
     WeightedDigraph,
     build_decomposition,
     deciding_bag,
+    embed_undirected,
     extended_bags,
     partition_instance,
     random_instance,
+    random_subcubic_instance,
     validate_decomposition,
 )
+from wicolor.decomposition import _decomposition_from_order
 
 F = Fraction
 
@@ -38,6 +41,38 @@ def path4_decomposition() -> TreeDecomposition:
 def k4_digraph() -> WeightedDigraph:
     arcs = [(a, b, F(1)) for a in range(1, 5) for b in range(1, 5) if a != b]
     return WeightedDigraph(4, arcs)
+
+
+def undirected(n: int, pairs) -> UndirectedWeightedGraph:
+    return UndirectedWeightedGraph(n, [(a, b, F(1, 2)) for a, b in pairs])
+
+
+def complete(n: int) -> UndirectedWeightedGraph:
+    return undirected(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)])
+
+
+def cycle(n: int) -> UndirectedWeightedGraph:
+    return undirected(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def grid3x3() -> UndirectedWeightedGraph:
+    cell = {(r, c): 3 * r + c + 1 for r in range(3) for c in range(3)}
+    pairs = [(cell[r, c], cell[r, c + 1]) for r in range(3) for c in range(2)]
+    pairs += [(cell[r, c], cell[r + 1, c]) for r in range(2) for c in range(3)]
+    return undirected(9, pairs)
+
+
+def petersen() -> UndirectedWeightedGraph:
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    spokes = [(i, i + 5) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return undirected(10, outer + spokes + inner)
+
+
+def reference_decomposition(graph) -> TreeDecomposition:
+    """The decomposition built from the min-max subset DP's order."""
+    adj = bruteforce._adjacency(graph)
+    return _decomposition_from_order(graph.n, adj, bruteforce.reference_exact_order(adj))
 
 
 class TestConstructor:
@@ -236,6 +271,44 @@ class TestBuild:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             build_decomposition(path4(), "metis")
+
+
+class TestExactSmallReference:
+    """`exact-small` keeps the orders of the min-max subset DP it replaced."""
+
+    def test_random_instances(self):
+        for seed in range(60):
+            G = random_instance(8 + seed % 7, (0.2, 0.3, 0.4, 0.5)[seed % 4], seed=seed)
+            assert build_decomposition(G, "exact-small") == reference_decomposition(G)
+
+    @pytest.mark.parametrize("n", range(8, 17))
+    def test_subcubic_instances(self, n):
+        for seed in range(5):
+            H = random_subcubic_instance(n, seed=seed)
+            assert build_decomposition(H, "exact-small") == reference_decomposition(H)
+
+    def test_eighteen_vertex_subcubic_instance(self):
+        H = random_subcubic_instance(18, seed=0)
+        assert build_decomposition(H, "exact-small") == reference_decomposition(H)
+
+    @pytest.mark.parametrize(
+        "graph, width",
+        [pytest.param(complete(n), n - 1, id=f"K{n}") for n in range(1, 7)]
+        + [pytest.param(cycle(n), 2, id=f"C{n}") for n in range(3, 10)]
+        + [
+            pytest.param(
+                undirected(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]), 3, id="K33"
+            ),
+            pytest.param(grid3x3(), 3, id="grid3x3"),
+            pytest.param(petersen(), 4, id="petersen"),
+        ],
+    )
+    def test_known_treewidths(self, graph, width):
+        assert bruteforce.treewidth_by_elimination(graph) == width
+        D = build_decomposition(graph, "exact-small")
+        assert D.width == width
+        assert validate_decomposition(embed_undirected(graph), D) == []
+        assert D == reference_decomposition(graph)
 
 
 class TestStructuralQueries:
