@@ -23,12 +23,9 @@ from .bounds import (
     upper_bound_sum_weights,
 )
 from .decomposition import (
-    BAG_ONLY,
-    BAG_PLUS_INNEIGHBORS,
     DecompositionViolation,
     TreeDecomposition,
     build_decomposition,
-    deciding_bag,
     extended_bags,
     validate_decomposition,
 )
@@ -86,8 +83,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BAG_ONLY",
-    "BAG_PLUS_INNEIGHBORS",
     "BoundReport",
     "BudgetMemoStats",
     "BudgetSolver",
@@ -112,7 +107,6 @@ __all__ = [
     "check_total_coloring",
     "coloring_violations",
     "complete_embed",
-    "deciding_bag",
     "embed_undirected",
     "exact_chi_w",
     "exact_chromatic_underlying",

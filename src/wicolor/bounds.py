@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, validate_decomposition
 from .errors import PreconditionError
 from .graph import (
     Coloring,
@@ -29,9 +29,9 @@ from .oracle import DEFAULT_CHROMATIC_LIMIT, exact_chromatic_underlying
 class BoundReport:
     """All bound values for one instance.
 
-    treewidth_cap is width+1 of a supplied decomposition (None when no
-    decomposition is given); every coloring needs at most that many
-    colors, so it acts as one more upper bound.
+    treewidth_cap is width+1 of a supplied decomposition, at least 1
+    (None when no decomposition is given); every coloring needs at most
+    that many colors, so it acts as one more upper bound.
     """
 
     lower_chromatic: int
@@ -113,12 +113,20 @@ def bound_report(
     *,
     max_n: int = DEFAULT_CHROMATIC_LIMIT,
 ) -> BoundReport:
+    """Every bound for G; the width cap needs a valid decomposition."""
+    if decomposition is not None:
+        violations = validate_decomposition(G, decomposition)
+        if violations:
+            raise PreconditionError(
+                f"decomposition invalid: {violations[0].message}",
+                witness=violations[0],
+            )
     return BoundReport(
         lower_chromatic=lower_bound_chromatic(underlying_graph(G), max_n=max_n),
         upper_degree_weight=upper_bound_degree_weight(G),
         upper_sum_weights=upper_bound_sum_weights(G),
         upper_indegree=upper_bound_indegree(G),
-        treewidth_cap=None if decomposition is None else decomposition.width + 1,
+        treewidth_cap=None if decomposition is None else max(1, decomposition.width + 1),
     )
 
 

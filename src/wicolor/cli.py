@@ -147,7 +147,7 @@ def _run_method(
                 ("memo_max_key_width", stats.max_key_width),
             )
     elif method == "fpt-budget":
-        bits = args.bits if args.bits is not None else min_precision_bits(G)
+        bits = min_precision_bits(G)
         if bits is None:
             raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
         solver = BudgetSolver(G, decomposition(), bits)
@@ -329,7 +329,6 @@ def _build_parser() -> _Parser:
     solve.add_argument("--all-methods", action="store_true", help="run every applicable method")
     solve.add_argument("--decomposition", help="decomposition file (built when omitted)")
     solve.add_argument("--root", type=int, default=1, help="root bag id in the file")
-    solve.add_argument("--bits", type=int, help="fixed-point precision for fpt-budget")
     solve.add_argument("--out", help="write the witness coloring here")
     solve.add_argument("--stats", action="store_true", help="report memo statistics")
     solve.set_defaults(func=cmd_solve)

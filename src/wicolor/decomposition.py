@@ -17,15 +17,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import InstanceTooLargeError, PreconditionError
+from .errors import InstanceTooLargeError
 from .graph import UndirectedWeightedGraph, WeightedDigraph
 
 EXACT_SMALL_LIMIT = 20
-
-BAG_ONLY = "bag-only"
-BAG_PLUS_INNEIGHBORS = "bag-plus-inneighbors"
 
 
 @dataclass(frozen=True, init=False)
@@ -73,24 +70,9 @@ class TreeDecomposition:
         object.__setattr__(self, "bags", bag_tuple)
         object.__setattr__(self, "tree_edges", tuple(canon))
         object.__setattr__(self, "root", root)
-        # connectivity: with count-1 edges, reaching every bag proves a tree
-        if len(self._reachable_from(root)) != count:
+        # with count-1 edges, a parent for every bag but the root proves a tree
+        if self.parent.count(None) != 1:
             raise ValueError("tree edges do not connect all bags")
-
-    def _reachable_from(self, start: int) -> set[int]:
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.bags))}
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -150,9 +132,10 @@ class TreeDecomposition:
 class DecompositionViolation:
     """One broken decomposition property.
 
-    property_index is 1 (vertex uncovered), 2 (arc endpoints never share
-    a bag) or 3 (bags holding a vertex are disconnected); witness is the
-    vertex or arc pair in question.
+    property_index is 0 (a bag names a vertex outside 1..n), 1 (vertex
+    uncovered), 2 (arc endpoints never share a bag) or 3 (bags holding a
+    vertex are disconnected); witness is the vertex or arc pair in
+    question.
     """
 
     property_index: int
@@ -163,16 +146,25 @@ class DecompositionViolation:
 def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[DecompositionViolation]:
     """All violations of the three decomposition properties, empty iff valid.
 
-    Listed in (property, witness) order so reports are reproducible.  A
-    single flaw can break several properties at once; every broken one
-    is reported.
+    Bags must name only vertices of G (reported as property 0).  Listed
+    in (property, witness) order so reports are reproducible.  A single
+    flaw can break several properties at once; every broken one is
+    reported.
     """
     violations: list[DecompositionViolation] = []
-    membership: dict[int, list[int]] = {v: [] for v in G.vertices}
+    membership: dict[int, set[int]] = {v: set() for v in G.vertices}
+    foreign: set[int] = set()
     for i, bag in enumerate(D.bags):
         for v in bag:
             if v in membership:
-                membership[v].append(i)
+                membership[v].add(i)
+            else:
+                foreign.add(v)
+
+    for v in foreign:
+        violations.append(
+            DecompositionViolation(0, v, f"vertex {v} in a bag is outside 1..{G.n}")
+        )
 
     for v in G.vertices:
         if not membership[v]:
@@ -195,20 +187,11 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
                 )
             )
 
+    # the holders of v are connected iff exactly one of them has its
+    # parent outside the holders: each connected part has one such top
     for v in G.vertices:
         holders = membership[v]
-        if len(holders) <= 1:
-            continue
-        holder_set = set(holders)
-        seen = {holders[0]}
-        queue = deque([holders[0]])
-        while queue:
-            cur = queue.popleft()
-            for nxt in D.adjacency[cur]:
-                if nxt in holder_set and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        if seen != holder_set:
+        if sum(1 for i in holders if D.parent[i] not in holders) > 1:
             violations.append(
                 DecompositionViolation(
                     3, v, f"bags containing vertex {v} are disconnected in the tree"
@@ -248,16 +231,6 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
                 adj[w].add(u)
 
 
-def _order_min_degree(adj: dict[int, set[int]]) -> list[int]:
-    adj = {v: set(s) for v, s in adj.items()}
-    order = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        order.append(v)
-        _eliminate(adj, v)
-    return order
-
-
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
     nbrs = sorted(adj[v])
     return sum(
@@ -268,21 +241,17 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
     )
 
 
-def _order_min_fill(adj: dict[int, set[int]]) -> list[int]:
+def _order_greedy(
+    adj: dict[int, set[int]], score: Callable[[dict[int, set[int]], int], int]
+) -> list[int]:
+    """Repeatedly eliminate the vertex of least score, ties to the smallest."""
     adj = {v: set(s) for v, s in adj.items()}
     order = []
     while adj:
-        v = min(adj, key=lambda u: (_fill_count(adj, u), u))
+        v = min(adj, key=lambda u: (score(adj, u), u))
         order.append(v)
         _eliminate(adj, v)
     return order
-
-
-def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
-    nbrs = list(adj[v])
-    return all(
-        w in adj[u] for i, u in enumerate(nbrs) for w in nbrs[i + 1 :]
-    )
 
 
 def _order_exact(adj: dict[int, set[int]]) -> list[int]:
@@ -303,7 +272,7 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
     adj = {v: set(s) for v, s in adj.items()}
     prefix: list[int] = []
     while True:
-        v = next((u for u in sorted(adj) if _is_simplicial(adj, u)), None)
+        v = next((u for u in sorted(adj) if _fill_count(adj, u) == 0), None)
         if v is None:
             break
         prefix.append(v)
@@ -408,9 +377,9 @@ def build_decomposition(
     """
     adj = _underlying_sets(graph)
     if strategy == "min-degree":
-        order = _order_min_degree(adj)
+        order = _order_greedy(adj, lambda a, v: len(a[v]))
     elif strategy == "min-fill":
-        order = _order_min_fill(adj)
+        order = _order_greedy(adj, _fill_count)
     elif strategy == "exact-small":
         if graph.n > EXACT_SMALL_LIMIT:
             raise InstanceTooLargeError(
@@ -457,30 +426,3 @@ def shared_first_layout(D: TreeDecomposition, tracked: Sequence[frozenset[int]])
     ]
     return shared, order, position, kids
 
-
-def deciding_bag(D: TreeDecomposition, G: WeightedDigraph, v: int, mode: str = BAG_ONLY) -> int:
-    """Index of the rootmost bag whose relevant set contains v.
-
-    In "bag-only" mode the relevant set of bag i is X_i itself; in
-    "bag-plus-inneighbors" mode it is V_i = X_i plus all in-neighbors
-    of X_i.  For a valid decomposition the bags whose relevant set
-    contains v form a connected subtree, so the rootmost one is unique;
-    it is where a top-down dynamic program first commits to v's color.
-    """
-    if not 1 <= v <= G.n:
-        raise PreconditionError(f"vertex {v} outside 1..{G.n}", witness=v)
-    if mode == BAG_ONLY:
-        relevant = D.bags
-    elif mode == BAG_PLUS_INNEIGHBORS:
-        relevant = extended_bags(D, G)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    holders = {i for i, r in enumerate(relevant) if v in r}
-    if not holders:
-        raise PreconditionError(f"vertex {v} appears in no bag", witness=v)
-    rootmost = [
-        i for i in holders if D.parent[i] is None or D.parent[i] not in holders
-    ]
-    if len(rootmost) != 1:
-        raise PreconditionError(f"bags holding {v} are disconnected", witness=v)
-    return rootmost[0]

@@ -113,7 +113,7 @@ class BudgetSolver:
         self.decomposition = D
         self.bits = bits
         self.full = (1 << bits) - 1
-        self.palette = D.width + 1
+        self.palette = max(1, D.width + 1)  # an empty bag has width -1
 
         self.shared_set, self.order, position, self._kids = shared_first_layout(D, D.bags)
 

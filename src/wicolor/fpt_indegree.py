@@ -65,7 +65,7 @@ class IndegreeSolver:
             )
         self.graph = G
         self.decomposition = D
-        self.palette = D.width + 1
+        self.palette = max(1, D.width + 1)  # an empty bag has width -1
         self.scale = G.weight_scale
         self.inherited_set, self.order, position, self._kids = shared_first_layout(
             D, extended_bags(D, G)

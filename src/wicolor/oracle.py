@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InstanceTooLargeError, PreconditionError
+from .generators import reduce_defective
 from .graph import (
     Coloring,
     UndirectedWeightedGraph,
@@ -128,43 +129,9 @@ def exact_defective_number(
     *,
     max_n: int = DEFAULT_SEARCH_LIMIT,
 ) -> SolveResult | None:
-    """Minimum k admitting a coloring where each vertex has <= d same-colored neighbors."""
-    if d < 0:
-        raise PreconditionError(f"defect bound must be >= 0, got {d}")
-    _guard(H.n, max_n, "exhaustive search")
-    if k_limit is None:
-        k_limit = max(1, H.n)
-    if k_limit < 1:
-        raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
-    n = H.n
-    neighbors = {v: [u for u, _ in H.adjacency[v]] for v in H.vertices}
-    color = [0] * (n + 1)
-    defect = [0] * (n + 1)
-
-    def search(v: int, max_used: int, k: int) -> bool:
-        if v > n:
-            return True
-        for c in range(1, min(k, max_used + 1) + 1):
-            same = [u for u in neighbors[v] if color[u] == c]
-            if len(same) > d or any(defect[u] + 1 > d for u in same):
-                continue
-            color[v] = c
-            defect[v] = len(same)
-            for u in same:
-                defect[u] += 1
-            if search(v + 1, max(max_used, c), k):
-                return True
-            color[v] = 0
-            for u in same:
-                defect[u] -= 1
-        return False
-
-    for k in range(1, k_limit + 1):
-        color[:] = [0] * (n + 1)
-        defect[:] = [0] * (n + 1)
-        if search(1, 0, k):
-            return SolveResult(k, {v: color[v] for v in H.vertices})
-    return None
+    """Minimum k admitting a coloring where each vertex has <= d same-colored
+    neighbors, solved as `exact_chi_w` on the reduction `reduce_defective`."""
+    return exact_chi_w(reduce_defective(H, d), k_limit, max_n=max_n)
 
 
 def exact_chromatic_underlying(

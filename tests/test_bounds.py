@@ -8,6 +8,7 @@ import bruteforce
 from wicolor import (
     BoundReport,
     PreconditionError,
+    TreeDecomposition,
     UndirectedWeightedGraph,
     WeightedDigraph,
     bound_report,
@@ -148,6 +149,15 @@ class TestBoundReport:
         assert D.width == 2
         report = bound_report(golden5, D)
         assert report.treewidth_cap == 3
+
+    def test_invalid_decomposition_refused(self, golden5):
+        D = TreeDecomposition([set(golden5.vertices) - {5}])
+        with pytest.raises(PreconditionError, match="decomposition invalid"):
+            bound_report(golden5, D)
+
+    def test_empty_graph_cap_is_one(self):
+        D = TreeDecomposition([frozenset()])
+        assert bound_report(WeightedDigraph(0), D).treewidth_cap == 1
 
     def test_as_lines(self, golden5):
         report = bound_report(golden5, build_decomposition(golden5, "exact-small"))

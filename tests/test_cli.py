@@ -70,11 +70,43 @@ class TestSolve:
             str(files / "prism10.wug"),
             "--method",
             "fpt-budget",
-            "--bits",
-            "1",
         )
         assert code == 0
         assert "solver=fpt-budget chromatic=3" in out
+
+    def test_bits_is_not_an_option(self, files, capsys):
+        # the precision is read off the weights (min_precision_bits)
+        code, _, err = run(capsys, "solve", str(files / "prism10.wug"), "--bits", "1")
+        assert code == 1
+        assert "--bits" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            (),
+            ("--method", "exact"),
+            ("--method", "fpt-indegree"),
+            ("--method", "fpt-budget"),
+            ("--all-methods",),
+        ],
+    )
+    def test_empty_graph_needs_one_color(self, tmp_path, capsys, flags):
+        path = tmp_path / "empty.wig"
+        path.write_text("p wig 0 0\n", encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(path), *flags)
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert len(lines) == (3 if flags == ("--all-methods",) else 1)
+        assert all("chromatic=1" in line for line in lines)
+
+    @pytest.mark.parametrize("method", ["fpt-indegree", "fpt-budget"])
+    def test_decomposition_naming_a_foreign_vertex(self, tmp_path, capsys, method):
+        graph, td = foreign_vertex_files(tmp_path)
+        code, _, err = run(
+            capsys, "solve", str(graph), "--method", method, "--decomposition", str(td)
+        )
+        assert code == 3
+        assert "vertex 5 in a bag is outside 1..3" in err
 
     def test_budget_rejects_non_dyadic(self, files, capsys):
         code, _, err = run(
@@ -217,7 +249,34 @@ class TestSolve:
         assert run(capsys)[0] == 1
 
 
+def foreign_vertex_files(tmp_path):
+    """A 3-vertex path and a one-bag decomposition that also names vertex 5."""
+    graph = tmp_path / "path3.wig"
+    graph.write_text("p wig 3 2\ne 1 2 1/2\ne 2 3 1/2\n", encoding="utf-8")
+    td = tmp_path / "foreign.td"
+    td.write_text("s td 1 4 5\nb 1 1 2 3 5\n", encoding="utf-8")
+    return graph, td
+
+
 class TestBounds:
+    def test_invalid_decomposition_refused(self, tmp_path, capsys):
+        graph = tmp_path / "triangle.wig"
+        graph.write_text("p wig 3 3\ne 1 2 1\ne 2 3 1\ne 3 1 1\n", encoding="utf-8")
+        td = tmp_path / "singletons.td"
+        td.write_text("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 3\n", encoding="utf-8")
+        code, out, err = run(capsys, "bounds", str(graph), "--decomposition", str(td))
+        assert code == 3
+        assert out == ""
+        assert "decomposition invalid" in err
+
+    def test_empty_graph_cap_is_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.wig"
+        path.write_text("p wig 0 0\n", encoding="utf-8")
+        code, out, _ = run(capsys, "bounds", str(path), "--build", "min-fill")
+        assert code == 0
+        assert "treewidth_cap=1" in out.splitlines()
+
+
     def test_golden(self, files, capsys):
         code, out, _ = run(capsys, "bounds", str(files / "golden5.wig"))
         assert code == 0
@@ -405,6 +464,16 @@ class TestDecomp:
         lines = out.splitlines()
         assert lines[0] == "valid=false"
         assert any(line.startswith("violation property=1") for line in lines[1:])
+
+
+    def test_validate_foreign_vertex(self, tmp_path, capsys):
+        graph, td = foreign_vertex_files(tmp_path)
+        code, out, _ = run(capsys, "decomp", "validate", str(graph), str(td))
+        assert code == 3
+        assert out.splitlines() == [
+            "valid=false",
+            "violation property=0 vertex 5 in a bag is outside 1..3",
+        ]
 
 
 class TestValidate:

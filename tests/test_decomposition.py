@@ -6,16 +6,12 @@ import pytest
 
 import bruteforce
 from wicolor import (
-    BAG_ONLY,
-    BAG_PLUS_INNEIGHBORS,
     DecompositionViolation,
     InstanceTooLargeError,
-    PreconditionError,
     TreeDecomposition,
     UndirectedWeightedGraph,
     WeightedDigraph,
     build_decomposition,
-    deciding_bag,
     embed_undirected,
     extended_bags,
     partition_instance,
@@ -177,6 +173,14 @@ class TestValidate:
             (3, 1),
         }
 
+    def test_vertex_outside_the_graph(self):
+        G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(1, 2))])
+        D = TreeDecomposition([{0, 1, 2, 3, 5}, {5}], [(0, 1)])
+        assert validate_decomposition(G, D) == [
+            DecompositionViolation(0, 0, "vertex 0 in a bag is outside 1..3"),
+            DecompositionViolation(0, 5, "vertex 5 in a bag is outside 1..3"),
+        ]
+
     def test_report_order_is_deterministic(self):
         G = WeightedDigraph(4, [(1, 2, F(1, 2)), (3, 4, F(1, 2))])
         D = TreeDecomposition([{2}, {4}], [(0, 1)])
@@ -325,56 +329,11 @@ class TestStructuralQueries:
         D = TreeDecomposition([{2}])
         assert extended_bags(D, G) == (frozenset({1, 2, 3}),)
 
-    def test_deciding_bag_bag_only(self):
-        G, D = path4(), path4_decomposition()
-        assert [deciding_bag(D, G, v, BAG_ONLY) for v in G.vertices] == [0, 0, 1, 2]
-
-    def test_deciding_bag_with_inneighbors(self):
-        G, D = path4(), path4_decomposition()
-        assert [deciding_bag(D, G, v, BAG_PLUS_INNEIGHBORS) for v in G.vertices] == [
-            0, 0, 1, 2,
-        ]
-
-    def test_deciding_bag_follows_the_root(self):
-        G, D = path4(), path4_decomposition()
-        rerooted = D.root_at(2)
-        assert [deciding_bag(rerooted, G, v, BAG_ONLY) for v in G.vertices] == [
-            0, 1, 2, 2,
-        ]
-
-    def test_deciding_bag_on_gadget_root(self):
-        G, D = partition_instance([1, 2, 3])
-        assert deciding_bag(D, G, 1, BAG_ONLY) == D.root
-        assert deciding_bag(D, G, 2, BAG_ONLY) == D.root
-
-    def test_deciding_bag_rejects_unknown_vertex(self):
-        G, D = path4(), path4_decomposition()
-        with pytest.raises(PreconditionError):
-            deciding_bag(D, G, 9, BAG_ONLY)
-
-    def test_deciding_bag_rejects_uncovered_vertex(self):
-        G = WeightedDigraph(2)
-        D = TreeDecomposition([{1}])
-        with pytest.raises(PreconditionError):
-            deciding_bag(D, G, 2, BAG_ONLY)
-
-    def test_deciding_bag_unknown_mode(self):
-        G, D = path4(), path4_decomposition()
-        with pytest.raises(ValueError, match="unknown mode"):
-            deciding_bag(D, G, 1, "bag-sometimes")
-
-    def test_deciding_bag_rejects_disconnected_holders(self):
-        G = WeightedDigraph(2)
-        D = TreeDecomposition([{1}, {2}, {1}], [(0, 1), (1, 2)])  # 1 skips bag 1
-        with pytest.raises(PreconditionError, match="disconnected"):
-            deciding_bag(D, G, 1, BAG_ONLY)
-
     def test_extended_holders_form_subtrees_when_valid(self):
-        # the with-inneighbors mode relies on V_i holders being connected;
-        # check that on random valid decompositions the rootmost bag is
-        # well defined for every vertex (deciding_bag raises otherwise).
+        # the indegree DP joins its witness from per-bag colorings of V_i,
+        # which needs the extended bags to form a valid decomposition too
         for seed in range(10):
             G = random_instance(8, 0.35, seed=300 + seed)
             D = build_decomposition(G, "min-fill")
-            for v in G.vertices:
-                deciding_bag(D, G, v, BAG_PLUS_INNEIGHBORS)
+            extended = TreeDecomposition(extended_bags(D, G), D.tree_edges, D.root)
+            assert validate_decomposition(G, extended) == []

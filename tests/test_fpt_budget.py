@@ -12,6 +12,7 @@ from wicolor import (
     BudgetSolver,
     IndegreeSolver,
     PreconditionError,
+    SolveResult,
     TreeDecomposition,
     WeightedDigraph,
     build_decomposition,
@@ -151,6 +152,13 @@ class TestSmallExamples:
         result = BudgetSolver(G, D, 2).solve()
         assert result.chromatic == 2
         assert result.chromatic == exact_chi_w(G).chromatic
+
+    @pytest.mark.parametrize("strategy", ["min-degree", "min-fill", "exact-small"])
+    def test_empty_graph_needs_one_color(self, strategy):
+        G = WeightedDigraph(0)
+        D = build_decomposition(G, strategy)
+        assert D.width == -1
+        assert BudgetSolver(G, D, 1).solve() == exact_chi_w(G) == SolveResult(1, {})
 
     def test_prism(self, prism_digraph):
         D = build_decomposition(prism_digraph, "exact-small")
@@ -347,6 +355,11 @@ class TestPreconditions:
         G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(1, 2))])
         with pytest.raises(PreconditionError, match="decomposition invalid"):
             BudgetSolver(G, TreeDecomposition([{1, 2}]), 1)
+
+    def test_vertex_outside_the_graph_rejected(self):
+        G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(1, 2))])
+        with pytest.raises(PreconditionError, match="outside 1..3"):
+            BudgetSolver(G, TreeDecomposition([{1, 2, 3, 5}]), 1)
 
     def test_wrong_precision_rejected(self):
         G = WeightedDigraph(2, [(1, 2, F(3, 4))])

@@ -7,6 +7,7 @@ import pytest
 from wicolor import (
     IndegreeSolver,
     PreconditionError,
+    SolveResult,
     TreeDecomposition,
     WeightedDigraph,
     build_decomposition,
@@ -32,6 +33,13 @@ class TestSmallExamples:
         assert solver.decide(1)
         result = solver.solve()
         assert result == exact_chi_w(G)
+
+    @pytest.mark.parametrize("strategy", ["min-degree", "min-fill", "exact-small"])
+    def test_empty_graph_needs_one_color(self, strategy):
+        G = WeightedDigraph(0)
+        D = build_decomposition(G, strategy)
+        assert D.width == -1
+        assert IndegreeSolver(G, D).solve() == exact_chi_w(G) == SolveResult(1, {})
 
     def test_arcless_uses_one_color(self):
         G = WeightedDigraph(4)
@@ -88,6 +96,12 @@ class TestPreconditions:
         G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(1, 2))])
         D = TreeDecomposition([{1, 2}])  # vertex 3 uncovered
         with pytest.raises(PreconditionError, match="decomposition invalid"):
+            IndegreeSolver(G, D)
+
+    def test_vertex_outside_the_graph_rejected(self):
+        G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(1, 2))])
+        D = TreeDecomposition([{1, 2, 3, 5}])
+        with pytest.raises(PreconditionError, match="outside 1..3"):
             IndegreeSolver(G, D)
 
     def test_partial_must_match_shared_set(self):

@@ -14,7 +14,6 @@ from wicolor import (
     check_fixed_point,
     complete_embed,
     exact_chi_w,
-    exact_defective_number,
     is_valid_coloring,
     partition_instance,
     random_instance,
@@ -56,9 +55,8 @@ class TestReduceDefective:
             G = random_instance(5, 0.5, seed=2500 + seed)
             H = UndirectedWeightedGraph(5, [(t, h, w) for t, h, w in G.arcs if t < h])
             for d in (0, 1, 2):
-                assert (
-                    exact_chi_w(reduce_defective(H, d)).chromatic
-                    == exact_defective_number(H, d).chromatic
+                assert exact_chi_w(reduce_defective(H, d)).chromatic == (
+                    bruteforce.brute_defective_number(H, d)
                 )
 
 
