@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .decomposition import TreeDecomposition, validate_decomposition
+from .decomposition import TreeDecomposition, require_valid_decomposition
 from .errors import PreconditionError
 from .graph import (
     Coloring,
@@ -115,12 +115,7 @@ def bound_report(
 ) -> BoundReport:
     """Every bound for G; the width cap needs a valid decomposition."""
     if decomposition is not None:
-        violations = validate_decomposition(G, decomposition)
-        if violations:
-            raise PreconditionError(
-                f"decomposition invalid: {violations[0].message}",
-                witness=violations[0],
-            )
+        require_valid_decomposition(G, decomposition)
     return BoundReport(
         lower_chromatic=lower_bound_chromatic(underlying_graph(G), max_n=max_n),
         upper_degree_weight=upper_bound_degree_weight(G),
@@ -145,6 +140,35 @@ def _monochromatic_count(
     )
 
 
+def _recolor(
+    adjacency: dict[int, list[int]], coloring: Coloring, k: int, limit: int
+) -> int:
+    """Move the smallest vertex with more than `limit` same-colored
+    neighbors into the smallest class 1..k where it has at most `limit`,
+    until none is left; returns the number of moves.  The caller's
+    precondition guarantees such a class exists."""
+
+    def same_color_count(v: int, c: int) -> int:
+        return sum(1 for u in adjacency[v] if coloring[u] == c)
+
+    steps = 0
+    mono = _monochromatic_count(adjacency, coloring)
+    while True:
+        offender = next(
+            (v for v in adjacency if same_color_count(v, coloring[v]) > limit), None
+        )
+        if offender is None:
+            return steps
+        coloring[offender] = next(
+            c for c in range(1, k + 1) if same_color_count(offender, c) <= limit
+        )
+        steps += 1
+        new_mono = _monochromatic_count(adjacency, coloring)
+        if new_mono >= mono:
+            raise AssertionError("recolor step failed to reduce monochromatic edges")
+        mono = new_mono
+
+
 def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:
     """greedy_recolor plus the number of recolor steps performed."""
     if k < upper_bound_degree_weight(G):
@@ -156,36 +180,9 @@ def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:
     positive = [w for _, _, w in G.arcs if w > 0]
     if not positive:
         return coloring, 0
-    limit = cap(max(positive))
     und = underlying_graph(G)
     adjacency = {v: [u for u, _ in und.adjacency[v]] for v in und.vertices}
-
-    def same_color_count(v: int, c: int) -> int:
-        return sum(1 for u in adjacency[v] if coloring[u] == c)
-
-    steps = 0
-    mono = _monochromatic_count(adjacency, coloring)
-    while True:
-        offender = next(
-            (
-                v
-                for v in und.vertices
-                if same_color_count(v, coloring[v]) > limit
-            ),
-            None,
-        )
-        if offender is None:
-            break
-        target = next(
-            c for c in range(1, k + 1) if same_color_count(offender, c) <= limit
-        )
-        coloring[offender] = target
-        steps += 1
-        new_mono = _monochromatic_count(adjacency, coloring)
-        if new_mono >= mono:
-            raise AssertionError("recolor step failed to reduce monochromatic edges")
-        mono = new_mono
-    return coloring, steps
+    return coloring, _recolor(adjacency, coloring, k, cap(max(positive)))
 
 
 def greedy_recolor(G: WeightedDigraph, k: int) -> Coloring:
@@ -217,23 +214,9 @@ def subcubic_two_coloring_trace(H: UndirectedWeightedGraph) -> tuple[Coloring, i
             )
     coloring = _round_robin(H.n, 2)
     adjacency = {v: [u for u, _ in H.adjacency[v]] for v in H.vertices}
-
-    def same_color_count(v: int) -> int:
-        return sum(1 for u in adjacency[v] if coloring[u] == coloring[v])
-
-    flips = 0
-    mono = _monochromatic_count(adjacency, coloring)
-    while True:
-        offender = next((v for v in H.vertices if same_color_count(v) >= 2), None)
-        if offender is None:
-            break
-        coloring[offender] = 3 - coloring[offender]
-        flips += 1
-        new_mono = _monochromatic_count(adjacency, coloring)
-        if new_mono >= mono:
-            raise AssertionError("flip failed to reduce monochromatic edges")
-        mono = new_mono
-    return coloring, flips
+    # an offender of degree <= 3 has at most one neighbor of the other
+    # color, so the greedy step with k = 2 and limit 1 is a flip
+    return coloring, _recolor(adjacency, coloring, 2, 1)
 
 
 def subcubic_two_coloring(H: UndirectedWeightedGraph) -> Coloring:

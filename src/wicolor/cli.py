@@ -25,6 +25,7 @@ from .decomposition import (
     EXACT_SMALL_LIMIT,
     TreeDecomposition,
     build_decomposition,
+    require_valid_decomposition,
     validate_decomposition,
 )
 from .errors import FormatError, InstanceTooLargeError, PreconditionError
@@ -66,7 +67,6 @@ class _Parser(argparse.ArgumentParser):
 class RunReport:
     """One solver run, rendered as a single key=value line."""
 
-    digest: str
     solver: str
     chromatic: int
     witness_path: str
@@ -125,7 +125,6 @@ def _auto_method(G: WeightedDigraph) -> str:
 def _run_method(
     args,
     G: WeightedDigraph,
-    digest: str,
     method: str,
     out: str | None,
     decomposition: Callable[[], TreeDecomposition],
@@ -168,7 +167,7 @@ def _run_method(
     if out:
         _write_witness(out, G, result.witness)
         witness_path = out
-    return RunReport(digest, method, result.chromatic, witness_path, wall_ms, stat_pairs)
+    return RunReport(method, result.chromatic, witness_path, wall_ms, stat_pairs)
 
 
 def cmd_solve(args) -> int:
@@ -176,6 +175,8 @@ def cmd_solve(args) -> int:
     print(f"instance={args.graph} digest={digest} n={G.n} arcs={len(G.arcs)}")
     # read or built on first use and shared by both DPs under --all-methods
     decomposition = functools.cache(lambda: _obtain_decomposition(args, G))
+    if args.decomposition:  # a given file is checked even when no DP reads it
+        require_valid_decomposition(G, decomposition())
     if args.all_methods:
         methods = ["exact", "fpt-budget", "fpt-indegree"]
         if min_precision_bits(G) is None:
@@ -183,10 +184,10 @@ def cmd_solve(args) -> int:
         methods.sort()
         for method in methods:
             out = f"{args.out}.{method}" if args.out else None
-            print(_run_method(args, G, digest, method, out, decomposition).as_line())
+            print(_run_method(args, G, method, out, decomposition).as_line())
         return EXIT_OK
     method = args.method if args.method != "auto" else _auto_method(G)
-    print(_run_method(args, G, digest, method, args.out, decomposition).as_line())
+    print(_run_method(args, G, method, args.out, decomposition).as_line())
     return EXIT_OK
 
 

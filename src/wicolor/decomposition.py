@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .errors import InstanceTooLargeError
+from .errors import InstanceTooLargeError, PreconditionError
 from .graph import UndirectedWeightedGraph, WeightedDigraph
 
 EXACT_SMALL_LIMIT = 20
@@ -200,6 +200,15 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
 
     violations.sort(key=lambda viol: (viol.property_index, _witness_key(viol.witness)))
     return violations
+
+
+def require_valid_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> None:
+    """Raise PreconditionError naming the first violation, if D is invalid for G."""
+    violations = validate_decomposition(G, D)
+    if violations:
+        raise PreconditionError(
+            f"decomposition invalid: {violations[0].message}", witness=violations[0]
+        )
 
 
 def _witness_key(witness: int | tuple[int, int]) -> tuple[int, int]:

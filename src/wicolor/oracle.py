@@ -1,11 +1,14 @@
 """Exact reference solvers via guarded backtracking search.
 
 Everything here is exponential and intentionally small-instance only;
-the solvers refuse oversized inputs instead of grinding.  Searches are
-fully deterministic: vertices are colored in index order, colors tried
-ascending, and a new color may only be opened when all smaller ones have
-appeared (first-use canonical order), so returned witnesses are stable
-across runs and platforms.
+the solvers refuse oversized inputs instead of grinding.  There is one
+search, `exact_chi_w`; the defective and ordinary chromatic numbers are
+reductions to it.  The search is fully deterministic: it colors next the
+uncolored vertex with the fewest feasible colors (ties to the most
+positive-weight neighbors, then the smallest index), tries colors
+ascending, and opens a new color only as the next unused one.  Witness
+colors are renamed by first use in vertex-index order, so returned
+witnesses are canonical and stable across runs and platforms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .graph import (
     UndirectedWeightedGraph,
     WeightedDigraph,
     check_total_coloring,
+    embed_undirected,
 )
 
 DEFAULT_SEARCH_LIMIT = 16
@@ -56,52 +60,70 @@ def exact_chi_w(
     if k_limit < 1:
         raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
     scale = G.weight_scale
-    in_units: dict[int, list[tuple[int, int]]] = {v: [] for v in G.vertices}
-    out_units: dict[int, list[tuple[int, int]]] = {v: [] for v in G.vertices}
+    n = G.n
+    in_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    out_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    neighbors: list[set[int]] = [set() for _ in range(n + 1)]
     for t, h, w in G.arcs:
         units = int(w * scale)
         if units:
             in_units[h].append((t, units))
             out_units[t].append((h, units))
+            neighbors[t].add(h)
+            neighbors[h].add(t)
+    # scan order for the choice rule: ties on feasible colors go to the
+    # most positive-weight neighbors, then the smallest index
+    priority = sorted(range(1, n + 1), key=lambda v: (-len(neighbors[v]), v))
 
-    n = G.n
     color = [0] * (n + 1)
-    spent = [0] * (n + 1)
+    spent = [0] * (n + 1)  # same-colored weighted indegree of colored vertices
 
-    def search(v: int, max_used: int, k: int) -> bool:
-        if v > n:
+    def search(placed: int, max_used: int, k: int) -> bool:
+        if placed == n:
             return True
-        for c in range(1, min(k, max_used + 1) + 1):
-            own = 0
-            for t, units in in_units[v]:
-                if color[t] == c:
-                    own += units
-            if own >= scale:
+        top = min(k, max_used + 1)
+        fewest = top + 1
+        for u in priority:
+            if color[u]:
                 continue
-            feasible = True
-            touched: list[tuple[int, int]] = []
-            for h, units in out_units[v]:
-                if color[h] == c:
-                    spent[h] += units
-                    touched.append((h, units))
-                    if spent[h] >= scale:
-                        feasible = False
-                        break
-            if feasible:
-                color[v] = c
-                spent[v] = own
-                if search(v + 1, max(max_used, c), k):
-                    return True
-                color[v] = 0
+            load: dict[int, int] = {}
+            blocked: set[int] = set()
+            for t, units in in_units[u]:
+                c = color[t]
+                if c:
+                    load[c] = total = load.get(c, 0) + units
+                    if total >= scale:
+                        blocked.add(c)
+            for h, units in out_units[u]:
+                c = color[h]
+                if c and spent[h] + units >= scale:
+                    blocked.add(c)
+            if top - len(blocked) < fewest:
+                fewest = top - len(blocked)
+                if not fewest:
+                    return False
+                v, v_blocked, v_load = u, blocked, load
+        for c in range(1, top + 1):
+            if c in v_blocked:
+                continue
+            touched = [(h, units) for h, units in out_units[v] if color[h] == c]
+            for h, units in touched:
+                spent[h] += units
+            color[v] = c
+            spent[v] = v_load.get(c, 0)
+            if search(placed + 1, max(max_used, c), k):
+                return True
+            color[v] = 0
             for h, units in touched:
                 spent[h] -= units
         return False
 
     for k in range(1, k_limit + 1):
-        color[:] = [0] * (n + 1)
-        spent[:] = [0] * (n + 1)
-        if search(1, 0, k):
-            return SolveResult(k, {v: color[v] for v in G.vertices})
+        if search(0, 0, k):
+            renamed: dict[int, int] = {}
+            for v in G.vertices:
+                renamed.setdefault(color[v], len(renamed) + 1)
+            return SolveResult(k, {v: renamed[color[v]] for v in G.vertices})
     return None
 
 
@@ -139,73 +161,9 @@ def exact_chromatic_underlying(
 ) -> int:
     """Exact chromatic number of H restricted to its positive-weight edges.
 
-    Zero-weight edges never constrain a coloring, so they are dropped
-    before solving.  Branch and bound with saturation-first vertex
-    selection, seeded with a greedy clique (its vertices are pre-colored
-    pairwise distinct, which any optimal coloring can be relabeled to
-    match) and a greedy upper bound.
+    That is `exact_chi_w` with every positive edge at weight 1 in both
+    directions, since one same-colored neighbor already reaches
+    indegree 1; zero-weight edges never constrain a coloring.
     """
-    _guard(H.n, max_n, "exact chromatic number")
-    adj: dict[int, set[int]] = {v: set() for v in H.vertices}
-    for u, v, w in H.edges:
-        if w > 0:
-            adj[u].add(v)
-            adj[v].add(u)
-    if not any(adj.values()):
-        return 1
-
-    order = sorted(H.vertices, key=lambda v: (-len(adj[v]), v))
-    clique: list[int] = []
-    for v in order:
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-
-    color: dict[int, int] = {}
-    for rank, v in enumerate(clique, start=1):
-        color[v] = rank
-
-    def greedy_bound() -> int:
-        tmp: dict[int, int] = {}
-        while len(tmp) < H.n:
-            v = max(
-                (u for u in H.vertices if u not in tmp),
-                key=lambda u: (
-                    len({tmp[x] for x in adj[u] if x in tmp}),
-                    len(adj[u]),
-                    -u,
-                ),
-            )
-            used = {tmp[x] for x in adj[v] if x in tmp}
-            c = 1
-            while c in used:
-                c += 1
-            tmp[v] = c
-        return max(tmp.values())
-
-    best = greedy_bound()
-
-    def search(max_used: int) -> None:
-        nonlocal best
-        if max_used >= best:
-            return
-        if len(color) == H.n:
-            best = max_used
-            return
-        v = max(
-            (u for u in H.vertices if u not in color),
-            key=lambda u: (
-                len({color[x] for x in adj[u] if x in color}),
-                len(adj[u]),
-                -u,
-            ),
-        )
-        blocked = {color[x] for x in adj[v] if x in color}
-        for c in range(1, min(max_used + 1, best - 1) + 1):
-            if c in blocked:
-                continue
-            color[v] = c
-            search(max(max_used, c))
-            del color[v]
-
-    search(len(clique))
-    return best
+    hard = UndirectedWeightedGraph(H.n, [(u, v, 1) for u, v, w in H.edges if w > 0])
+    return exact_chi_w(embed_undirected(hard), max_n=max_n).chromatic

@@ -99,7 +99,7 @@ class TestSolve:
         assert len(lines) == (3 if flags == ("--all-methods",) else 1)
         assert all("chromatic=1" in line for line in lines)
 
-    @pytest.mark.parametrize("method", ["fpt-indegree", "fpt-budget"])
+    @pytest.mark.parametrize("method", ["fpt-indegree", "fpt-budget", "exact", "auto"])
     def test_decomposition_naming_a_foreign_vertex(self, tmp_path, capsys, method):
         graph, td = foreign_vertex_files(tmp_path)
         code, _, err = run(
@@ -107,6 +107,19 @@ class TestSolve:
         )
         assert code == 3
         assert "vertex 5 in a bag is outside 1..3" in err
+
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_missing_decomposition_file(self, tmp_path, capsys, method):
+        # thirds on a complete digraph of five: auto picks exact
+        graph = tmp_path / "k5.wig"
+        arcs = [f"e {a} {b} 1/3" for a in range(1, 6) for b in range(1, 6) if a != b]
+        graph.write_text("\n".join(["p wig 5 20", *arcs, ""]), encoding="utf-8")
+        code, _, err = run(
+            capsys, "solve", str(graph), "--method", method,
+            "--decomposition", str(tmp_path / "absent.td"),
+        )
+        assert code == 2
+        assert "cannot read input" in err
 
     def test_budget_rejects_non_dyadic(self, files, capsys):
         code, _, err = run(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from wicolor import (
     is_defective_coloring,
     is_valid_coloring,
     random_instance,
+    underlying_graph,
 )
 
 F = Fraction
@@ -30,6 +33,15 @@ def k4_undirected(weight=F(1)) -> UndirectedWeightedGraph:
 
 def c5_undirected(weight=F(1)) -> UndirectedWeightedGraph:
     return UndirectedWeightedGraph(5, [(i, i % 5 + 1, weight) for i in range(1, 6)])
+
+
+def assert_first_use_canonical(witness) -> None:
+    seen: list[int] = []
+    for v in sorted(witness):
+        c = witness[v]
+        assert c <= len(seen) + 1
+        if c == len(seen) + 1:
+            seen.append(c)
 
 
 class TestExactChiW:
@@ -101,13 +113,30 @@ class TestExactChiW:
         assert exact_chi_w(golden5) == exact_chi_w(golden5)
 
     def test_witness_colors_are_canonical(self, prism_digraph):
-        witness = exact_chi_w(prism_digraph).witness
-        seen: list[int] = []
-        for v in sorted(witness):
-            c = witness[v]
-            assert c <= len(seen) + 1
-            if c == len(seen) + 1:
-                seen.append(c)
+        assert_first_use_canonical(exact_chi_w(prism_digraph).witness)
+
+    def test_clique_behind_light_arcs_is_colored_first(self):
+        # K5 on vertices 12..16 and eleven 1/64 arcs into vertex 12: an
+        # index-order search tries every coloring of 1..11 for each k < 5
+        clique = [(a, b, F(1)) for a in range(12, 17) for b in range(12, 17) if a != b]
+        G = WeightedDigraph(16, clique + [(t, 12, F(1, 64)) for t in range(1, 12)])
+        start = time.perf_counter()
+        result = exact_chi_w(G)
+        assert time.perf_counter() - start < 2.0
+        assert result.chromatic == 5
+        assert is_valid_coloring(G, result.witness)
+
+    def test_invariant_under_relabelling(self):
+        rng = random.Random(900)
+        for seed in range(20):
+            n = rng.randint(2, 12)
+            G = random_instance(n, 0.4, seed=900 + seed, bits=2)
+            image = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            relabelled = WeightedDigraph(n, [(image[t], image[h], w) for t, h, w in G.arcs])
+            result = exact_chi_w(relabelled)
+            assert result.chromatic == exact_chi_w(G).chromatic
+            assert is_valid_coloring(relabelled, result.witness)
+            assert_first_use_canonical(result.witness)
 
     def test_monotone_under_arc_addition(self):
         for seed in range(10):
@@ -215,6 +244,12 @@ class TestChromaticUnderlying:
             G = random_instance(6, 0.4, seed=700 + seed)
             und = UndirectedWeightedGraph(6, [(t, h, w) for t, h, w in G.arcs if t < h])
             assert exact_chromatic_underlying(und) == bruteforce.brute_chromatic(und)
+
+    def test_matches_direct_enumeration_on_eight_vertices(self):
+        cases = [(0.4, seed) for seed in range(750, 754)] + [(0.6, 750), (0.6, 751)]
+        for p, seed in cases:
+            H = underlying_graph(random_instance(8, p, seed=seed))
+            assert exact_chromatic_underlying(H) == bruteforce.brute_chromatic(H)
 
 
 class TestCrossChecks:
