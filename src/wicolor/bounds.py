@@ -72,13 +72,15 @@ def lower_bound_chromatic(
 
     Any single color class of a valid coloring can be refined into at
     most cap(w_min)+1 proper classes, which is what makes this a lower
-    bound.  A graph with no positive-weight edge needs one color.
+    bound.  A graph with no positive-weight edge needs one color.  Above
+    max_n vertices chi is not searched for; its trivial lower value 2
+    takes its place, which keeps the result a lower bound.
     """
     positive = [w for _, _, w in H.edges if w > 0]
     if not positive:
         return 1
     w_min = min(positive)
-    chi = exact_chromatic_underlying(H, max_n=max_n)
+    chi = exact_chromatic_underlying(H, max_n=max_n) if H.n <= max_n else 2
     return _ceil_div(chi, cap(w_min) + 1)
 
 

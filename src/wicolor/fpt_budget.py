@@ -18,6 +18,16 @@ stored vector per child, keeping a sum only while no vertex goes over
 can use any demand that a smaller one would also fit (Cygan et al.,
 Parameterized Algorithms, 2015, ch. 7).
 
+Colors are interchangeable: renaming them maps the valid colorings of
+a subtree onto each other and leaves every demand unchanged.  So a
+table holds one key per class of shared colorings, the first-use
+canonical one, in which each color is at most 1 + the largest color
+before it (a restricted growth string, Knuth, TAOCP 4A, 7.2.1.5); a
+lookup first renames the colors in order of first use.  A bag fills
+only the colorings that are first-use canonical in its shared-first
+order, whose shared prefix is then canonical too: one per class
+instead of up to k! of them.
+
 State is polynomial in n for fixed width and b: colorings and demand
 vectors range over bag vertices only.
 """
@@ -25,7 +35,7 @@ vectors range over bag vertices only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 from .decomposition import TreeDecomposition, shared_first_layout, validate_decomposition
 from .errors import PreconditionError
@@ -40,12 +50,13 @@ class BudgetMemoStats:
     """Table shape of the last decide(k) run (for a solve: the run that
     decided the answer).
 
-    color_entries counts the stored (bag, shared coloring, minimal
-    demand vector) entries; distribute_entries counts the partial sums
-    kept after adding each child's vector, over the bag colorings that
-    completed; hits counts the child entries those colorings read, one
-    per child; max_key_width is the most vertices any vector of the
-    run spans.
+    Every count is per class of colorings equal up to renaming colors:
+    color_entries counts the stored (bag, first-use canonical shared
+    coloring, minimal demand vector) entries; distribute_entries counts
+    the partial sums kept after adding each child's vector, over the
+    canonical bag colorings that completed; hits counts the child
+    entries those colorings read, one per child; max_key_width is the
+    most vertices any vector of the run spans.
     """
 
     color_entries: int
@@ -89,6 +100,27 @@ def _minimal(vectors) -> list[Vector]:
         if not any(all(a <= b for a, b in zip(low, vec)) for low in kept):
             kept.append(vec)
     return kept
+
+
+@lru_cache(maxsize=None)
+def _first_use_extensions(length: int, k: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple of `length` colors in 1..k in which each color is at
+    most 1 + the largest color before it, counting `top` as the largest
+    color of an earlier prefix; in lexicographic order."""
+    partial: list[tuple[tuple[int, ...], int]] = [((), top)]
+    for _ in range(length):
+        partial = [
+            (colors + (c,), max(high, c))
+            for colors, high in partial
+            for c in range(1, min(k, high + 1) + 1)
+        ]
+    return tuple(colors for colors, _ in partial)
+
+
+def _first_use(colors: tuple[int, ...]) -> tuple[int, ...]:
+    """`colors` with the colors renamed 1, 2, ... in order of first use."""
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(c, len(relabel) + 1) for c in colors])
 
 
 class BudgetSolver:
@@ -139,6 +171,8 @@ class BudgetSolver:
             raise AssertionError("every arc must be charged at exactly one bag")
 
         self.tables: list[dict[tuple[int, ...], list[Vector]]] = [{} for _ in D.bags]
+        self._k = 0  # k of the last decide(k)
+        self._canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.considered_counts: dict[tuple[int, int], int] = {}
         self._stats = BudgetMemoStats(0, 0, 0, 0)
 
@@ -148,9 +182,11 @@ class BudgetSolver:
         """Demand vectors over the bag's vertices (in self.order[bag])
         under `colors`: layer 0 holds the bag's own charges, layer j adds
         one stored vector of child j to each sum of layer j-1, keeping
-        the minimal sums with no vertex over budget.  None when a child
-        has no entry for these colors or some layer is empty."""
+        the minimal sums with no vertex over budget.  Each child is read
+        under its shared colors renamed in order of first use.  None when
+        a child has no entry for these colors or some layer is empty."""
         full = self.full
+        canonical = self._canonical
         own = [0] * len(colors)
         for t, h, units in self._charges[bag]:
             if colors[t] == colors[h]:
@@ -159,7 +195,11 @@ class BudgetSolver:
             return None
         layers = [[tuple(own)]]
         for child, pos in self._kids[bag]:
-            front = self.tables[child].get(tuple(colors[p] for p in pos))
+            key = tuple([colors[p] for p in pos])
+            canon = canonical.get(key)
+            if canon is None:
+                canon = canonical[key] = _first_use(key)
+            front = self.tables[child].get(canon)
             if front is None:
                 return None
             sums = []
@@ -178,19 +218,21 @@ class BudgetSolver:
 
     def decide(self, k: int) -> bool:
         """Fill the demand tables for k colors, leaves first; True when
-        the whole graph is k-colorable.  Stops at the first bag whose
-        table is empty."""
+        the whole graph is k-colorable.  Each bag tries its first-use
+        canonical colorings only.  Stops at the first bag whose table is
+        empty."""
         if k < 1:
             raise PreconditionError(f"color count must be >= 1, got {k}")
         D = self.decomposition
         self.tables = [{} for _ in D.bags]
+        self._k = k
         color_entries = distribute_entries = hits = width = 0
         feasible = True
         for bag in reversed(D.preorder):
             ns = len(self.shared_set[bag])
             width = max(width, len(self.order[bag]))
             found: dict[tuple[int, ...], list[Vector]] = {}
-            for colors in product(range(1, k + 1), repeat=len(self.order[bag])):
+            for colors in _first_use_extensions(len(self.order[bag]), k, 0):
                 layers = self._layers(bag, colors)
                 if layers is not None:
                     hits += len(self._kids[bag])
@@ -207,14 +249,17 @@ class BudgetSolver:
     def demands(self, bag: int, colors: Coloring) -> list[dict[int, int]]:
         """Minimal demand vectors stored for `bag` by the last decide(k),
         given the colors of its shared vertices; empty when no coloring
-        of the subtree extends them."""
+        of the subtree extends them.  Renaming the colors changes
+        nothing."""
         shared = self.shared_set[bag]
         if set(colors) != shared:
             raise PreconditionError(
                 f"colors must cover exactly the shared set of bag {bag}", witness=bag
             )
+        if not all(1 <= c <= self._k for c in colors.values()):
+            return []
         keys = self.order[bag][: len(shared)]
-        front = self.tables[bag].get(tuple(colors[v] for v in keys), [])
+        front = self.tables[bag].get(_first_use(tuple(colors[v] for v in keys)), [])
         return [dict(zip(keys, demand)) for demand in front]
 
     # -- public API --------------------------------------------------
@@ -233,15 +278,20 @@ class BudgetSolver:
 
         Each child gets the stored demand vector it was summed with as
         its budget; every bag is visited once, so the per-arc
-        considered_counts end up exactly 1.
+        considered_counts end up exactly 1.  A bag renames its inherited
+        colors in order of first use, tries the canonical extensions that
+        decide(k) filled, and maps the one it keeps back, giving each new
+        color the smallest real color not yet inherited.
         """
         witness: Coloring = {}
         stack: list[tuple[int, tuple[int, ...], Vector]] = [(self.decomposition.root, (), ())]
         while stack:
             bag, inherited, budget = stack.pop()
             ns = len(inherited)
-            for free in product(range(1, k + 1), repeat=len(self.order[bag]) - ns):
-                colors = inherited + free
+            canon = _first_use(inherited)
+            top = max(canon, default=0)
+            for free in _first_use_extensions(len(self.order[bag]) - ns, k, top):
+                colors = canon + free
                 layers = self._layers(bag, colors)
                 if layers is None:
                     continue
@@ -252,7 +302,12 @@ class BudgetSolver:
                     break
             else:
                 raise AssertionError(f"replay failed to rediscover a stored demand at bag {bag}")
-            for v, c in zip(self.order[bag][ns:], colors[ns:]):
+            # canonical colors above `top` are new: they take the real
+            # colors not inherited, both in ascending order
+            real = dict(zip(canon, inherited))
+            real.update(zip(range(top + 1, k + 1), sorted(set(range(1, k + 1)) - set(inherited))))
+            real_colors = [real[c] for c in colors]
+            for v, c in zip(self.order[bag][ns:], real_colors[ns:]):
                 if v in witness:
                     raise AssertionError(f"vertex {v} colored twice")
                 witness[v] = c
@@ -262,9 +317,8 @@ class BudgetSolver:
             # leads from a sum of the previous layer to the current one
             for j in range(len(self._kids[bag]) - 1, -1, -1):
                 child, pos = self._kids[bag][j]
-                key = tuple(colors[p] for p in pos)
                 previous = set(layers[j])
-                for demand in self.tables[child][key]:
+                for demand in self.tables[child][_first_use(tuple(colors[p] for p in pos))]:
                     rest = list(total)
                     for p, units in zip(pos, demand):
                         rest[p] -= units
@@ -273,7 +327,7 @@ class BudgetSolver:
                 else:
                     raise AssertionError(f"replay lost the demand of child bag {child}")
                 total = tuple(rest)
-                stack.append((child, key, demand))
+                stack.append((child, tuple(real_colors[p] for p in pos), demand))
         if set(witness) != set(self.graph.vertices):
             raise AssertionError("witness not total")
         return witness

@@ -289,6 +289,20 @@ class TestBounds:
         assert code == 0
         assert "treewidth_cap=1" in out.splitlines()
 
+    def test_report_above_the_search_guard(self, tmp_path, capsys):
+        # 21 vertices is past the chromatic-number search; the lower bound
+        # falls back to chi >= 2 and the upper bounds need no search
+        path = tmp_path / "arc21.wig"
+        path.write_text("p wig 21 1\ne 1 2 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "bounds", str(path))
+        assert code == 0, err
+        assert out.splitlines() == [
+            "lower_chromatic=2",
+            "upper_degree_weight=2",
+            "upper_sum_weights=3",
+            "upper_indegree=3",
+        ]
+
 
     def test_golden(self, files, capsys):
         code, out, _ = run(capsys, "bounds", str(files / "golden5.wig"))

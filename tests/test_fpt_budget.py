@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -462,15 +463,18 @@ class TestMemoization:
         assert first.memo_stats() == second.memo_stats()
 
     def test_parent_colorings_read_the_child_tables(self):
-        # fan at 2 colors: the root's two colorings of vertex 1 each read
-        # the entry of both children, and each child stores one minimal
-        # vector per color of vertex 1 (its free pair colored apart)
+        # fan at 2 colors: colors are interchangeable, so the root tries
+        # only color 1 for vertex 1 (the one first-use canonical coloring
+        # of its bag) and reads the entry of both children once; each
+        # child stores one minimal vector for its one canonical key (1,)
+        # (its free pair colored apart), where a table of every coloring
+        # held one per color of vertex 1
         G, D = fan_instance()
         solver = BudgetSolver(G, D, 2)
         assert solver.solve().chromatic == 2
         stats = solver.memo_stats()
-        assert stats.hits == 4
-        assert stats.color_entries == 1 + 2 + 2
+        assert stats.hits == 2
+        assert stats.color_entries == 1 + 1 + 1
         assert solver.demands(1, {1: 2}) == [{1: 0}]
         assert solver.memo_stats() == stats  # reading a table changes nothing
 
@@ -504,3 +508,107 @@ class TestMemoization:
             assert stats.color_entries <= color_cap
             assert stats.distribute_entries <= distribute_cap
             assert stats.max_key_width <= max(len(bag) for bag in D.bags)
+
+
+def _bell_partitions(items: int, blocks: int) -> int:
+    """Partitions of `items` labelled items into at most `blocks` blocks
+    (sum of Stirling numbers of the second kind)."""
+    row = [1]  # S(0, j)
+    for n in range(1, items + 1):
+        row = [0] + [j * (row[j] if j < len(row) else 0) + row[j - 1] for j in range(1, n + 1)]
+    return sum(row[: blocks + 1])
+
+
+def _is_first_use(colors: tuple[int, ...]) -> bool:
+    top = 0
+    for c in colors:
+        if c > top + 1:
+            return False
+        top = max(top, c)
+    return True
+
+
+def _symmetric_case(name: str, request) -> tuple[WeightedDigraph, TreeDecomposition, int]:
+    if name == "fan":
+        return (*fan_instance(), 2)
+    if name == "prism":
+        G = request.getfixturevalue("prism_digraph")
+        return G, build_decomposition(G, "exact-small"), 1
+    return (*star_instance(4, 2, seed=2700 + int(name.removeprefix("star-"))), 2)
+
+
+SYMMETRIC_CASES = ["fan", "star-0", "star-1", "star-2", "prism"]
+
+
+class TestColorSymmetry:
+    """Tables hold one key per class of shared colorings equal up to
+    renaming colors: the first-use canonical one."""
+
+    @pytest.mark.parametrize("name", SYMMETRIC_CASES)
+    def test_demands_ignore_color_names(self, name, request):
+        solver = BudgetSolver(*_symmetric_case(name, request))
+        k = solver.solve().chromatic
+        for bag, shared in enumerate(solver.shared_set):
+            keys = sorted(shared)
+            for colors in product(range(1, k + 1), repeat=len(keys)):
+                coloring = dict(zip(keys, colors))
+                expected = solver.demands(bag, coloring)
+                for perm in permutations(range(1, k + 1)):
+                    renamed = {v: perm[c - 1] for v, c in coloring.items()}
+                    assert solver.demands(bag, renamed) == expected, (bag, coloring, perm)
+
+    def test_colors_outside_the_palette_have_no_entry(self):
+        G, D = fan_instance()
+        solver = BudgetSolver(G, D, 2)
+        solver.decide(2)
+        assert solver.demands(1, {1: 1}) == [{1: 0}]
+        assert solver.demands(1, {1: 3}) == []
+
+    @pytest.mark.parametrize("name", SYMMETRIC_CASES)
+    def test_keys_are_first_use_canonical(self, name, request):
+        solver = BudgetSolver(*_symmetric_case(name, request))
+        k = solver.solve().chromatic
+        for bag, table in enumerate(solver.tables):
+            assert all(_is_first_use(key) for key in table), bag
+            assert len(table) <= _bell_partitions(len(solver.shared_set[bag]), k), bag
+
+    def test_partition_counts(self):
+        assert [_bell_partitions(n, n) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+        assert _bell_partitions(4, 2) == 1 + 7
+        assert _bell_partitions(3, 1) == 1
+
+    def test_replay_tries_only_filled_colorings(self):
+        G = random_instance(10, 0.5, seed=5, bits=1)
+        solver = BudgetSolver(G, build_decomposition(G, "exact-small"), 1)
+        k = solver.solve().chromatic
+        calls: list[tuple[int, tuple[int, ...]]] = []
+        layers = solver._layers
+        solver._layers = lambda bag, colors: calls.append((bag, colors)) or layers(bag, colors)
+        assert solver.decide(k)
+        filled = list(calls)
+        calls.clear()
+        assert is_valid_coloring(G, solver._replay(k))
+        assert set(calls) <= set(filled)
+        assert len(calls) < len(filled)
+
+    # the three dense cli-auto graphs and a width-7 graph, with the
+    # color_entries of the decisive run when every k-coloring of every
+    # bag was filled
+    ALL_COLORINGS = [
+        pytest.param(10, 0.4, 0, 1, 4189, id="dense-p0.4-b1"),
+        pytest.param(10, 0.4, 0, 2, 760, id="dense-p0.4-b2"),
+        pytest.param(10, 0.5, 0, 1, 1894, id="dense-p0.5-b1"),
+        pytest.param(10, 0.5, 5, 1, 4216, id="random-10-seed5"),
+    ]
+
+    @pytest.mark.parametrize("n,p,seed,bits,all_entries", ALL_COLORINGS)
+    def test_wide_bags_store_a_quarter(self, n, p, seed, bits, all_entries):
+        G = random_instance(n, p, seed=seed, bits=bits)
+        D = build_decomposition(G, "exact-small")
+        solver = BudgetSolver(G, D, bits)
+        result = solver.solve()
+        assert result.chromatic == exact_chi_w(G).chromatic
+        assert is_valid_coloring(G, result.witness)
+        assert max(result.witness.values()) == result.chromatic
+        assert solver.considered_counts == {(t, h): 1 for t, h, _ in G.arcs}
+        assert 4 * solver.memo_stats().color_entries <= all_entries
