@@ -47,13 +47,18 @@ from .graph import (
     is_valid_coloring,
     underlying_graph,
 )
-from .oracle import DEFAULT_SEARCH_LIMIT, exact_chi_w
+from .oracle import DEFAULT_SEARCH_LIMIT, SolveResult, exact_chi_w
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_GUARD = 4
+
+# Vertices the oracle may examine under `solve --method auto` before it
+# gives up and a decomposition is built.  At 1-4 us per examined vertex
+# on a 2-core x86 host, giving up costs about 0.1 s.
+ORACLE_WORK_BUDGET = 50_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,6 +118,7 @@ def _write_witness(path: str, G: WeightedDigraph, witness: Coloring) -> None:
 
 
 def _auto_method(G: WeightedDigraph) -> str:
+    """The route `auto` takes once the budgeted oracle has given up."""
     bits = min_precision_bits(G)
     if bits is not None and bits <= 4:
         return "fpt-budget"
@@ -120,6 +126,51 @@ def _auto_method(G: WeightedDigraph) -> str:
     if max_indegree <= 3:
         return "fpt-indegree"
     return "exact"
+
+
+def _solve(
+    G: WeightedDigraph, method: str, decomposition: Callable[[], TreeDecomposition]
+) -> tuple[str, SolveResult, tuple[tuple[str, int], ...]]:
+    """Run one method; return the method that answered, its result and
+    its statistics.  `auto` runs the oracle under ORACLE_WORK_BUDGET and
+    only when that runs out takes the route `_auto_method` picks."""
+    if method == "auto":
+        try:
+            # the work budget, not the vertex guard, bounds this search
+            result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
+        except InstanceTooLargeError as exc:
+            method, result, stat_pairs = _solve(G, _auto_method(G), decomposition)
+            return method, result, (*stat_pairs, ("oracle_work", exc.size), ("oracle_gave_up", 1))
+        return "exact", result, (("oracle_work", result.examined),)
+    if method == "exact":
+        result = exact_chi_w(G)
+        if result is None:
+            raise AssertionError("search up to n colors cannot fail")
+        return method, result, ()
+    if method == "fpt-indegree":
+        solver = IndegreeSolver(G, decomposition())
+        result = solver.solve()
+        stats = solver.memo_stats()
+        return method, result, (
+            ("memo_entries", stats.entries),
+            ("memo_hits", stats.hits),
+            ("memo_max_key_width", stats.max_key_width),
+        )
+    if method == "fpt-budget":
+        bits = min_precision_bits(G)
+        if bits is None:
+            raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
+        solver = BudgetSolver(G, decomposition(), bits)
+        result = solver.solve()
+        stats = solver.memo_stats()
+        return method, result, (
+            ("memo_entries", stats.entries),
+            ("memo_color_entries", stats.color_entries),
+            ("memo_distribute_entries", stats.distribute_entries),
+            ("memo_hits", stats.hits),
+            ("memo_max_key_width", stats.max_key_width),
+        )
+    raise PreconditionError(f"unknown method {method!r}")
 
 
 def _run_method(
@@ -130,44 +181,15 @@ def _run_method(
     decomposition: Callable[[], TreeDecomposition],
 ) -> RunReport:
     start = time.perf_counter()
-    stat_pairs: tuple[tuple[str, int], ...] = ()
-    if method == "exact":
-        result = exact_chi_w(G)
-        if result is None:
-            raise AssertionError("search up to n colors cannot fail")
-    elif method == "fpt-indegree":
-        solver = IndegreeSolver(G, decomposition())
-        result = solver.solve()
-        if args.stats:
-            stats = solver.memo_stats()
-            stat_pairs = (
-                ("memo_entries", stats.entries),
-                ("memo_hits", stats.hits),
-                ("memo_max_key_width", stats.max_key_width),
-            )
-    elif method == "fpt-budget":
-        bits = min_precision_bits(G)
-        if bits is None:
-            raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
-        solver = BudgetSolver(G, decomposition(), bits)
-        result = solver.solve()
-        if args.stats:
-            stats = solver.memo_stats()
-            stat_pairs = (
-                ("memo_entries", stats.entries),
-                ("memo_color_entries", stats.color_entries),
-                ("memo_distribute_entries", stats.distribute_entries),
-                ("memo_hits", stats.hits),
-                ("memo_max_key_width", stats.max_key_width),
-            )
-    else:
-        raise PreconditionError(f"unknown method {method!r}")
+    method, result, stat_pairs = _solve(G, method, decomposition)
     wall_ms = (time.perf_counter() - start) * 1000
     witness_path = "-"
     if out:
         _write_witness(out, G, result.witness)
         witness_path = out
-    return RunReport(method, result.chromatic, witness_path, wall_ms, stat_pairs)
+    return RunReport(
+        method, result.chromatic, witness_path, wall_ms, stat_pairs if args.stats else ()
+    )
 
 
 def cmd_solve(args) -> int:
@@ -186,8 +208,7 @@ def cmd_solve(args) -> int:
             out = f"{args.out}.{method}" if args.out else None
             print(_run_method(args, G, method, out, decomposition).as_line())
         return EXIT_OK
-    method = args.method if args.method != "auto" else _auto_method(G)
-    print(_run_method(args, G, method, args.out, decomposition).as_line())
+    print(_run_method(args, G, args.method, args.out, decomposition).as_line())
     return EXIT_OK
 
 
@@ -316,6 +337,7 @@ def cmd_experiment_conjecture(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wicolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -331,7 +353,9 @@ def _build_parser() -> _Parser:
     solve.add_argument("--decomposition", help="decomposition file (built when omitted)")
     solve.add_argument("--root", type=int, default=1, help="root bag id in the file")
     solve.add_argument("--out", help="write the witness coloring here")
-    solve.add_argument("--stats", action="store_true", help="report memo statistics")
+    solve.add_argument(
+        "--stats", action="store_true", help="report memo statistics and the oracle's work"
+    )
     solve.set_defaults(func=cmd_solve)
 
     bounds = sub.add_parser("bounds", help="print all bound values")

@@ -1,19 +1,22 @@
-"""Exact reference solvers via guarded backtracking search.
+"""Exact reference solver via backtracking search, and its reductions.
 
-Everything here is exponential and intentionally small-instance only;
-the solvers refuse oversized inputs instead of grinding.  There is one
-search, `exact_chi_w`; the defective and ordinary chromatic numbers are
+Everything here is exponential.  A search is bounded by a vertex guard
+(`max_n`, 16 by default) and optionally by a deterministic work budget
+(`work_limit`, a count of examined vertices); either refuses with
+`InstanceTooLargeError` instead of grinding.  There is one search,
+`exact_chi_w`; the defective and ordinary chromatic numbers are
 reductions to it.  The search is fully deterministic: it colors next the
 uncolored vertex with the fewest feasible colors (ties to the most
 positive-weight neighbors, then the smallest index), tries colors
-ascending, and opens a new color only as the next unused one.  Witness
-colors are renamed by first use in vertex-index order, so returned
-witnesses are canonical and stable across runs and platforms.
+ascending, and opens a new color only as the next unused one.  It keeps
+its own stack, so depth is not limited by Python's recursion limit.
+Witness colors are renamed by first use in vertex-index order, so
+returned witnesses are canonical and stable across runs and platforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InstanceTooLargeError, PreconditionError
 from .generators import reduce_defective
@@ -35,6 +38,9 @@ class SolveResult:
 
     chromatic: int
     witness: Coloring
+    # vertices the oracle's choice rule examined over every k it tried
+    # (0 from the DP solvers); a cost, not part of the answer
+    examined: int = field(default=0, compare=False)
 
 
 def _guard(n: int, max_n: int, what: str) -> None:
@@ -45,14 +51,21 @@ def _guard(n: int, max_n: int, what: str) -> None:
 
 
 def exact_chi_w(
-    G: WeightedDigraph, k_limit: int | None = None, *, max_n: int = DEFAULT_SEARCH_LIMIT
+    G: WeightedDigraph,
+    k_limit: int | None = None,
+    *,
+    max_n: int = DEFAULT_SEARCH_LIMIT,
+    work_limit: int | None = None,
 ) -> SolveResult | None:
     """Minimum number of colors in a valid coloring of G, with witness.
 
     Tries k = 1, 2, ... in turn; each decision runs a backtracking
     search over integer-scaled weights (all exact).  Returns None when
     no valid coloring with at most `k_limit` colors exists; k_limit
-    defaults to n, which always suffices.
+    defaults to n, which always suffices.  Raises InstanceTooLargeError
+    when G has more than `max_n` vertices, or once the vertices examined
+    by the choice rule, summed over every k, exceed `work_limit` (no
+    limit by default).
     """
     _guard(G.n, max_n, "exhaustive search")
     if k_limit is None:
@@ -77,53 +90,78 @@ def exact_chi_w(
 
     color = [0] * (n + 1)
     spent = [0] * (n + 1)  # same-colored weighted indegree of colored vertices
-
-    def search(placed: int, max_used: int, k: int) -> bool:
-        if placed == n:
-            return True
-        top = min(k, max_used + 1)
-        fewest = top + 1
-        for u in priority:
-            if color[u]:
-                continue
-            load: dict[int, int] = {}
-            blocked: set[int] = set()
-            for t, units in in_units[u]:
-                c = color[t]
-                if c:
-                    load[c] = total = load.get(c, 0) + units
-                    if total >= scale:
-                        blocked.add(c)
-            for h, units in out_units[u]:
-                c = color[h]
-                if c and spent[h] + units >= scale:
-                    blocked.add(c)
-            if top - len(blocked) < fewest:
-                fewest = top - len(blocked)
-                if not fewest:
-                    return False
-                v, v_blocked, v_load = u, blocked, load
-        for c in range(1, top + 1):
-            if c in v_blocked:
-                continue
-            touched = [(h, units) for h, units in out_units[v] if color[h] == c]
-            for h, units in touched:
-                spent[h] += units
-            color[v] = c
-            spent[v] = v_load.get(c, 0)
-            if search(placed + 1, max(max_used, c), k):
-                return True
-            color[v] = 0
-            for h, units in touched:
-                spent[h] -= units
-        return False
-
+    limit = work_limit if work_limit is not None else float("inf")
+    examined = 0
     for k in range(1, k_limit + 1):
-        if search(0, 0, k):
-            renamed: dict[int, int] = {}
-            for v in G.vertices:
-                renamed.setdefault(color[v], len(renamed) + 1)
-            return SolveResult(k, {v: renamed[color[v]] for v in G.vertices})
+        # one frame per colored vertex, in coloring order:
+        # [vertex, untried colors (largest first), load by color,
+        #  out-neighbors charged by its color, max_used before it]
+        frames: list[list] = []
+        max_used = 0
+        while True:
+            if len(frames) == n:
+                renamed: dict[int, int] = {}
+                for v in G.vertices:
+                    renamed.setdefault(color[v], len(renamed) + 1)
+                return SolveResult(
+                    k, {v: renamed[color[v]] for v in G.vertices}, examined=examined
+                )
+            # choose the most constrained uncolored vertex
+            top = min(k, max_used + 1)
+            fewest = top + 1
+            for u in priority:
+                if color[u]:
+                    continue
+                examined += 1
+                load: dict[int, int] = {}
+                blocked: set[int] = set()
+                for t, units in in_units[u]:
+                    c = color[t]
+                    if c:
+                        load[c] = total = load.get(c, 0) + units
+                        if total >= scale:
+                            blocked.add(c)
+                for h, units in out_units[u]:
+                    c = color[h]
+                    if c and spent[h] + units >= scale:
+                        blocked.add(c)
+                if top - len(blocked) < fewest:
+                    fewest = top - len(blocked)
+                    if not fewest:
+                        break
+                    v, v_blocked, v_load = u, blocked, load
+            if examined > limit:
+                raise InstanceTooLargeError(
+                    f"exhaustive search gave up after {examined} examined vertices"
+                    f" (limit {work_limit})",
+                    size=examined,
+                    limit=work_limit,
+                )
+            if fewest:
+                untried = [c for c in range(top, 0, -1) if c not in v_blocked]
+                frames.append([v, untried, v_load, None, max_used])
+            # color the newest frame's vertex with its next untried color,
+            # backtracking over frames whose colors are all tried
+            while frames:
+                frame = frames[-1]
+                v, untried, v_load, touched, max_used = frame
+                if touched is not None:
+                    for h, units in touched:
+                        spent[h] -= units
+                    color[v] = 0
+                if untried:
+                    c = untried.pop()
+                    frame[3] = touched = [(h, units) for h, units in out_units[v] if color[h] == c]
+                    for h, units in touched:
+                        spent[h] += units
+                    color[v] = c
+                    spent[v] = v_load.get(c, 0)
+                    if c > max_used:
+                        max_used = c
+                    break
+                frames.pop()
+            else:
+                break
     return None
 
 

@@ -8,11 +8,14 @@ from fractions import Fraction
 import pytest
 
 from wicolor import (
+    InstanceTooLargeError,
     build_decomposition,
     is_valid_coloring,
     parse_coloring,
     parse_decomposition,
     parse_digraph,
+    random_instance,
+    serialize_digraph,
 )
 from wicolor import cli
 from wicolor.cli import main
@@ -189,23 +192,91 @@ class TestSolve:
         assert "memo_entries=" in out
         assert "memo_hits=" in out
 
-    def test_auto_picks_budget_for_dyadic(self, files, capsys):
+    @pytest.fixture()
+    def oracle_gives_up(self, monkeypatch):
+        # with no oracle work allowed, auto falls back to the dispatch rule
+        monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 0)
+
+    def test_auto_picks_budget_for_dyadic(self, files, capsys, oracle_gives_up):
         (files / "dyadic.wig").write_text("p wig 2 1\ne 1 2 1/2\n", encoding="utf-8")
         code, out, _ = run(capsys, "solve", str(files / "dyadic.wig"))
         assert code == 0
         assert "solver=fpt-budget" in out
 
-    def test_auto_picks_indegree_for_sparse_rationals(self, files, capsys):
+    def test_auto_picks_indegree_for_sparse_rationals(self, files, capsys, oracle_gives_up):
         code, out, _ = run(capsys, "solve", str(files / "golden5.wig"))
         assert code == 0
         assert "solver=fpt-indegree" in out
 
-    def test_auto_falls_back_to_exact(self, files, capsys):
+    def test_auto_falls_back_to_exact(self, files, capsys, oracle_gives_up):
         lines = ["p wig 5 4"] + [f"e {j} 1 7/10" for j in (2, 3, 4, 5)]
         (files / "dense.wig").write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, out, _ = run(capsys, "solve", str(files / "dense.wig"))
         assert code == 0
         assert "solver=exact" in out
+
+    def test_auto_answers_from_the_oracle_within_its_budget(self, files, capsys):
+        (files / "dyadic.wig").write_text("p wig 2 1\ne 1 2 1/2\n", encoding="utf-8")
+        lines = ["p wig 5 4"] + [f"e {j} 1 7/10" for j in (2, 3, 4, 5)]
+        (files / "dense.wig").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name in ("dyadic.wig", "golden5.wig", "dense.wig"):
+            code, out, _ = run(capsys, "solve", str(files / name))
+            assert code == 0
+            assert "solver=exact" in out
+
+    def test_auto_stats_report_the_oracle_work(self, files, capsys, monkeypatch):
+        assert "oracle_work" not in run(capsys, "solve", str(files / "golden5.wig"))[1]
+        code, out, _ = run(capsys, "solve", str(files / "golden5.wig"), "--stats")
+        assert code == 0
+        work = int(re.search(r"oracle_work=(\d+)", out).group(1))
+        assert 0 < work <= cli.ORACLE_WORK_BUDGET
+        assert "oracle_gave_up" not in out and "memo_" not in out
+        monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 3)
+        code, out, _ = run(capsys, "solve", str(files / "golden5.wig"), "--stats")
+        assert code == 0
+        line = out.strip().splitlines()[-1]
+        assert line.startswith("solver=fpt-indegree chromatic=2 ")
+        assert "memo_entries=" in line
+        # the first choice already examines all five vertices
+        assert line.endswith("oracle_work=5 oracle_gave_up=1")
+
+    def test_auto_answers_a_wide_dyadic_graph_from_the_oracle(self, files, capsys):
+        # min-fill width 9: the budget DP took seconds on it, the oracle
+        # answers within its budget
+        G = random_instance(16, 0.3, seed=3, bits=1)
+        graph, out_path = files / "wide.wig", files / "wide.col"
+        graph.write_text(serialize_digraph(G), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(graph), "--out", str(out_path))
+        assert code == 0
+        assert "solver=exact chromatic=4 " in out
+        witness = parse_coloring(out_path.read_text(encoding="utf-8"))
+        assert is_valid_coloring(G, witness)
+        assert max(witness.values()) == 4
+
+    def test_auto_refuses_partition_m20_after_the_budget(self, files, capsys, monkeypatch):
+        refusals = []
+
+        def recording(G, **kwargs):
+            try:
+                return real(G, **kwargs)
+            except InstanceTooLargeError as exc:
+                refusals.append((kwargs.get("work_limit"), exc.size, exc.limit))
+                raise
+
+        real = cli.exact_chi_w
+        monkeypatch.setattr(cli, "exact_chi_w", recording)
+        elements = "5 9 4 11 19 6 1 14 14 3 4 5 11 16 19 15 14 7 7 11".split()
+        prefix = files / "m20"
+        assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
+        code, _, err = run(capsys, "solve", f"{prefix}.wig", "--stats")
+        assert code == 4
+        assert "limited to 16 vertices, got 22" in err
+        # the budgeted oracle gave up first; then the rule picked exact,
+        # whose vertex guard refused without searching
+        budget = cli.ORACLE_WORK_BUDGET
+        assert len(refusals) == 2
+        assert refusals[0][0] == budget == refusals[0][2] < refusals[0][1]
+        assert refusals[1] == (None, 22, 16)
 
     def test_supplied_decomposition_and_root(self, files, capsys):
         td = files / "prism.td"

@@ -27,6 +27,7 @@ from wicolor import (
     solve_fpt_budget,
     solve_fpt_indegree,
 )
+from wicolor import cli
 from wicolor.cli import main
 
 F = Fraction
@@ -296,8 +297,10 @@ class TestLongChains:
         assert f"solver={method} chromatic=2" in capsys.readouterr().out
         assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
 
-    def test_auto_solves_a_rational_chain(self, tmp_path, capsys):
-        # tenths are not dyadic, so auto picks the indegree DP
+    def test_auto_solves_a_rational_chain(self, tmp_path, capsys, monkeypatch):
+        # once the oracle gives up: tenths are not dyadic, so auto picks
+        # the indegree DP
+        monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 0)
         G = ladder(128, 10, seed=1280)
         graph, out = tmp_path / "ladder.wig", tmp_path / "ladder.col"
         graph.write_text(serialize_digraph(G), encoding="utf-8")
@@ -305,6 +308,22 @@ class TestLongChains:
         assert "solver=fpt-indegree" in capsys.readouterr().out
         assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
         assert not is_valid_coloring(G, {v: 1 for v in G.vertices})
+
+    def test_auto_answers_a_rational_chain_from_the_oracle(self, tmp_path, capsys):
+        G = ladder(128, 10, seed=1280)
+        graph, out = tmp_path / "ladder.wig", tmp_path / "ladder.col"
+        graph.write_text(serialize_digraph(G), encoding="utf-8")
+        assert main(["solve", str(graph), "--out", str(out), "--stats"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("solver=exact chromatic=2 ")
+        assert "oracle_gave_up" not in line
+        assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
+
+    def test_oracle_solves_a_long_chain_without_recursion(self):
+        G = ladder(1000, 2, seed=1000)
+        result = exact_chi_w(G, max_n=10**6)
+        assert result.chromatic == 2
+        assert is_valid_coloring(G, result.witness)
 
 
 OPTIMIZED_SCRIPT = """

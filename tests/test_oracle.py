@@ -100,6 +100,20 @@ class TestExactChiW:
             exact_chi_w(WeightedDigraph(6), max_n=5)
         assert exact_chi_w(WeightedDigraph(17), max_n=17).chromatic == 1
 
+    def test_work_limit(self, prism_digraph):
+        result = exact_chi_w(prism_digraph)
+        # summed over k = 1, 2 (both refuted) and 3: more than the
+        # 10 + 9 + ... + 1 vertices one search without backtracking scans
+        assert result.examined > 55
+        # the limit is inclusive and changes no answer
+        within = exact_chi_w(prism_digraph, work_limit=result.examined)
+        assert within == result and within.examined == result.examined
+        with pytest.raises(InstanceTooLargeError) as info:
+            exact_chi_w(prism_digraph, work_limit=result.examined - 1)
+        assert info.value.size == result.examined
+        assert info.value.limit == result.examined - 1
+        assert exact_chi_w(WeightedDigraph(0), work_limit=0).examined == 0
+
     def test_matches_direct_enumeration(self):
         for seed in range(30):
             G = random_instance(5, 0.5, seed=400 + seed, bits=2)
