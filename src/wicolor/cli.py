@@ -16,7 +16,6 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from hashlib import sha256
 from pathlib import Path
 
 from . import formats
@@ -56,8 +55,9 @@ EXIT_PRECONDITION = 3
 EXIT_GUARD = 4
 
 # Vertices the oracle may examine under `solve --method auto` before it
-# gives up and a decomposition is built.  At 1-4 us per examined vertex
-# on a 2-core x86 host, giving up costs about 0.1 s.
+# gives up and a decomposition is built, and under `--method exact` on
+# graphs above the 16-vertex guard before it refuses.  At 1-4 us per
+# examined vertex on a 2-core x86 host, giving up costs about 0.1 s.
 ORACLE_WORK_BUDGET = 50_000
 
 
@@ -94,6 +94,8 @@ def _read(path: str) -> str:
 
 
 def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
+    from hashlib import sha256  # deferred: loading OpenSSL costs about 3.5 MB per process
+
     text = _read(path)
     digest = sha256(text.encode("utf-8")).hexdigest()[:12]
     graph = formats.parse_graph_auto(text)
@@ -133,17 +135,25 @@ def _solve(
 ) -> tuple[str, SolveResult, tuple[tuple[str, int], ...]]:
     """Run one method; return the method that answered, its result and
     its statistics.  `auto` runs the oracle under ORACLE_WORK_BUDGET and
-    only when that runs out takes the route `_auto_method` picks."""
+    only when that runs out takes the route `_auto_method` picks.
+    `exact` searches without limit up to DEFAULT_SEARCH_LIMIT vertices
+    and under ORACLE_WORK_BUDGET above it."""
     if method == "auto":
         try:
             # the work budget, not the vertex guard, bounds this search
             result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
         except InstanceTooLargeError as exc:
-            method, result, stat_pairs = _solve(G, _auto_method(G), decomposition)
+            method = _auto_method(G)
+            if method == "exact" and G.n > DEFAULT_SEARCH_LIMIT:
+                raise  # exact would repeat the search that just gave up
+            method, result, stat_pairs = _solve(G, method, decomposition)
             return method, result, (*stat_pairs, ("oracle_work", exc.size), ("oracle_gave_up", 1))
         return "exact", result, (("oracle_work", result.examined),)
     if method == "exact":
-        result = exact_chi_w(G)
+        if G.n <= DEFAULT_SEARCH_LIMIT:
+            result = exact_chi_w(G)
+        else:  # above the vertex guard, the work budget bounds the search
+            result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
         if result is None:
             raise AssertionError("search up to n colors cannot fail")
         return method, result, ()

@@ -14,6 +14,7 @@ text format is 1-based, see `formats`).
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -240,8 +241,12 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
                 adj[w].add(u)
 
 
+def _degree(adj: dict[int, set[int]], v: int) -> int:
+    return len(adj[v])
+
+
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = sorted(adj[v])
+    nbrs = list(adj[v])
     return sum(
         1
         for i, u in enumerate(nbrs)
@@ -253,13 +258,36 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
 def _order_greedy(
     adj: dict[int, set[int]], score: Callable[[dict[int, set[int]], int], int]
 ) -> list[int]:
-    """Repeatedly eliminate the vertex of least score, ties to the smallest."""
+    """Repeatedly eliminate the vertex of least score, ties to the smallest.
+
+    Scores are kept in a table and rescored incrementally: eliminating v
+    changes the neighborhoods only of N(v) (they lose v and gain fill
+    edges among themselves), and a new edge between two of them can
+    change the fill count only of a vertex adjacent to both, so only
+    N(v) and N(N(v)) are rescored.  The next vertex is the least
+    (score, vertex) entry of a heap; an entry whose score no longer
+    matches the table is stale and skipped.
+    """
     adj = {v: set(s) for v, s in adj.items()}
+    scores = {v: score(adj, v) for v in adj}
+    heap = [(s, v) for v, s in scores.items()]
+    heapq.heapify(heap)
     order = []
-    while adj:
-        v = min(adj, key=lambda u: (score(adj, u), u))
+    while heap:
+        s, v = heapq.heappop(heap)
+        if scores.get(v) != s:
+            continue
         order.append(v)
+        del scores[v]
+        nbrs = adj[v]
+        touched = set(nbrs).union(*(adj[u] for u in nbrs))
+        touched.discard(v)
         _eliminate(adj, v)
+        for u in touched:
+            s = score(adj, u)
+            if s != scores[u]:
+                scores[u] = s
+                heapq.heappush(heap, (s, u))
     return order
 
 
@@ -386,7 +414,7 @@ def build_decomposition(
     """
     adj = _underlying_sets(graph)
     if strategy == "min-degree":
-        order = _order_greedy(adj, lambda a, v: len(a[v]))
+        order = _order_greedy(adj, _degree)
     elif strategy == "min-fill":
         order = _order_greedy(adj, _fill_count)
     elif strategy == "exact-small":

@@ -159,6 +159,29 @@ def _is_simplicial(adj: dict[int, set[int]], v: int) -> bool:
     )
 
 
+def _fill(adj: dict[int, set[int]], v: int) -> int:
+    nbrs = sorted(adj[v])
+    return sum(1 for i, u in enumerate(nbrs) for w in nbrs[i + 1 :] if w not in adj[u])
+
+
+def reference_greedy_order(adj: dict[int, set[int]], strategy: str) -> list[int]:
+    """Greedy elimination order by a full rescan of every vertex per step.
+
+    The loop `min-degree` and `min-fill` used before their scores were
+    kept incrementally, kept as the reference their orders must equal:
+    each step eliminates the vertex of least (score, index), the score
+    being its current degree or the number of fill edges it would add.
+    """
+    score = {"min-degree": lambda a, v: len(a[v]), "min-fill": _fill}[strategy]
+    adj = {v: set(s) for v, s in adj.items()}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (score(adj, u), u))
+        order.append(v)
+        _eliminate(adj, v)
+    return order
+
+
 def reference_exact_order(adj: dict[int, set[int]]) -> list[int]:
     """Elimination order of minimum width, via subset dynamic programming.
 

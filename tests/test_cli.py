@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -47,6 +48,13 @@ class TestSolve:
             header,
         )
         assert line.startswith("solver=exact chromatic=2 witness=- time_ms=")
+
+    def test_digest_is_the_sha256_prefix_of_the_file(self, files, capsys):
+        text = (files / "golden5.wig").read_text(encoding="utf-8")
+        expected = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        code, out, _ = run(capsys, "solve", str(files / "golden5.wig"))
+        assert code == 0
+        assert f" digest={expected} " in out.splitlines()[0]
 
     def test_witness_written_and_valid(self, files, capsys):
         out_path = files / "witness.col"
@@ -270,13 +278,12 @@ class TestSolve:
         assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
         code, _, err = run(capsys, "solve", f"{prefix}.wig", "--stats")
         assert code == 4
-        assert "limited to 16 vertices, got 22" in err
-        # the budgeted oracle gave up first; then the rule picked exact,
-        # whose vertex guard refused without searching
+        assert "gave up after" in err
+        # the budgeted oracle gave up; the rule picked exact, which above
+        # the vertex guard would repeat that very search, so auto refused
         budget = cli.ORACLE_WORK_BUDGET
-        assert len(refusals) == 2
+        assert len(refusals) == 1
         assert refusals[0][0] == budget == refusals[0][2] < refusals[0][1]
-        assert refusals[1] == (None, 22, 16)
 
     def test_supplied_decomposition_and_root(self, files, capsys):
         td = files / "prism.td"
@@ -316,12 +323,28 @@ class TestSolve:
         assert "parse error" in err
 
     def test_guard_on_oversized_exact(self, files, capsys):
-        (files / "big.wig").write_text("p wig 17 0\n", encoding="utf-8")
-        code, _, err = run(
-            capsys, "solve", str(files / "big.wig"), "--method", "exact"
-        )
+        # above 16 vertices exact refuses once its work budget runs out
+        elements = "5 9 4 11 19 6 1 14 14 3 4 5 11 16 19 15 14 7 7 11".split()
+        prefix = files / "m20"
+        assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
+        code, _, err = run(capsys, "solve", f"{prefix}.wig", "--method", "exact")
         assert code == 4
-        assert "guard:" in err
+        assert "guard: exhaustive search gave up after" in err
+
+    @pytest.mark.parametrize("flags", [("--method", "exact"), ("--all-methods",)])
+    def test_exact_answers_above_the_vertex_guard(self, files, capsys, flags):
+        # the 2 x 32 ladder: 64 vertices, answered within the work budget
+        pairs = [(2 * j + 1, 2 * j + 2) for j in range(32)]
+        pairs += [(v, v + 2) for v in range(1, 63)]
+        arcs = [f"e {a} {b} 1/2" for u, v in pairs for a, b in ((u, v), (v, u))]
+        graph = files / "ladder.wig"
+        graph.write_text("\n".join([f"p wig 64 {len(arcs)}", *arcs]) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(graph), *flags)
+        assert code == 0
+        assert "solver=exact chromatic=2 " in out
+        if flags == ("--all-methods",):
+            assert "solver=fpt-budget chromatic=2 " in out
+            assert "solver=fpt-indegree chromatic=2 " in out
 
     def test_unknown_method_is_usage_error(self, files, capsys):
         code, _, _ = run(
@@ -658,3 +681,10 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "chromatic=2" in proc.stdout
+
+    def test_import_leaves_openssl_unloaded(self):
+        # hashlib loads OpenSSL; only the digest of a read graph needs it
+        script = "import sys, wicolor, wicolor.cli; print('_hashlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from wicolor import (
     random_subcubic_instance,
     validate_decomposition,
 )
+from wicolor import decomposition
 from wicolor.decomposition import _decomposition_from_order
 
 F = Fraction
@@ -63,6 +64,13 @@ def petersen() -> UndirectedWeightedGraph:
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
     return undirected(10, outer + spokes + inner)
+
+
+def ladder(k: int) -> UndirectedWeightedGraph:
+    """The 2 x k grid; column j holds vertices 2j+1 and 2j+2."""
+    pairs = [(2 * j + 1, 2 * j + 2) for j in range(k)]
+    pairs += [(v, v + 2) for v in range(1, 2 * k - 1)]
+    return undirected(2 * k, pairs)
 
 
 def reference_decomposition(graph) -> TreeDecomposition:
@@ -313,6 +321,60 @@ class TestExactSmallReference:
         assert D.width == width
         assert validate_decomposition(embed_undirected(graph), D) == []
         assert D == reference_decomposition(graph)
+
+
+GREEDY_SCORES = {"min-degree": decomposition._degree, "min-fill": decomposition._fill_count}
+
+
+def greedy_cases():
+    for seed in range(300):
+        n = 1 + seed % 40
+        p = (0.05, 0.1, 0.2, 0.35, 0.5, 0.8)[seed % 6]
+        yield random_instance(n, p, seed=seed)
+    for k in (1, 2, 5, 16, 33):
+        yield ladder(k)
+    for n in (8, 13, 18, 24, 40):
+        yield random_subcubic_instance(n, seed=n)
+    for elements in ([3, 1, 1, 2, 2, 1], [5, 9, 4, 11, 19, 6, 1, 14]):
+        yield partition_instance(elements)[0]
+    yield undirected(9, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 5), (8, 9)])
+    yield WeightedDigraph(6)
+    yield WeightedDigraph(0)
+
+
+class TestGreedyReference:
+    """The incremental greedy orders equal the full rescan they replaced."""
+
+    @pytest.mark.parametrize("strategy", sorted(GREEDY_SCORES))
+    def test_orders_and_decompositions(self, strategy):
+        for graph in greedy_cases():
+            adj = bruteforce._adjacency(graph)
+            expected = bruteforce.reference_greedy_order(adj, strategy)
+            assert decomposition._order_greedy(adj, GREEDY_SCORES[strategy]) == expected
+            reference = _decomposition_from_order(graph.n, adj, expected)
+            assert build_decomposition(graph, strategy) == reference
+
+    def test_exact_small_decompositions(self):
+        for graph in greedy_cases():
+            if graph.n <= 14:
+                assert build_decomposition(graph, "exact-small") == reference_decomposition(graph)
+
+    @pytest.mark.parametrize("k", [100, 400, 800])
+    def test_min_fill_work_is_linear_on_ladders(self, k, monkeypatch):
+        calls = 0
+        fill_count = decomposition._fill_count
+
+        def counting(adj, v):
+            nonlocal calls
+            calls += 1
+            return fill_count(adj, v)
+
+        monkeypatch.setattr(decomposition, "_fill_count", counting)
+        D = build_decomposition(ladder(k), "min-fill")
+        n = 2 * k
+        # a full rescan per step makes n(n+1)/2 evaluations
+        assert calls <= 6 * n
+        assert D.width == 2
 
 
 class TestStructuralQueries:
