@@ -131,11 +131,16 @@ def _auto_method(G: WeightedDigraph) -> str:
 
 
 def _solve(
-    G: WeightedDigraph, method: str, decomposition: Callable[[], TreeDecomposition]
+    G: WeightedDigraph,
+    method: str,
+    decomposition: Callable[[], TreeDecomposition],
+    decomposition_given: bool = False,
 ) -> tuple[str, SolveResult, tuple[tuple[str, int], ...]]:
     """Run one method; return the method that answered, its result and
     its statistics.  `auto` runs the oracle under ORACLE_WORK_BUDGET and
-    only when that runs out takes the route `_auto_method` picks.
+    only when that runs out takes the route `_auto_method` picks; where
+    that is `exact` above DEFAULT_SEARCH_LIMIT vertices it runs
+    `fpt-indegree` on a given decomposition and refuses without one.
     `exact` searches without limit up to DEFAULT_SEARCH_LIMIT vertices
     and under ORACLE_WORK_BUDGET above it."""
     if method == "auto":
@@ -145,7 +150,9 @@ def _solve(
         except InstanceTooLargeError as exc:
             method = _auto_method(G)
             if method == "exact" and G.n > DEFAULT_SEARCH_LIMIT:
-                raise  # exact would repeat the search that just gave up
+                if not decomposition_given:
+                    raise  # exact would repeat the search that just gave up
+                method = "fpt-indegree"  # takes any rational weights
             method, result, stat_pairs = _solve(G, method, decomposition)
             return method, result, (*stat_pairs, ("oracle_work", exc.size), ("oracle_gave_up", 1))
         return "exact", result, (("oracle_work", result.examined),)
@@ -191,7 +198,7 @@ def _run_method(
     decomposition: Callable[[], TreeDecomposition],
 ) -> RunReport:
     start = time.perf_counter()
-    method, result, stat_pairs = _solve(G, method, decomposition)
+    method, result, stat_pairs = _solve(G, method, decomposition, bool(args.decomposition))
     wall_ms = (time.perf_counter() - start) * 1000
     witness_path = "-"
     if out:

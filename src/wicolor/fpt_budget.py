@@ -75,22 +75,18 @@ def check_fixed_point(G: WeightedDigraph, bits: int) -> tuple[int, int, object] 
     if bits < 1:
         raise PreconditionError(f"bits must be >= 1, got {bits}")
     scale = 1 << bits
-    for t, h, w in G.arcs:
-        if (w * scale).denominator != 1:
-            return (t, h, w)
-    return None
+    if scale % G.weight_scale == 0:
+        return None
+    return next((t, h, w) for t, h, w in G.arcs if scale % w.denominator)
 
 
 def min_precision_bits(G: WeightedDigraph) -> int | None:
     """Smallest b >= 1 representing all weights, or None if some weight
     is not dyadic."""
-    bits = 1
-    for _, _, w in G.arcs:
-        den = w.denominator
-        if den & (den - 1):
-            return None
-        bits = max(bits, den.bit_length() - 1)
-    return bits
+    scale = G.weight_scale  # a power of two exactly when every denominator is
+    if scale & (scale - 1):
+        return None
+    return max(1, scale.bit_length() - 1)
 
 
 def _minimal(vectors) -> list[Vector]:
@@ -150,16 +146,17 @@ class BudgetSolver:
         self.shared_set, self.order, position, self._kids = shared_first_layout(D, D.bags)
 
         # each arc is charged at exactly one bag: the rootmost bag
-        # containing both endpoints (its parent does not)
-        scale = 1 << bits
+        # containing both endpoints (its parent does not); the fixed-point
+        # check makes weight_scale divide 2^bits
+        factor = (1 << bits) // G.weight_scale
         self.charge_list: list[list[tuple[int, int, int]]] = []
         self._charges: list[list[tuple[int, int, int]]] = []
         for i, bag in enumerate(D.bags):
             parent = D.bags[D.parent[i]] if D.parent[i] is not None else frozenset()
             charges = sorted(
-                (t, h, int(w * scale))
+                (t, h, units * factor)
                 for h in bag
-                for t, w in G.in_arcs[h]
+                for t, units in G.in_units[h]
                 if t in bag and not (t in parent and h in parent)
             )
             self.charge_list.append(charges)

@@ -79,10 +79,10 @@ class IndegreeSolver:
         for i, bag in enumerate(D.bags):
             back: list[list[tuple[int, int, int]]] = [[] for _ in self.order[i]]
             for h in bag:
-                for t, w in G.in_arcs[h]:
-                    if w > 0:
+                for t, units in G.in_units[h]:
+                    if units > 0:
                         a, b = position[i][t], position[i][h]
-                        back[max(a, b)].append((min(a, b), b, int(w * self.scale)))
+                        back[max(a, b)].append((min(a, b), b, units))
             self._back.append(back)
 
         self.k = 0

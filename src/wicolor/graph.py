@@ -3,7 +3,10 @@
 Vertices are the dense integers 1..n.  Arc weights are exact rationals
 in [0, 1]; every comparison in the package is exact, so validity of a
 coloring never depends on floating point rounding.  Floats are rejected
-outright at construction time instead of being converted.
+outright at construction time instead of being converted.  Solvers and
+checks read the integer view `in_units`: each weight times
+`weight_scale`, the lcm of the weight denominators, so an indegree
+below 1 is a sum of units below weight_scale.
 
 A coloring c is valid when every vertex v has same-color weighted
 indegree strictly below 1, i.e. the weights of arcs u -> v with
@@ -134,7 +137,19 @@ class WeightedDigraph:
     @cached_property
     def weight_scale(self) -> int:
         """lcm of the weight denominators; scaling by it makes all weights integral."""
-        return lcm(1, *(w.denominator for _, _, w in self.arcs))
+        return lcm(1, *{w.denominator for _, _, w in self.arcs})
+
+    @cached_property
+    def in_units(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """For each vertex v, the (tail, weight * weight_scale) pairs of arcs
+        into v, in the order of `in_arcs`.  The units are integers, so a
+        same-colored indegree stays below 1 exactly when its units stay
+        below weight_scale."""
+        scale = self.weight_scale
+        acc: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
+        for t, h, w in self.arcs:
+            acc[h].append((t, w.numerator * (scale // w.denominator)))
+        return {v: tuple(pairs) for v, pairs in acc.items()}
 
 
 @dataclass(frozen=True, init=False)
@@ -215,21 +230,17 @@ def check_total_coloring(n: int, coloring: Coloring) -> None:
 def weighted_indegree(G: WeightedDigraph, v: int, among: Iterable[int] | None = None) -> Fraction:
     """Sum of weights of arcs into v, optionally restricted to tails in `among`."""
     _check_vertex(G.n, v, "vertex")
-    pairs = G.in_arcs[v]
+    pairs = G.in_units[v]
     if among is None:
-        return sum((w for _, w in pairs), Fraction(0))
+        return Fraction(sum(units for _, units in pairs), G.weight_scale)
     allowed = set(among)
-    return sum((w for t, w in pairs if t in allowed), Fraction(0))
+    return Fraction(sum(units for t, units in pairs if t in allowed), G.weight_scale)
 
 
 def max_weighted_indegree(G: WeightedDigraph) -> Fraction:
     """Largest weighted indegree over all vertices; 0 for the empty graph."""
-    best = Fraction(0)
-    for v in G.vertices:
-        d = sum((w for _, w in G.in_arcs[v]), Fraction(0))
-        if d > best:
-            best = d
-    return best
+    best = max((sum(units for _, units in pairs) for pairs in G.in_units.values()), default=0)
+    return Fraction(best, G.weight_scale)
 
 
 def coloring_violations(G: WeightedDigraph, coloring: Coloring) -> list[tuple[int, Fraction]]:
@@ -239,12 +250,13 @@ def coloring_violations(G: WeightedDigraph, coloring: Coloring) -> list[tuple[in
     is valid.  Requires a total coloring of 1..n.
     """
     check_total_coloring(G.n, coloring)
+    scale = G.weight_scale
     out: list[tuple[int, Fraction]] = []
-    for v in G.vertices:
+    for v, pairs in G.in_units.items():
         c = coloring[v]
-        d = sum((w for t, w in G.in_arcs[v] if coloring[t] == c), Fraction(0))
-        if d >= 1:
-            out.append((v, d))
+        d = sum([units for t, units in pairs if coloring[t] == c])
+        if d >= scale:
+            out.append((v, Fraction(d, scale)))
     return out
 
 

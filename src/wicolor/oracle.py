@@ -77,13 +77,13 @@ def exact_chi_w(
     in_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     out_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     neighbors: list[set[int]] = [set() for _ in range(n + 1)]
-    for t, h, w in G.arcs:
-        units = int(w * scale)
-        if units:
-            in_units[h].append((t, units))
-            out_units[t].append((h, units))
-            neighbors[t].add(h)
-            neighbors[h].add(t)
+    for h, pairs in G.in_units.items():
+        for t, units in pairs:
+            if units:
+                in_units[h].append((t, units))
+                out_units[t].append((h, units))
+                neighbors[t].add(h)
+                neighbors[h].add(t)
     # scan order for the choice rule: ties on feasible colors go to the
     # most positive-weight neighbors, then the smallest index
     priority = sorted(range(1, n + 1), key=lambda v: (-len(neighbors[v]), v))

@@ -14,13 +14,21 @@ from itertools import product
 from wicolor import UndirectedWeightedGraph, WeightedDigraph
 
 
-def violation_list(G: WeightedDigraph, colors: dict[int, int]) -> list[tuple[int, Fraction]]:
-    """Vertices whose same-colored weighted indegree reaches 1, by definition."""
+def reference_violations(
+    G: WeightedDigraph, colors: dict[int, int]
+) -> list[tuple[int, Fraction]]:
+    """Vertices whose same-colored weighted indegree reaches 1, by
+    definition, summed in Fractions."""
     incoming: dict[int, Fraction] = {v: Fraction(0) for v in range(1, G.n + 1)}
     for tail, head, weight in G.arcs:
         if colors[tail] == colors[head]:
             incoming[head] += weight
     return [(v, total) for v, total in sorted(incoming.items()) if total >= 1]
+
+
+def reference_fixed_point(G: WeightedDigraph, bits: int):
+    """The first arc whose weight times 2^bits is not an integer, or None."""
+    return next(((t, h, w) for t, h, w in G.arcs if (w * 2**bits).denominator != 1), None)
 
 
 def brute_chi_w(G: WeightedDigraph, k_max: int | None = None):
@@ -31,7 +39,7 @@ def brute_chi_w(G: WeightedDigraph, k_max: int | None = None):
     for k in range(1, limit + 1):
         for assignment in product(range(1, k + 1), repeat=G.n):
             colors = {v: assignment[v - 1] for v in range(1, G.n + 1)}
-            if not violation_list(G, colors):
+            if not reference_violations(G, colors):
                 return k, colors
     return None
 

@@ -285,6 +285,26 @@ class TestSolve:
         assert len(refusals) == 1
         assert refusals[0][0] == budget == refusals[0][2] < refusals[0][1]
 
+    def test_auto_falls_back_to_indegree_on_a_given_decomposition(
+        self, files, capsys, oracle_gives_up
+    ):
+        # rational weights and in-degree 15: the rule picks exact, which
+        # above 16 vertices only a given decomposition can replace
+        elements = "3 1 4 1 5 9 2 6 5 3 5 8 9 7 9".split()
+        prefix = files / "m15"
+        assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
+        code, out, _ = run(
+            capsys, "solve", f"{prefix}.wig", "--decomposition", f"{prefix}.td", "--stats"
+        )
+        assert code == 0
+        assert " n=17 " in out
+        line = out.strip().splitlines()[-1]
+        assert line.startswith("solver=fpt-indegree chromatic=3 ")
+        assert line.endswith("oracle_gave_up=1")
+        code, _, err = run(capsys, "solve", f"{prefix}.wig", "--stats")
+        assert code == 4
+        assert "gave up after" in err
+
     def test_supplied_decomposition_and_root(self, files, capsys):
         td = files / "prism.td"
         run(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from wicolor import (
     WeightedDigraph,
     as_weight,
     cap,
+    check_fixed_point,
     check_total_coloring,
     coloring_violations,
     embed_undirected,
@@ -276,10 +279,86 @@ class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
     def test_violations_match_definition(self, case):
         G, colors = case
-        assert coloring_violations(G, colors) == bruteforce.violation_list(G, colors)
+        assert coloring_violations(G, colors) == bruteforce.reference_violations(G, colors)
 
     @given(digraph_and_coloring())
     @settings(max_examples=60, deadline=None)
     def test_validity_is_absence_of_violations(self, case):
         G, colors = case
-        assert is_valid_coloring(G, colors) == (not bruteforce.violation_list(G, colors))
+        assert is_valid_coloring(G, colors) == (not bruteforce.reference_violations(G, colors))
+
+
+# The integer view: every solver and check reads in_units over
+# weight_scale; the Fraction references must agree with it exactly.
+
+DENOMINATORS = {
+    "dyadic": (8,),
+    "tenths": (10,),
+    "thirds": (3,),
+    "mixed": (1, 2, 3, 4, 6, 7, 10, 12),
+}
+
+
+def _random_digraph(n: int, denominators: tuple[int, ...], seed: int) -> WeightedDigraph:
+    """Random arcs whose numerators run 0..den, so zero-weight and
+    weight-1 arcs both occur."""
+    rng = random.Random(seed)
+    arcs = []
+    for t in range(1, n + 1):
+        for h in range(1, n + 1):
+            if t != h and rng.random() < 0.6:
+                den = rng.choice(denominators)
+                arcs.append((t, h, F(rng.randint(0, den), den)))
+    return WeightedDigraph(n, arcs)
+
+
+def _cases():
+    for family, denominators in DENOMINATORS.items():
+        for seed in range(6):
+            yield family, _random_digraph(3 + seed, denominators, seed)
+    yield "empty", WeightedDigraph(0)
+    yield "no arcs", WeightedDigraph(3)
+    yield "all zero", WeightedDigraph(3, [(1, 2, 0), (2, 3, 0), (3, 1, 0)])
+    yield "all one", WeightedDigraph(3, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (2, 1, 1)])
+
+
+CASES = list(_cases())
+CASE_IDS = [f"{family}-{i}" for i, (family, _) in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("family, G", CASES, ids=CASE_IDS)
+class TestIntegerUnits:
+    def test_units_are_weights_times_the_scale(self, family, G):
+        scale = G.weight_scale
+        assert scale == lcm(1, *(w.denominator for _, _, w in G.arcs))
+        assert set(G.in_units) == set(G.vertices)
+        for v in G.vertices:
+            assert [t for t, _ in G.in_units[v]] == [t for t, _ in G.in_arcs[v]]
+            for (_, units), (_, w) in zip(G.in_units[v], G.in_arcs[v]):
+                assert type(units) is int
+                assert units == int(w * scale)
+
+    def test_indegrees_match_fraction_sums(self, family, G):
+        sums = {v: sum((w for _, w in G.in_arcs[v]), F(0)) for v in G.vertices}
+        assert max_weighted_indegree(G) == max(sums.values(), default=F(0))
+        for v in G.vertices:
+            assert weighted_indegree(G, v) == sums[v]
+            odd = [u for u in G.vertices if u % 2]
+            assert weighted_indegree(G, v, odd) == sum(
+                (w for t, w in G.in_arcs[v] if t % 2), F(0)
+            )
+
+    def test_violations_match_the_fraction_reference(self, family, G):
+        rng = random.Random(G.n)
+        for k in (1, 2, 3):
+            for _ in range(20):
+                colors = {v: rng.randint(1, k) for v in G.vertices}
+                expected = bruteforce.reference_violations(G, colors)
+                got = coloring_violations(G, colors)
+                assert got == expected
+                assert all(type(d) is Fraction for _, d in got)
+                assert is_valid_coloring(G, colors) == (not expected)
+
+    def test_fixed_point_check_matches_the_fraction_reference(self, family, G):
+        for bits in range(1, 6):
+            assert check_fixed_point(G, bits) == bruteforce.reference_fixed_point(G, bits)
