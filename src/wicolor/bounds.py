@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .decomposition import TreeDecomposition, require_valid_decomposition
+from .decomposition import TreeDecomposition, require_valid, validate_decomposition
 from .errors import PreconditionError
 from .graph import (
     Coloring,
@@ -117,7 +117,7 @@ def bound_report(
 ) -> BoundReport:
     """Every bound for G; the width cap needs a valid decomposition."""
     if decomposition is not None:
-        require_valid_decomposition(G, decomposition)
+        require_valid(validate_decomposition(G, decomposition))
     return BoundReport(
         lower_chromatic=lower_bound_chromatic(underlying_graph(G), max_n=max_n),
         upper_degree_weight=upper_bound_degree_weight(G),

@@ -15,7 +15,7 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import formats
@@ -24,7 +24,7 @@ from .decomposition import (
     EXACT_SMALL_LIMIT,
     TreeDecomposition,
     build_decomposition,
-    require_valid_decomposition,
+    require_valid,
     validate_decomposition,
 )
 from .errors import FormatError, InstanceTooLargeError, PreconditionError
@@ -119,15 +119,20 @@ def _write_witness(path: str, G: WeightedDigraph, witness: Coloring) -> None:
     Path(path).write_text(formats.serialize_coloring(witness), encoding="utf-8")
 
 
-def _auto_method(G: WeightedDigraph) -> str:
-    """The route `auto` takes once the budgeted oracle has given up."""
+def _auto_method(G: WeightedDigraph, decomposition_given: bool) -> str | None:
+    """The route `auto` takes once the budgeted oracle has given up, or
+    None where there is none."""
     bits = min_precision_bits(G)
     if bits is not None and bits <= 4:
         return "fpt-budget"
     max_indegree = max((len(p) for p in G.in_neighbors.values()), default=0)
     if max_indegree <= 3:
         return "fpt-indegree"
-    return "exact"
+    if G.n <= DEFAULT_SEARCH_LIMIT:
+        return "exact"
+    # exact would repeat the search that gave up; the indegree DP takes
+    # any rational weights, but only on a given decomposition
+    return "fpt-indegree" if decomposition_given else None
 
 
 def _solve(
@@ -138,21 +143,18 @@ def _solve(
 ) -> tuple[str, SolveResult, tuple[tuple[str, int], ...]]:
     """Run one method; return the method that answered, its result and
     its statistics.  `auto` runs the oracle under ORACLE_WORK_BUDGET and
-    only when that runs out takes the route `_auto_method` picks; where
-    that is `exact` above DEFAULT_SEARCH_LIMIT vertices it runs
-    `fpt-indegree` on a given decomposition and refuses without one.
-    `exact` searches without limit up to DEFAULT_SEARCH_LIMIT vertices
-    and under ORACLE_WORK_BUDGET above it."""
+    only when that runs out takes the route `_auto_method` picks, or
+    refuses where it picks none.  `exact` searches without limit up to
+    DEFAULT_SEARCH_LIMIT vertices and under ORACLE_WORK_BUDGET above it.
+    A DP's statistics are its memo_stats() fields, in order."""
     if method == "auto":
         try:
             # the work budget, not the vertex guard, bounds this search
             result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
         except InstanceTooLargeError as exc:
-            method = _auto_method(G)
-            if method == "exact" and G.n > DEFAULT_SEARCH_LIMIT:
-                if not decomposition_given:
-                    raise  # exact would repeat the search that just gave up
-                method = "fpt-indegree"  # takes any rational weights
+            method = _auto_method(G, decomposition_given)
+            if method is None:
+                raise
             method, result, stat_pairs = _solve(G, method, decomposition)
             return method, result, (*stat_pairs, ("oracle_work", exc.size), ("oracle_gave_up", 1))
         return "exact", result, (("oracle_work", result.examined),)
@@ -166,28 +168,13 @@ def _solve(
         return method, result, ()
     if method == "fpt-indegree":
         solver = IndegreeSolver(G, decomposition())
-        result = solver.solve()
-        stats = solver.memo_stats()
-        return method, result, (
-            ("memo_entries", stats.entries),
-            ("memo_hits", stats.hits),
-            ("memo_max_key_width", stats.max_key_width),
-        )
-    if method == "fpt-budget":
-        bits = min_precision_bits(G)
-        if bits is None:
-            raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
-        solver = BudgetSolver(G, decomposition(), bits)
-        result = solver.solve()
-        stats = solver.memo_stats()
-        return method, result, (
-            ("memo_entries", stats.entries),
-            ("memo_color_entries", stats.color_entries),
-            ("memo_distribute_entries", stats.distribute_entries),
-            ("memo_hits", stats.hits),
-            ("memo_max_key_width", stats.max_key_width),
-        )
-    raise PreconditionError(f"unknown method {method!r}")
+    elif method == "fpt-budget":
+        solver = BudgetSolver(G, decomposition())
+    else:
+        raise PreconditionError(f"unknown method {method!r}")
+    result = solver.solve()
+    stats = asdict(solver.memo_stats())
+    return method, result, tuple((f"memo_{name}", value) for name, value in stats.items())
 
 
 def _run_method(
@@ -215,7 +202,7 @@ def cmd_solve(args) -> int:
     # read or built on first use and shared by both DPs under --all-methods
     decomposition = functools.cache(lambda: _obtain_decomposition(args, G))
     if args.decomposition:  # a given file is checked even when no DP reads it
-        require_valid_decomposition(G, decomposition())
+        require_valid(validate_decomposition(G, decomposition()))
     if args.all_methods:
         methods = ["exact", "fpt-budget", "fpt-indegree"]
         if min_precision_bits(G) is None:
@@ -232,13 +219,10 @@ def cmd_solve(args) -> int:
 def cmd_bounds(args) -> int:
     G, _ = _load_digraph(args.graph)
     decomposition = None
-    if args.decomposition or args.build:
-        if args.decomposition:
-            decomposition = formats.parse_decomposition(
-                _read(args.decomposition), root_bag_id=args.root
-            )
-        else:
-            decomposition = build_decomposition(G, args.build)
+    if args.decomposition:
+        decomposition = _obtain_decomposition(args, G)
+    elif args.build:
+        decomposition = build_decomposition(G, args.build)
     for line in bound_report(G, decomposition).as_lines():
         print(line)
     return EXIT_OK
@@ -377,9 +361,10 @@ def _build_parser() -> _Parser:
 
     bounds = sub.add_parser("bounds", help="print all bound values")
     bounds.add_argument("graph")
-    bounds.add_argument("--decomposition", help="decomposition file for the width cap")
     bounds.add_argument("--root", type=int, default=1)
-    bounds.add_argument(
+    width_cap = bounds.add_mutually_exclusive_group()
+    width_cap.add_argument("--decomposition", help="decomposition file for the width cap")
+    width_cap.add_argument(
         "--build",
         choices=["min-degree", "min-fill", "exact-small"],
         help="build a decomposition for the width cap",

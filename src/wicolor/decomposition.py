@@ -203,9 +203,8 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
     return violations
 
 
-def require_valid_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> None:
-    """Raise PreconditionError naming the first violation, if D is invalid for G."""
-    violations = validate_decomposition(G, D)
+def require_valid(violations: list[DecompositionViolation]) -> None:
+    """Raise PreconditionError naming the first of `violations`, if any."""
     if violations:
         raise PreconditionError(
             f"decomposition invalid: {violations[0].message}", witness=violations[0]

@@ -37,7 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .decomposition import TreeDecomposition, shared_first_layout, validate_decomposition
+from .decomposition import (
+    TreeDecomposition,
+    require_valid,
+    shared_first_layout,
+    validate_decomposition,
+)
 from .errors import PreconditionError
 from .graph import Coloring, WeightedDigraph, is_valid_coloring
 from .oracle import SolveResult
@@ -59,14 +64,11 @@ class BudgetMemoStats:
     most vertices any vector of the run spans.
     """
 
+    entries: int  # color_entries + distribute_entries
     color_entries: int
     distribute_entries: int
     hits: int
     max_key_width: int
-
-    @property
-    def entries(self) -> int:
-        return self.color_entries + self.distribute_entries
 
 
 def check_fixed_point(G: WeightedDigraph, bits: int) -> tuple[int, int, object] | None:
@@ -121,15 +123,18 @@ def _first_use(colors: tuple[int, ...]) -> tuple[int, ...]:
 
 class BudgetSolver:
     """One solve against a fixed graph, validated rooted decomposition,
-    and precision; create a fresh instance per solve."""
+    and precision; create a fresh instance per solve.
 
-    def __init__(self, G: WeightedDigraph, D: TreeDecomposition, bits: int):
-        violations = validate_decomposition(G, D)
-        if violations:
-            raise PreconditionError(
-                f"decomposition invalid: {violations[0].message}",
-                witness=violations[0],
-            )
+    With bits omitted, the smallest sufficient precision is detected;
+    non-dyadic weights are rejected.
+    """
+
+    def __init__(self, G: WeightedDigraph, D: TreeDecomposition, bits: int | None = None):
+        require_valid(validate_decomposition(G, D))
+        if bits is None:
+            bits = min_precision_bits(G)
+            if bits is None:
+                raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
         offending = check_fixed_point(G, bits)
         if offending is not None:
             t, h, w = offending
@@ -171,7 +176,7 @@ class BudgetSolver:
         self._k = 0  # k of the last decide(k)
         self._canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.considered_counts: dict[tuple[int, int], int] = {}
-        self._stats = BudgetMemoStats(0, 0, 0, 0)
+        self._stats = BudgetMemoStats(0, 0, 0, 0, 0)
 
     # -- decision DP ---------------------------------------------------
 
@@ -240,7 +245,9 @@ class BudgetSolver:
             if not table:
                 feasible = False
                 break
-        self._stats = BudgetMemoStats(color_entries, distribute_entries, hits, width)
+        self._stats = BudgetMemoStats(
+            color_entries + distribute_entries, color_entries, distribute_entries, hits, width
+        )
         return feasible
 
     def demands(self, bag: int, colors: Coloring) -> list[dict[int, int]]:
@@ -336,13 +343,5 @@ class BudgetSolver:
 def solve_fpt_budget(
     G: WeightedDigraph, D: TreeDecomposition, bits: int | None = None
 ) -> SolveResult:
-    """Exact chromatic value and witness via the budget DP.
-
-    With bits omitted, the smallest sufficient precision is detected;
-    non-dyadic weights are rejected.
-    """
-    if bits is None:
-        bits = min_precision_bits(G)
-        if bits is None:
-            raise PreconditionError("weights are not dyadic; pass a digraph with 2^-b weights")
+    """Exact chromatic value and witness via the budget DP."""
     return BudgetSolver(G, D, bits).solve()

@@ -30,6 +30,7 @@ from typing import Generator
 from .decomposition import (
     TreeDecomposition,
     extended_bags,
+    require_valid,
     shared_first_layout,
     validate_decomposition,
 )
@@ -57,12 +58,7 @@ class IndegreeSolver:
     create a fresh instance per solve."""
 
     def __init__(self, G: WeightedDigraph, D: TreeDecomposition):
-        violations = validate_decomposition(G, D)
-        if violations:
-            raise PreconditionError(
-                f"decomposition invalid: {violations[0].message}",
-                witness=violations[0],
-            )
+        require_valid(validate_decomposition(G, D))
         self.graph = G
         self.decomposition = D
         self.palette = max(1, D.width + 1)  # an empty bag has width -1

@@ -28,11 +28,7 @@ def reduce_defective(H: UndirectedWeightedGraph, d: int) -> WeightedDigraph:
     if d < 0:
         raise PreconditionError(f"defect bound must be >= 0, got {d}")
     w = Fraction(1, d + 1)
-    arcs = []
-    for u, v, _ in H.edges:
-        arcs.append((u, v, w))
-        arcs.append((v, u, w))
-    return WeightedDigraph(H.n, arcs)
+    return embed_undirected(UndirectedWeightedGraph(H.n, [(u, v, w) for u, v, _ in H.edges]))
 
 
 def complete_embed(G: WeightedDigraph) -> WeightedDigraph:

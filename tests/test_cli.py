@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 import subprocess
@@ -137,7 +138,26 @@ class TestSolve:
             capsys, "solve", str(files / "golden5.wig"), "--method", "fpt-budget"
         )
         assert code == 3
-        assert "precondition:" in err
+        assert "precondition:" in err and "not dyadic" in err
+
+    @pytest.mark.parametrize(
+        ("method", "solver_class"),
+        [("fpt-indegree", cli.IndegreeSolver), ("fpt-budget", cli.BudgetSolver)],
+    )
+    def test_memo_tokens_are_the_memo_stats_fields(self, files, capsys, method, solver_class):
+        graph, td = files / "prism10.wug", files / "prism.td"
+        run(capsys, "decomp", "build", str(graph), "--strategy", "min-fill", "--out", str(td))
+        code, out, _ = run(
+            capsys, "solve", str(graph), "--method", method, "--decomposition", str(td), "--stats"
+        )
+        assert code == 0
+        tokens = [token.split("=", 1) for token in out.strip().splitlines()[-1].split()]
+        G, _ = cli._load_digraph(str(graph))
+        solver = solver_class(G, parse_decomposition(td.read_text(encoding="utf-8")))
+        solver.solve()
+        stats = solver.memo_stats()
+        expected = [("memo_" + f.name, getattr(stats, f.name)) for f in dataclasses.fields(stats)]
+        assert [(key, int(value)) for key, value in tokens if key.startswith("memo_")] == expected
 
     def test_all_methods_agree_on_prism(self, files, capsys):
         code, out, _ = run(capsys, "solve", str(files / "prism10.wug"), "--all-methods")
@@ -395,6 +415,17 @@ class TestBounds:
         assert code == 3
         assert out == ""
         assert "decomposition invalid" in err
+
+    def test_decomposition_and_build_conflict(self, files, capsys):
+        td = files / "golden.td"
+        run(capsys, "decomp", "build", str(files / "golden5.wig"), "--out", str(td))
+        code, out, err = run(
+            capsys, "bounds", str(files / "golden5.wig"),
+            "--decomposition", str(td), "--build", "min-fill",
+        )
+        assert code == 1
+        assert out == ""
+        assert "not allowed with argument" in err
 
     def test_empty_graph_cap_is_one(self, tmp_path, capsys):
         path = tmp_path / "empty.wig"

@@ -386,6 +386,18 @@ class TestPreconditions:
         with pytest.raises(PreconditionError, match="fixed point"):
             BudgetSolver(G, TreeDecomposition([{1, 2}]), 1)
 
+    def test_bits_default_to_the_detected_precision(self, prism_digraph):
+        D = build_decomposition(prism_digraph, "min-fill")
+        detected = BudgetSolver(prism_digraph, D)
+        given = BudgetSolver(prism_digraph, D, min_precision_bits(prism_digraph))
+        assert detected.bits == given.bits
+        assert detected.solve() == given.solve()
+        assert detected.memo_stats() == given.memo_stats()
+
+    def test_solver_rejects_non_dyadic_without_bits(self, golden5):
+        with pytest.raises(PreconditionError, match="not dyadic"):
+            BudgetSolver(golden5, build_decomposition(golden5, "exact-small"))
+
     def test_non_dyadic_rejected_by_autodetect(self, golden5):
         D = build_decomposition(golden5, "exact-small")
         with pytest.raises(PreconditionError, match="not dyadic"):
