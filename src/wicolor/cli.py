@@ -56,8 +56,9 @@ EXIT_GUARD = 4
 
 # Vertices the oracle may examine under `solve --method auto` before it
 # gives up and a decomposition is built, and under `--method exact` on
-# graphs above the 16-vertex guard before it refuses.  At 1-4 us per
-# examined vertex on a 2-core x86 host, giving up costs about 0.1 s.
+# graphs above the 16-vertex guard before it refuses.  At 0.1-2 us per
+# examined vertex on a shared 2-core x86 host, giving up costs about
+# 60-90 ms (the 22-vertex partition gadget of 20 elements).
 ORACLE_WORK_BUDGET = 50_000
 
 

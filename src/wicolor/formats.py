@@ -57,8 +57,8 @@ def _parse_weight(token: str, line_no: int) -> Fraction:
     return w
 
 
-def _parse_graph_lines(text: str, header_kind: str):
-    lines = _content_lines(text)
+def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
+    """The graph of kind "wig" or "wug" on already tokenized lines."""
     if not lines:
         raise FormatError("missing header line")
     head_no, head = lines[0]
@@ -87,41 +87,30 @@ def _parse_graph_lines(text: str, header_kind: str):
         triples.append((a, b, _parse_weight(tokens[3], line_no)))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")
-    return n, triples
+    graph_type = WeightedDigraph if header_kind == "wig" else UndirectedWeightedGraph
+    try:
+        return graph_type(n, triples)
+    except ValueError as exc:  # a duplicate arc or edge
+        raise FormatError(str(exc)) from None
 
 
 def parse_digraph(text: str) -> WeightedDigraph:
-    n, triples = _parse_graph_lines(text, "wig")
-    seen: set[tuple[int, int]] = set()
-    for t, h, _ in triples:
-        if (t, h) in seen:
-            raise FormatError(f"duplicate arc ({t}, {h})")
-        seen.add((t, h))
-    return WeightedDigraph(n, triples)
+    return _parse_graph(_content_lines(text), "wig")
 
 
 def parse_undirected(text: str) -> UndirectedWeightedGraph:
-    n, triples = _parse_graph_lines(text, "wug")
-    seen: set[tuple[int, int]] = set()
-    for a, b, _ in triples:
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise FormatError(f"duplicate edge {{{key[0]}, {key[1]}}}")
-        seen.add(key)
-    return UndirectedWeightedGraph(n, triples)
+    return _parse_graph(_content_lines(text), "wug")
 
 
 def parse_graph_auto(text: str) -> WeightedDigraph | UndirectedWeightedGraph:
     """Parse either graph format, deciding by the header kind."""
-    for line_no, tokens in _content_lines(text):
-        if tokens[0] == "p" and len(tokens) >= 2:
-            if tokens[1] == "wig":
-                return parse_digraph(text)
-            if tokens[1] == "wug":
-                return parse_undirected(text)
-            raise FormatError(f"unknown graph kind {tokens[1]!r}", line_no)
-        break
-    raise FormatError("missing header line")
+    lines = _content_lines(text)
+    head = lines[0][1] if lines else []
+    if len(head) < 2 or head[0] != "p":
+        raise FormatError("missing header line")
+    if head[1] not in ("wig", "wug"):
+        raise FormatError(f"unknown graph kind {head[1]!r}", lines[0][0])
+    return _parse_graph(lines, head[1])
 
 
 def serialize_digraph(G: WeightedDigraph) -> str:

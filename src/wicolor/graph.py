@@ -31,10 +31,13 @@ def as_weight(value: Fraction | int | str) -> Fraction:
 
     Accepts Fraction, int, and strings Fraction understands ("7/10",
     "0.7", "1").  Floats are refused: they carry binary rounding error
-    and would silently change strict comparisons against 1.
+    and would silently change strict comparisons against 1.  Booleans
+    are refused too, as vertices are: True is an int equal to 1.
     """
     if isinstance(value, float):
         raise TypeError(f"float weight {value!r} refused; pass a Fraction or a string")
+    if isinstance(value, bool):
+        raise TypeError(f"boolean weight {value!r} refused; pass 0 or 1")
     if isinstance(value, Fraction):
         w = value
     elif isinstance(value, int):

@@ -10,12 +10,22 @@ uncolored vertex with the fewest feasible colors (ties to the most
 positive-weight neighbors, then the smallest index), tries colors
 ascending, and opens a new color only as the next unused one.  It keeps
 its own stack, so depth is not limited by Python's recursion limit.
+The choice rule reads one count per vertex: for each uncolored vertex u
+and color c the search keeps `load[u][c]`, the units from in-neighbors
+colored c, and `reasons[u][c]`, the constraints forbidding c (that load
+reaching the weight scale, and each out-neighbor colored c that an arc
+from u would push to 1), plus `nblocked[u]`, the colors with a reason.
+Coloring a vertex updates them for its neighbors and the in-neighbors
+of its same-colored out-neighbors, and backtracking undoes that in
+stack order, so a vertex costs O(1) to examine (DSatur bookkeeping;
+Brélaz, CACM 1979).
 Witness colors are renamed by first use in vertex-index order, so
 returned witnesses are canonical and stable across runs and platforms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import InstanceTooLargeError, PreconditionError
@@ -74,28 +84,74 @@ def exact_chi_w(
         raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
     scale = G.weight_scale
     n = G.n
-    in_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    # positive arcs only; each vertex's in-arcs heaviest first, as tails
+    # and negated units, so the tails whose units fall in a range are a
+    # slice found by bisection
+    in_tails: list[list[int]] = [[] for _ in range(n + 1)]
+    in_keys: list[list[int]] = [[] for _ in range(n + 1)]
     out_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     neighbors: list[set[int]] = [set() for _ in range(n + 1)]
-    for h, pairs in G.in_units.items():
-        for t, units in pairs:
-            if units:
-                in_units[h].append((t, units))
-                out_units[t].append((h, units))
-                neighbors[t].add(h)
-                neighbors[h].add(t)
+    arcs = [(units, t, h) for h, pairs in G.in_units.items() for t, units in pairs if units]
+    for units, t, h in sorted(arcs, reverse=True):
+        in_tails[h].append(t)
+        in_keys[h].append(-units)
+        out_units[t].append((h, units))
+        neighbors[t].add(h)
+        neighbors[h].add(t)
     # scan order for the choice rule: ties on feasible colors go to the
     # most positive-weight neighbors, then the smallest index
     priority = sorted(range(1, n + 1), key=lambda v: (-len(neighbors[v]), v))
 
     color = [0] * (n + 1)
     spent = [0] * (n + 1)  # same-colored weighted indegree of colored vertices
+    # kept for uncolored vertices: load[u][c], the units from in-neighbors
+    # colored c; reasons[u][c], the constraints forbidding c; nblocked[u],
+    # the colors with a reason.  A colored vertex's counts are left as they
+    # were, which is right again once it is uncolored, since colors are
+    # undone in stack order.
+    load: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    reasons: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    nblocked = [0] * (n + 1)
+
+    def mark(u: int, c: int, d: int) -> None:
+        count = reasons[u].get(c, 0)
+        reasons[u][c] = count + d
+        if not count or not count + d:  # c became, or stopped being, forbidden
+            nblocked[u] += d
+
+    def shift(v: int, c: int, d: int) -> None:
+        """Add (d = 1) or take back (d = -1) the constraints of v colored c."""
+        for h, units in out_units[v]:
+            ch = color[h]
+            if not ch:
+                before = load[h].get(c, 0)
+                load[h][c] = after = before + d * units
+                if (before >= scale) != (after >= scale):
+                    mark(h, c, d)
+            elif ch == c:
+                # h's same-colored indegree moves between low and high, so
+                # h starts or stops forbidding c to each uncolored
+                # in-neighbor t with low < scale - units(t -> h) <= high
+                low = spent[h]
+                spent[h] = high = low + d * units
+                if d < 0:
+                    low, high = high, low
+                keys = in_keys[h]
+                first = bisect_right(keys, low - scale)
+                for t in in_tails[h][first : bisect_right(keys, high - scale)]:
+                    if not color[t]:
+                        mark(t, c, d)
+        # v forbids c to each uncolored in-neighbor t with
+        # spent[v] + units(t -> v) >= scale
+        for t in in_tails[v][: bisect_right(in_keys[v], spent[v] - scale)]:
+            if not color[t]:
+                mark(t, c, d)
+
     limit = work_limit if work_limit is not None else float("inf")
     examined = 0
     for k in range(1, k_limit + 1):
         # one frame per colored vertex, in coloring order:
-        # [vertex, untried colors (largest first), load by color,
-        #  out-neighbors charged by its color, max_used before it]
+        # [vertex, untried colors (largest first), max_used before it]
         frames: list[list] = []
         max_used = 0
         while True:
@@ -113,23 +169,12 @@ def exact_chi_w(
                 if color[u]:
                     continue
                 examined += 1
-                load: dict[int, int] = {}
-                blocked: set[int] = set()
-                for t, units in in_units[u]:
-                    c = color[t]
-                    if c:
-                        load[c] = total = load.get(c, 0) + units
-                        if total >= scale:
-                            blocked.add(c)
-                for h, units in out_units[u]:
-                    c = color[h]
-                    if c and spent[h] + units >= scale:
-                        blocked.add(c)
-                if top - len(blocked) < fewest:
-                    fewest = top - len(blocked)
+                feasible = top - nblocked[u]
+                if feasible < fewest:
+                    fewest = feasible
                     if not fewest:
                         break
-                    v, v_blocked, v_load = u, blocked, load
+                    v = u
             if examined > limit:
                 raise InstanceTooLargeError(
                     f"exhaustive search gave up after {examined} examined vertices"
@@ -138,24 +183,20 @@ def exact_chi_w(
                     limit=work_limit,
                 )
             if fewest:
-                untried = [c for c in range(top, 0, -1) if c not in v_blocked]
-                frames.append([v, untried, v_load, None, max_used])
+                untried = [c for c in range(top, 0, -1) if not reasons[v].get(c)]
+                frames.append([v, untried, max_used])
             # color the newest frame's vertex with its next untried color,
             # backtracking over frames whose colors are all tried
             while frames:
-                frame = frames[-1]
-                v, untried, v_load, touched, max_used = frame
-                if touched is not None:
-                    for h, units in touched:
-                        spent[h] -= units
+                v, untried, max_used = frames[-1]
+                if color[v]:
+                    shift(v, color[v], -1)
                     color[v] = 0
                 if untried:
                     c = untried.pop()
-                    frame[3] = touched = [(h, units) for h, units in out_units[v] if color[h] == c]
-                    for h, units in touched:
-                        spent[h] += units
                     color[v] = c
-                    spent[v] = v_load.get(c, 0)
+                    spent[v] = load[v].get(c, 0)
+                    shift(v, c, 1)
                     if c > max_used:
                         max_used = c
                     break

@@ -11,7 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from wicolor import UndirectedWeightedGraph, WeightedDigraph
+from wicolor import (
+    InstanceTooLargeError,
+    PreconditionError,
+    SolveResult,
+    UndirectedWeightedGraph,
+    WeightedDigraph,
+)
 
 
 def reference_violations(
@@ -41,6 +47,123 @@ def brute_chi_w(G: WeightedDigraph, k_max: int | None = None):
             colors = {v: assignment[v - 1] for v in range(1, G.n + 1)}
             if not reference_violations(G, colors):
                 return k, colors
+    return None
+
+
+def reference_chi_w(
+    G: WeightedDigraph,
+    k_limit: int | None = None,
+    *,
+    max_n: int = 16,
+    work_limit: int | None = None,
+) -> SolveResult | None:
+    """`exact_chi_w` as it was before it kept forbidden-color counts.
+
+    At every search node its choice rule rebuilds each uncolored
+    vertex's load by color and set of blocked colors from scratch.  Kept
+    as the reference the incremental search must equal: the same
+    answers, witnesses, examined counts and refusals.
+    """
+    if G.n > max_n:
+        raise InstanceTooLargeError(
+            f"exhaustive search is limited to {max_n} vertices, got {G.n}",
+            size=G.n,
+            limit=max_n,
+        )
+    if k_limit is None:
+        k_limit = max(1, G.n)
+    if k_limit < 1:
+        raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
+    scale = G.weight_scale
+    n = G.n
+    in_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    out_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    neighbors: list[set[int]] = [set() for _ in range(n + 1)]
+    for h, pairs in G.in_units.items():
+        for t, units in pairs:
+            if units:
+                in_units[h].append((t, units))
+                out_units[t].append((h, units))
+                neighbors[t].add(h)
+                neighbors[h].add(t)
+    # scan order for the choice rule: ties on feasible colors go to the
+    # most positive-weight neighbors, then the smallest index
+    priority = sorted(range(1, n + 1), key=lambda v: (-len(neighbors[v]), v))
+
+    color = [0] * (n + 1)
+    spent = [0] * (n + 1)  # same-colored weighted indegree of colored vertices
+    limit = work_limit if work_limit is not None else float("inf")
+    examined = 0
+    for k in range(1, k_limit + 1):
+        # one frame per colored vertex, in coloring order:
+        # [vertex, untried colors (largest first), load by color,
+        #  out-neighbors charged by its color, max_used before it]
+        frames: list[list] = []
+        max_used = 0
+        while True:
+            if len(frames) == n:
+                renamed: dict[int, int] = {}
+                for v in G.vertices:
+                    renamed.setdefault(color[v], len(renamed) + 1)
+                return SolveResult(
+                    k, {v: renamed[color[v]] for v in G.vertices}, examined=examined
+                )
+            # choose the most constrained uncolored vertex
+            top = min(k, max_used + 1)
+            fewest = top + 1
+            for u in priority:
+                if color[u]:
+                    continue
+                examined += 1
+                load: dict[int, int] = {}
+                blocked: set[int] = set()
+                for t, units in in_units[u]:
+                    c = color[t]
+                    if c:
+                        load[c] = total = load.get(c, 0) + units
+                        if total >= scale:
+                            blocked.add(c)
+                for h, units in out_units[u]:
+                    c = color[h]
+                    if c and spent[h] + units >= scale:
+                        blocked.add(c)
+                if top - len(blocked) < fewest:
+                    fewest = top - len(blocked)
+                    if not fewest:
+                        break
+                    v, v_blocked, v_load = u, blocked, load
+            if examined > limit:
+                raise InstanceTooLargeError(
+                    f"exhaustive search gave up after {examined} examined vertices"
+                    f" (limit {work_limit})",
+                    size=examined,
+                    limit=work_limit,
+                )
+            if fewest:
+                untried = [c for c in range(top, 0, -1) if c not in v_blocked]
+                frames.append([v, untried, v_load, None, max_used])
+            # color the newest frame's vertex with its next untried color,
+            # backtracking over frames whose colors are all tried
+            while frames:
+                frame = frames[-1]
+                v, untried, v_load, touched, max_used = frame
+                if touched is not None:
+                    for h, units in touched:
+                        spent[h] -= units
+                    color[v] = 0
+                if untried:
+                    c = untried.pop()
+                    frame[3] = touched = [(h, units) for h, units in out_units[v] if color[h] == c]
+                    for h, units in touched:
+                        spent[h] += units
+                    color[v] = c
+                    spent[v] = v_load.get(c, 0)
+                    if c > max_used:
+                        max_used = c
+                    break
+                frames.pop()
+            else:
+                break
     return None
 
 

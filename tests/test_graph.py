@@ -40,6 +40,16 @@ class TestAsWeight:
         with pytest.raises(TypeError):
             as_weight(0.7)
 
+    def test_rejects_bool(self):
+        # True == 1 and False == 0 as ints, but a flag is not a weight
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                as_weight(flag)
+        with pytest.raises(TypeError):
+            WeightedDigraph(2, [(1, 2, True)])
+        with pytest.raises(TypeError):
+            UndirectedWeightedGraph(2, [(1, 2, False)])
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             as_weight(F(3, 2))

@@ -19,6 +19,7 @@ from wicolor import (
     is_defective_coloring,
     is_valid_coloring,
     random_instance,
+    random_subcubic_instance,
     underlying_graph,
 )
 
@@ -170,6 +171,64 @@ class TestExactChiW:
                 continue
             bigger = WeightedDigraph(G.n, list(G.arcs) + [(extra[0], extra[1], F(1))])
             assert exact_chi_w(bigger).chromatic >= base
+
+
+def search_outcome(search, G: WeightedDigraph, **kwargs):
+    """Everything a search reports: (chromatic, witness, examined), None,
+    or the refusal's message, size and limit."""
+    try:
+        result = search(G, max_n=G.n, **kwargs)
+    except InstanceTooLargeError as exc:
+        return ("refused", str(exc), exc.size, exc.limit)
+    return None if result is None else (result.chromatic, result.witness, result.examined)
+
+
+def assert_matches_reference(G: WeightedDigraph) -> None:
+    for k_limit in (None, 1, 2):
+        got = search_outcome(exact_chi_w, G, k_limit=k_limit)
+        assert got == search_outcome(bruteforce.reference_chi_w, G, k_limit=k_limit)
+    for work_limit in (0, 10, 100, 50_000):
+        got = search_outcome(exact_chi_w, G, work_limit=work_limit)
+        assert got == search_outcome(bruteforce.reference_chi_w, G, work_limit=work_limit)
+
+
+def ladder(k: int, scale: int, seed: int) -> WeightedDigraph:
+    """The 2 x k ladder with weights m/scale, m in 1..scale, on both arc
+    directions of every edge."""
+    rng = random.Random(seed)
+    pairs = [(2 * j + 1, 2 * j + 2) for j in range(k)]
+    pairs += [(v, v + 2) for v in range(1, 2 * k - 1)]
+    arcs = []
+    for u, v in pairs:
+        arcs.append((u, v, F(rng.randint(1, scale), scale)))
+        arcs.append((v, u, F(rng.randint(1, scale), scale)))
+    return WeightedDigraph(2 * k, arcs)
+
+
+class TestMatchesReference:
+    """The search with kept counts makes the same choices as the one that
+    rescans every uncolored vertex's neighbors at each node: the same
+    answers, witnesses, examined counts and refusals."""
+
+    @pytest.mark.parametrize("weight_model", ["dyadic", "uniform-rational"])
+    def test_random_instances(self, weight_model):
+        rng = random.Random(f"reference:{weight_model}")
+        for seed in range(300):
+            n = rng.randint(1, 14)
+            p = rng.uniform(0.1, 0.9)
+            bits = rng.randint(1, 3)
+            G = random_instance(n, p, seed=1500 + seed, weight_model=weight_model, bits=bits)
+            assert_matches_reference(G)
+
+    def test_subcubic_embeds(self):
+        for n in range(1, 29):
+            for seed in range(3):
+                assert_matches_reference(embed_undirected(random_subcubic_instance(n, seed=seed)))
+
+    @pytest.mark.parametrize("k", [16, 32])
+    @pytest.mark.parametrize("scale", [2, 8, 10])
+    def test_ladders(self, k, scale):
+        assert_matches_reference(ladder(k, scale, seed=k * scale))
 
 
 class TestDefective:
