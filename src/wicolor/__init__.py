@@ -29,7 +29,7 @@ from .decomposition import (
     extended_bags,
     validate_decomposition,
 )
-from .errors import FormatError, InstanceTooLargeError, PreconditionError
+from .errors import DuplicateEdgeError, FormatError, InstanceTooLargeError, PreconditionError
 from .formats import (
     parse_coloring,
     parse_decomposition,
@@ -88,6 +88,7 @@ __all__ = [
     "BudgetSolver",
     "Coloring",
     "DecompositionViolation",
+    "DuplicateEdgeError",
     "FormatError",
     "IndegreeSolver",
     "InstanceTooLargeError",

@@ -21,6 +21,18 @@ class FormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class DuplicateEdgeError(ValueError):
+    """Raised when a graph is given the same arc or edge twice.
+
+    `index` is the 0-based position, in the input sequence, of the
+    triple that repeats an earlier one.
+    """
+
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
+
+
 class PreconditionError(ValueError):
     """Raised when an operation's documented precondition fails.
 

@@ -11,8 +11,10 @@ Tree decomposition:  header `s td <bags> <max-bag-size> <n>`, bag lines
                      this style of file).  Bag 1 is the root.
 
 Weights may be written as a fraction `7/10`, an integer, or a decimal
-`0.7`; they are parsed exactly and serialized in lowest terms.  Parse
-failures raise FormatError carrying the 1-based line number.
+`0.7`; they are parsed exactly and serialized in lowest terms.  Each
+distinct weight spelling is parsed once per file and reused for its
+later lines.  Parse failures raise FormatError carrying the 1-based
+line number; for a duplicate arc or edge, that of the line repeating it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decomposition import TreeDecomposition
-from .errors import FormatError
+from .errors import DuplicateEdgeError, FormatError
 from .graph import Coloring, UndirectedWeightedGraph, WeightedDigraph
 
 
@@ -69,6 +71,9 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
     n = _parse_int(head[2], head_no, "vertex count")
     m = _parse_int(head[3], head_no, "edge count")
     triples: list[tuple[int, int, Fraction]] = []
+    # each distinct spelling is parsed and range-checked once per file; a
+    # bad token raises before it is stored, so it raises at its first line
+    weights: dict[str, Fraction] = {}
     for line_no, tokens in lines[1:]:
         if tokens[0] == "p":
             raise FormatError("duplicate header", line_no)
@@ -84,14 +89,17 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
             raise FormatError(f"endpoint outside 1..{n}", line_no)
         if a == b:
             raise FormatError(f"self-loop at vertex {a}", line_no)
-        triples.append((a, b, _parse_weight(tokens[3], line_no)))
+        w = weights.get(tokens[3])
+        if w is None:
+            w = weights[tokens[3]] = _parse_weight(tokens[3], line_no)
+        triples.append((a, b, w))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")
     graph_type = WeightedDigraph if header_kind == "wig" else UndirectedWeightedGraph
     try:
         return graph_type(n, triples)
-    except ValueError as exc:  # a duplicate arc or edge
-        raise FormatError(str(exc)) from None
+    except DuplicateEdgeError as exc:
+        raise FormatError(str(exc), lines[1 + exc.index][0]) from None
 
 
 def parse_digraph(text: str) -> WeightedDigraph:

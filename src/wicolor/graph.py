@@ -21,7 +21,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable
 
-from .errors import PreconditionError
+from .errors import DuplicateEdgeError, PreconditionError
 
 Weight = Fraction
 
@@ -34,12 +34,12 @@ def as_weight(value: Fraction | int | str) -> Fraction:
     and would silently change strict comparisons against 1.  Booleans
     are refused too, as vertices are: True is an int equal to 1.
     """
-    if isinstance(value, float):
-        raise TypeError(f"float weight {value!r} refused; pass a Fraction or a string")
-    if isinstance(value, bool):
-        raise TypeError(f"boolean weight {value!r} refused; pass 0 or 1")
     if isinstance(value, Fraction):
         w = value
+    elif isinstance(value, float):
+        raise TypeError(f"float weight {value!r} refused; pass a Fraction or a string")
+    elif isinstance(value, bool):
+        raise TypeError(f"boolean weight {value!r} refused; pass 0 or 1")
     elif isinstance(value, int):
         w = Fraction(value)
     elif isinstance(value, str):
@@ -49,7 +49,8 @@ def as_weight(value: Fraction | int | str) -> Fraction:
             raise ValueError(f"cannot parse weight {value!r}") from exc
     else:
         raise TypeError(f"unsupported weight type {type(value).__name__}")
-    if not 0 <= w <= 1:
+    # denominators are positive, so this is 0 <= w <= 1 on integers
+    if not 0 <= w.numerator <= w.denominator:
         raise ValueError(f"weight {w} outside [0, 1]")
     return w
 
@@ -89,7 +90,7 @@ class WeightedDigraph:
     arcs: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, Fraction | int | str]] = ()):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         canon: list[tuple[int, int, Fraction]] = []
         seen: set[tuple[int, int]] = set()
@@ -99,7 +100,7 @@ class WeightedDigraph:
             if tail == head:
                 raise ValueError(f"self-loop at vertex {tail}")
             if (tail, head) in seen:
-                raise ValueError(f"duplicate arc ({tail}, {head})")
+                raise DuplicateEdgeError(f"duplicate arc ({tail}, {head})", len(canon))
             seen.add((tail, head))
             canon.append((tail, head, as_weight(weight)))
         canon.sort()
@@ -166,7 +167,7 @@ class UndirectedWeightedGraph:
     edges: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Fraction | int | str]] = ()):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         canon: list[tuple[int, int, Fraction]] = []
         seen: set[tuple[int, int]] = set()
@@ -177,7 +178,7 @@ class UndirectedWeightedGraph:
                 raise ValueError(f"self-loop at vertex {a}")
             u, v = (a, b) if a < b else (b, a)
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge {{{u}, {v}}}")
+                raise DuplicateEdgeError(f"duplicate edge {{{u}, {v}}}", len(canon))
             seen.add((u, v))
             canon.append((u, v, as_weight(weight)))
         canon.sort()

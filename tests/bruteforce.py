@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from wicolor import (
+    FormatError,
     InstanceTooLargeError,
     PreconditionError,
     SolveResult,
@@ -30,6 +31,99 @@ def reference_violations(
         if colors[tail] == colors[head]:
             incoming[head] += weight
     return [(v, total) for v, total in sorted(incoming.items()) if total >= 1]
+
+
+def reference_as_weight(value):
+    """`graph.as_weight` as it was before it range-checked on integers: the
+    type checks in this order, then one Fraction comparison."""
+    if isinstance(value, float):
+        raise TypeError(f"float weight {value!r} refused; pass a Fraction or a string")
+    if isinstance(value, bool):
+        raise TypeError(f"boolean weight {value!r} refused; pass 0 or 1")
+    if isinstance(value, Fraction):
+        w = value
+    elif isinstance(value, int):
+        w = Fraction(value)
+    elif isinstance(value, str):
+        try:
+            w = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse weight {value!r}") from exc
+    else:
+        raise TypeError(f"unsupported weight type {type(value).__name__}")
+    if not 0 <= w <= 1:
+        raise ValueError(f"weight {w} outside [0, 1]")
+    return w
+
+
+def reference_parse_graph(text: str):
+    """`formats.parse_graph_auto` as it was before weight tokens were
+    parsed once per file: `Fraction(token)` and a Fraction range check on
+    every edge line.  The one difference kept on purpose: a duplicate arc
+    (an unordered pair for `wug`) names the line that repeats it, found
+    here while reading the lines."""
+    lines = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append((line_no, stripped.split()))
+
+    def parse_int(token, line_no, what, minimum=0):
+        try:
+            value = int(token)
+        except ValueError:
+            raise FormatError(f"{what} {token!r} is not an integer", line_no) from None
+        if value < minimum:
+            raise FormatError(f"{what} {value} below {minimum}", line_no)
+        return value
+
+    head = lines[0][1] if lines else []
+    if len(head) < 2 or head[0] != "p":
+        raise FormatError("missing header line")
+    kind = head[1]
+    if kind not in ("wig", "wug"):
+        raise FormatError(f"unknown graph kind {kind!r}", lines[0][0])
+    head_no = lines[0][0]
+    if len(head) != 4:
+        raise FormatError(f"expected header 'p {kind} <n> <m>'", head_no)
+    n = parse_int(head[2], head_no, "vertex count")
+    m = parse_int(head[3], head_no, "edge count")
+    triples = []
+    seen = set()
+    repeat_line = None
+    for line_no, tokens in lines[1:]:
+        if tokens[0] == "p":
+            raise FormatError("duplicate header", line_no)
+        if tokens[0] != "e":
+            raise FormatError(f"unexpected line {' '.join(tokens)!r}", line_no)
+        if len(tokens) != 4:
+            raise FormatError("edge line needs exactly 'e <a> <b> <weight>'", line_no)
+        if len(triples) == m:
+            raise FormatError(f"more than the declared {m} edge lines", line_no)
+        a = parse_int(tokens[1], line_no, "endpoint", minimum=1)
+        b = parse_int(tokens[2], line_no, "endpoint", minimum=1)
+        if a > n or b > n:
+            raise FormatError(f"endpoint outside 1..{n}", line_no)
+        if a == b:
+            raise FormatError(f"self-loop at vertex {a}", line_no)
+        try:
+            w = Fraction(tokens[3])
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"weight {tokens[3]!r} is not a rational", line_no) from None
+        if not 0 <= w <= 1:
+            raise FormatError(f"weight {tokens[3]} outside [0, 1]", line_no)
+        pair = (a, b) if kind == "wig" else frozenset((a, b))
+        if pair in seen and repeat_line is None:
+            repeat_line = line_no
+        seen.add(pair)
+        triples.append((a, b, w))
+    if len(triples) != m:
+        raise FormatError(f"declared {m} edges but found {len(triples)}")
+    graph_type = WeightedDigraph if kind == "wig" else UndirectedWeightedGraph
+    try:
+        return graph_type(n, triples)
+    except ValueError as exc:
+        raise FormatError(str(exc), repeat_line) from None
 
 
 def reference_fixed_point(G: WeightedDigraph, bits: int):

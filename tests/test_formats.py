@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import bruteforce
 from wicolor import (
     FormatError,
     TreeDecomposition,
@@ -102,8 +104,9 @@ class TestParseDigraph:
             parse_digraph("p wig 2 1\ne 1 1 1/2\n")
 
     def test_duplicate_arc(self):
-        with pytest.raises(FormatError, match="duplicate arc"):
+        with pytest.raises(FormatError, match="duplicate arc") as info:
             parse_digraph("p wig 2 2\ne 1 2 1/2\ne 1 2 1/4\n")
+        assert info.value.line == 3
 
     def test_line_numbers_skip_comments(self):
         text = "# one\n# two\np wig 2 1\n# three\ne 1 2 5/2\n"
@@ -121,8 +124,9 @@ class TestParseUndirected:
         assert weights == {F(1), F(1, 2)}
 
     def test_reversed_duplicate_rejected(self):
-        with pytest.raises(FormatError, match="duplicate edge"):
+        with pytest.raises(FormatError, match="duplicate edge") as info:
             parse_undirected("p wug 2 2\ne 1 2 1/2\ne 2 1 1/4\n")
+        assert info.value.line == 3
 
     def test_auto_dispatch(self):
         assert isinstance(parse_graph_auto(load_text("golden5.wig")), WeightedDigraph)
@@ -135,6 +139,76 @@ class TestParseUndirected:
     def test_auto_missing_header(self):
         with pytest.raises(FormatError, match="missing header"):
             parse_graph_auto("e 1 2 1/2\n")
+
+
+GOOD_SPELLINGS = ("1/2", "0.5", "2/4", "5e-1", "1", "1.0", "0", "0/3")
+BAD_TOKENS = ("3/2", "-1/4", "1/0", "x", "1/2/3")
+
+
+def _random_graph_text(rng: random.Random) -> str:
+    """A small `wig` or `wug` file whose weights mix spellings of a few
+    values; some files get one bad token on two late lines, after good
+    spellings have repeated, and some a repeated (for `wug` possibly
+    reversed) pair."""
+    kind = rng.choice(("wig", "wug"))
+    n = rng.randint(2, 7)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    if kind == "wug":
+        pairs = [(a, b) for a, b in pairs if a < b]
+    m = rng.randint(0, min(len(pairs), 14))
+    chosen = rng.sample(pairs, m)
+    weights = [rng.choice(GOOD_SPELLINGS) for _ in chosen]
+    if m >= 4 and rng.random() < 0.4:
+        i, j = rng.sample(range(m // 2, m), 2)
+        weights[i] = weights[j] = rng.choice(BAD_TOKENS)
+    if m >= 2 and rng.random() < 0.25:
+        i, j = sorted(rng.sample(range(m), 2))
+        chosen[j] = chosen[i]
+    if kind == "wug":
+        chosen = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in chosen]
+    lines = [f"p {kind} {n} {m}"]
+    for (a, b), w in zip(chosen, weights):
+        if rng.random() < 0.2:
+            lines.append("# comment")
+        lines.append(f"e {a} {b} {w}")
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+class TestMatchesReference:
+    """The parser reads each distinct weight token once per file; the
+    per-line `Fraction(token)` parser is the reference it must equal."""
+
+    def test_random_texts(self):
+        rng = random.Random(13)
+        kinds = {"graph": 0, "weight": 0, "duplicate": 0}
+        for _ in range(400):
+            text = _random_graph_text(rng)
+            got = _outcome(parse_graph_auto, text)
+            assert got == _outcome(bruteforce.reference_parse_graph, text), text
+            if not isinstance(got, tuple):
+                kinds["graph"] += 1
+            elif "duplicate" in got[0]:
+                kinds["duplicate"] += 1
+            else:
+                kinds["weight"] += 1
+        assert min(kinds.values()) >= 40, kinds
+
+    @pytest.mark.parametrize("bad", BAD_TOKENS)
+    def test_bad_token_raises_at_its_first_line(self, bad):
+        text = f"p wig 4 4\ne 1 2 1/2\ne 2 3 0.5\ne 3 4 {bad}\ne 4 1 {bad}\n"
+        with pytest.raises(FormatError) as info:
+            parse_digraph(text)
+        assert info.value.line == 4
+        assert (str(info.value), info.value.line) == _outcome(
+            bruteforce.reference_parse_graph, text
+        )
 
 
 class TestSerializeGraphs:

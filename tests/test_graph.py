@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from wicolor import (
+    DuplicateEdgeError,
     PreconditionError,
     UndirectedWeightedGraph,
     WeightedDigraph,
@@ -26,6 +27,10 @@ from wicolor import (
 )
 
 F = Fraction
+
+
+class _FractionSubclass(Fraction):
+    pass
 
 
 class TestAsWeight:
@@ -63,6 +68,42 @@ class TestAsWeight:
             as_weight("7/")
         with pytest.raises(TypeError):
             as_weight(None)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            F(0),
+            F(1),
+            F(1, 2),
+            F(-1, 2),
+            F(3, 2),
+            _FractionSubclass(1, 2),
+            _FractionSubclass(3, 2),
+            0,
+            1,
+            2,
+            "1/2",
+            "3/2",
+            "1/0",
+            True,
+            False,
+            0.5,
+            None,
+        ],
+        ids=repr,
+    )
+    def test_matches_reference(self, value):
+        """Same result and type, or the same exception type and message,
+        as the function that range-checked the Fraction itself."""
+        try:
+            expected = bruteforce.reference_as_weight(value)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                as_weight(value)
+            assert str(info.value) == str(exc)
+        else:
+            got = as_weight(value)
+            assert (got, type(got)) == (expected, type(expected))
 
 
 class TestCap:
@@ -133,8 +174,9 @@ class TestWeightedDigraph:
             WeightedDigraph(2, [(1, 1, F(1, 2))])
 
     def test_rejects_duplicate_arc(self):
-        with pytest.raises(ValueError):
-            WeightedDigraph(2, [(1, 2, F(1, 2)), (1, 2, F(1, 4))])
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate arc \(1, 2\)") as info:
+            WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 1, F(1, 4)), (1, 2, F(1, 4))])
+        assert info.value.index == 2
 
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
@@ -145,6 +187,11 @@ class TestWeightedDigraph:
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(ValueError):
             WeightedDigraph(-1)
+
+    def test_rejects_bool_vertex_count(self):
+        # True would be serialized as "p wig True 0", which no parser reads
+        with pytest.raises(ValueError, match="vertex count must be a nonnegative int"):
+            WeightedDigraph(True, [])
 
     def test_empty_graph(self):
         G = WeightedDigraph(0)
@@ -174,8 +221,13 @@ class TestUndirectedWeightedGraph:
         assert H.edges == ((1, 3, F(1, 2)),)
 
     def test_rejects_duplicate_even_reversed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate edge \{1, 2\}") as info:
             UndirectedWeightedGraph(2, [(1, 2, F(1, 2)), (2, 1, F(1, 4))])
+        assert info.value.index == 1
+
+    def test_rejects_bool_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be a nonnegative int"):
+            UndirectedWeightedGraph(True, [])
 
     def test_degree_and_adjacency(self, prism):
         assert prism.max_degree == 3
@@ -185,6 +237,38 @@ class TestUndirectedWeightedGraph:
     def test_degree_rejects_unknown_vertex(self, prism):
         with pytest.raises(ValueError):
             prism.degree(11)
+
+
+class TestEndpointChecks:
+    """A bad endpoint in either position gets `_check_vertex`'s error."""
+
+    @pytest.mark.parametrize(
+        "graph_type, position, role",
+        [
+            (WeightedDigraph, 0, "arc tail"),
+            (WeightedDigraph, 1, "arc head"),
+            (UndirectedWeightedGraph, 0, "edge endpoint"),
+            (UndirectedWeightedGraph, 1, "edge endpoint"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "vertex, error, message",
+        [
+            (0, ValueError, "{role} 0 outside 1..3"),
+            (4, ValueError, "{role} 4 outside 1..3"),
+            (-1, ValueError, "{role} -1 outside 1..3"),
+            (True, TypeError, "{role} must be an int, got True"),
+            (1.0, TypeError, "{role} must be an int, got 1.0"),
+            ("1", TypeError, "{role} must be an int, got '1'"),
+        ],
+    )
+    def test_bad_endpoints_get_their_errors(
+        self, graph_type, position, role, vertex, error, message
+    ):
+        ends = [vertex, 2] if position == 0 else [2, vertex]
+        with pytest.raises(error) as info:
+            graph_type(3, [(*ends, F(1, 2))])
+        assert str(info.value) == message.format(role=role)
 
 
 class TestColoringChecks:
