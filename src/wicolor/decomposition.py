@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .errors import InstanceTooLargeError, PreconditionError
+from .errors import DuplicateEdgeError, InstanceTooLargeError, PreconditionError
 from .graph import UndirectedWeightedGraph, WeightedDigraph
 
 EXACT_SMALL_LIMIT = 20
@@ -60,7 +60,7 @@ class TreeDecomposition:
                 raise ValueError(f"self-loop at bag {a}")
             e = (a, b) if a < b else (b, a)
             if e in seen:
-                raise ValueError(f"duplicate tree edge {e}")
+                raise DuplicateEdgeError(f"duplicate tree edge {e}", len(canon))
             seen.add(e)
             canon.append(e)
         canon.sort()
@@ -296,14 +296,27 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
     Simplicial vertices are peeled first (always safe: eliminating one
     adds no fill and its degree lower-bounds the width anyway).  On the
     remainder, widths t are tried upward from its minimum degree (a lower
-    bound): feasible(S) asks whether the vertices outside the eliminated
-    set S can follow in some order of width <= t.  It holds once at most
-    t + 1 vertices remain; otherwise it tries each remaining vertex in
-    index order whose degree after eliminating S, computed as
-    reachability through S, is at most t.  Only the subsets that fail
-    are remembered.  The first t that succeeds is the minimum width, and
-    the order takes, step by step, the first vertex of degree <= t whose
-    elimination leaves a feasible set.
+    bound): feasible(S) asks whether the elimination graph H_S, what is
+    left once the set S is eliminated, has an order of width <= t.  It
+    holds once at most t + 1 vertices remain.
+
+    The search runs on H_S itself: a state maps each remaining vertex to
+    its neighbors in H_S as bitmasks, and a child state eliminates one
+    vertex (its neighbors become a clique).  Before branching, a vertex v
+    of degree <= t that is almost simplicial (degree <= 2, or all
+    neighbors but one pairwise adjacent) is eliminated without trying the
+    others.  That keeps the answer for t (Bodlaender, Koster & van den
+    Eijkhof 2005): eliminating v gives the graph made by contracting v
+    into that one neighbor, a minor of H_S, and the bag N[v] attaches to
+    any decomposition of it.  Without such a vertex the search tries each
+    remaining vertex of degree <= t in index order.  Only the subsets
+    that fail are remembered, each subset along a forced chain among them.
+
+    The first t that succeeds is the minimum width, and the order takes,
+    step by step, the first vertex of degree <= t whose elimination
+    leaves a feasible set (an almost simplicial one always does).
+    feasible(S) depends on S alone, so the forced eliminations change the
+    search time, not the order.
     """
     adj = {v: set(s) for v, s in adj.items()}
     prefix: list[int] = []
@@ -316,60 +329,99 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
     if not adj:
         return prefix
 
+    # a state maps the bit of each vertex of H_S, ascending, to its neighbors' bits
     rest = sorted(adj)
-    index = {v: i for i, v in enumerate(rest)}
-    m = len(rest)
-    masks = [0] * m
+    bit_of = {v: 1 << i for i, v in enumerate(rest)}
+    vertex_of = {bit: v for v, bit in bit_of.items()}
+    root = dict.fromkeys(bit_of.values(), 0)
     for v in rest:
         for u in adj[v]:
-            masks[index[v]] |= 1 << index[u]
-    full = (1 << m) - 1
+            root[bit_of[v]] |= bit_of[u]
 
-    def neighbors_through(i: int, eliminated: int) -> int:
-        seen = (1 << i) | masks[i]
-        frontier = masks[i] & eliminated
-        result = masks[i] & ~eliminated
-        while frontier:
-            j = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            fresh = masks[j] & ~seen
-            seen |= fresh
-            frontier |= fresh & eliminated
-            result |= fresh & ~eliminated
-        return result & ~(1 << i)
+    def child(masks: dict[int, int], bit: int) -> dict[int, int]:
+        """The state after eliminating the vertex `bit`: its neighbors become a clique."""
+        out = masks.copy()
+        nbrs = out.pop(bit)
+        todo = nbrs
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            out[low] = (out[low] | nbrs) & ~(low | bit)
+        return out
 
-    def feasible(eliminated: int) -> bool:
-        if m - eliminated.bit_count() <= target + 1:
+    def almost_simplicial(nbrs: int, masks: dict[int, int]) -> bool:
+        # some neighbor w touches every non-adjacent pair of neighbors;
+        # `cover` holds the neighbors that could still be w
+        cover = nbrs
+        todo = nbrs
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            missed = nbrs & ~masks[low] ^ low
+            if missed:
+                cover &= low | missed if missed & (missed - 1) == 0 else low
+                if not cover:
+                    return False
+        return True
+
+    def forced(masks: dict[int, int]) -> int:
+        """A vertex safe to eliminate without branching, or 0 if none is."""
+        candidates = []
+        for bit, nbrs in masks.items():
+            deg = nbrs.bit_count()
+            if deg <= target:
+                if deg <= 2:
+                    return bit
+                candidates.append(bit)
+        for bit in candidates:
+            if almost_simplicial(masks[bit], masks):
+                return bit
+        return 0
+
+    def feasible(eliminated: int, masks: dict[int, int]) -> bool:
+        chain = []
+        while len(masks) > target + 1:
+            if eliminated in failed:
+                break
+            chain.append(eliminated)
+            bit = forced(masks)
+            if not bit:
+                for bit, nbrs in masks.items():
+                    if nbrs.bit_count() > target or (eliminated | bit) in failed:
+                        continue
+                    if feasible(eliminated | bit, child(masks, bit)):
+                        return True
+                break
+            eliminated |= bit
+            masks = child(masks, bit)
+        else:
             return True
-        if eliminated in failed:
-            return False
-        for i in range(m):
-            bit = 1 << i
-            if not eliminated & bit and neighbors_through(i, eliminated).bit_count() <= target:
-                if feasible(eliminated | bit):
-                    return True
-        failed.add(eliminated)
+        failed.update(chain)
         return False
 
     target = min(len(adj[v]) for v in rest)
     failed: set[int] = set()
-    while not feasible(0):
+    while not feasible(0, root):
         target += 1
         failed = set()
     order = prefix
     eliminated = 0
-    while eliminated != full:
-        for i in range(m):
-            bit = 1 << i
-            if eliminated & bit:
+    masks = root
+    while len(masks) > target + 1:
+        for bit, nbrs in masks.items():
+            if nbrs.bit_count() > target:
                 continue
-            deg = neighbors_through(i, eliminated).bit_count()
-            if deg <= target and feasible(eliminated | bit):
-                order.append(rest[i])
+            after = child(masks, bit)
+            # the state is feasible, and a forced elimination keeps it so
+            if almost_simplicial(nbrs, masks) or feasible(eliminated | bit, after):
+                order.append(vertex_of[bit])
                 eliminated |= bit
+                masks = after
                 break
         else:
             raise AssertionError("optimal elimination order reconstruction failed")
+    # every vertex left has degree <= t, so the rest follow in index order
+    order.extend(vertex_of[bit] for bit in masks)
     return order
 
 
@@ -406,10 +458,12 @@ def build_decomposition(
     """Tree decomposition from an elimination ordering; root is bag 0.
 
     Strategies: "min-degree" and "min-fill" are fast heuristics whose
-    width may exceed the treewidth; "exact-small" returns minimum width
-    but is exponential and refuses graphs with more than
-    EXACT_SMALL_LIMIT vertices.  Ties always break toward the smallest
-    vertex index, so results are reproducible.
+    width may exceed the treewidth; "exact-small" returns minimum width.
+    Its search over elimination graphs is exponential in the worst case,
+    although eliminating almost simplicial vertices without branching
+    keeps sparse graphs to milliseconds, and it refuses graphs with more
+    than EXACT_SMALL_LIMIT vertices.  Ties always break toward the
+    smallest vertex index, so results are reproducible.
     """
     adj = _underlying_sets(graph)
     if strategy == "min-degree":

@@ -14,7 +14,8 @@ Weights may be written as a fraction `7/10`, an integer, or a decimal
 `0.7`; they are parsed exactly and serialized in lowest terms.  Each
 distinct weight spelling is parsed once per file and reused for its
 later lines.  Parse failures raise FormatError carrying the 1-based
-line number; for a duplicate arc or edge, that of the line repeating it.
+line number; for a duplicate arc, edge or bag-tree edge, that of the line
+repeating it.
 """
 
 from __future__ import annotations
@@ -163,6 +164,7 @@ def parse_decomposition(text: str, root_bag_id: int = 1) -> TreeDecomposition:
     n = _parse_int(head[4], head_no, "vertex count")
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     for line_no, tokens in lines[1:]:
         if tokens[0] == "s":
             raise FormatError("duplicate header", line_no)
@@ -190,7 +192,10 @@ def parse_decomposition(text: str, root_bag_id: int = 1) -> TreeDecomposition:
             b = _parse_int(tokens[1], line_no, "bag id", minimum=1)
             if a > count or b > count:
                 raise FormatError(f"bag id outside 1..{count}", line_no)
+            if a == b:
+                raise FormatError(f"self-loop at bag {a}", line_no)
             edges.append((a - 1, b - 1))
+            edge_lines.append(line_no)
     missing = [i for i in range(1, count + 1) if i not in bags]
     if missing:
         raise FormatError(f"bag {missing[0]} never declared")
@@ -203,6 +208,9 @@ def parse_decomposition(text: str, root_bag_id: int = 1) -> TreeDecomposition:
         return TreeDecomposition(
             [bags[i] for i in range(1, count + 1)], edges, root=root_bag_id - 1
         )
+    except DuplicateEdgeError as exc:
+        a, b = sorted(edges[exc.index])
+        raise FormatError(f"duplicate tree edge ({a + 1}, {b + 1})", edge_lines[exc.index]) from None
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -486,3 +486,91 @@ def reference_exact_order(adj: dict[int, set[int]]) -> list[int]:
         else:
             raise AssertionError("optimal elimination order reconstruction failed")
     return order
+
+
+def reference_search_order(adj: dict[int, set[int]]) -> list[int]:
+    """Elimination order of minimum width, via a decision search per width.
+
+    `exact-small` before its search carried elimination-graph masks and
+    forced almost-simplicial eliminations, kept verbatim (only `_fill`
+    stands for the package's `_fill_count`) as the reference its orders
+    must equal on graphs too large for `reference_exact_order`.
+
+    Simplicial vertices are peeled first (always safe: eliminating one
+    adds no fill and its degree lower-bounds the width anyway).  On the
+    remainder, widths t are tried upward from its minimum degree (a lower
+    bound): feasible(S) asks whether the vertices outside the eliminated
+    set S can follow in some order of width <= t.  It holds once at most
+    t + 1 vertices remain; otherwise it tries each remaining vertex in
+    index order whose degree after eliminating S, computed as
+    reachability through S, is at most t.  Only the subsets that fail
+    are remembered.  The first t that succeeds is the minimum width, and
+    the order takes, step by step, the first vertex of degree <= t whose
+    elimination leaves a feasible set.
+    """
+    adj = {v: set(s) for v, s in adj.items()}
+    prefix: list[int] = []
+    while True:
+        v = next((u for u in sorted(adj) if _fill(adj, u) == 0), None)
+        if v is None:
+            break
+        prefix.append(v)
+        _eliminate(adj, v)
+    if not adj:
+        return prefix
+
+    rest = sorted(adj)
+    index = {v: i for i, v in enumerate(rest)}
+    m = len(rest)
+    masks = [0] * m
+    for v in rest:
+        for u in adj[v]:
+            masks[index[v]] |= 1 << index[u]
+    full = (1 << m) - 1
+
+    def neighbors_through(i: int, eliminated: int) -> int:
+        seen = (1 << i) | masks[i]
+        frontier = masks[i] & eliminated
+        result = masks[i] & ~eliminated
+        while frontier:
+            j = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            fresh = masks[j] & ~seen
+            seen |= fresh
+            frontier |= fresh & eliminated
+            result |= fresh & ~eliminated
+        return result & ~(1 << i)
+
+    def feasible(eliminated: int) -> bool:
+        if m - eliminated.bit_count() <= target + 1:
+            return True
+        if eliminated in failed:
+            return False
+        for i in range(m):
+            bit = 1 << i
+            if not eliminated & bit and neighbors_through(i, eliminated).bit_count() <= target:
+                if feasible(eliminated | bit):
+                    return True
+        failed.add(eliminated)
+        return False
+
+    target = min(len(adj[v]) for v in rest)
+    failed: set[int] = set()
+    while not feasible(0):
+        target += 1
+        failed = set()
+    order = prefix
+    eliminated = 0
+    while eliminated != full:
+        for i in range(m):
+            bit = 1 << i
+            if eliminated & bit:
+                continue
+            deg = neighbors_through(i, eliminated).bit_count()
+            if deg <= target and feasible(eliminated | bit):
+                order.append(rest[i])
+                eliminated |= bit
+                break
+        else:
+            raise AssertionError("optimal elimination order reconstruction failed")
+    return order

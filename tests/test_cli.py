@@ -17,7 +17,9 @@ from wicolor import (
     parse_decomposition,
     parse_digraph,
     random_instance,
+    random_subcubic_instance,
     serialize_digraph,
+    serialize_undirected,
 )
 from wicolor import cli
 from wicolor.cli import main
@@ -158,6 +160,37 @@ class TestSolve:
         stats = solver.memo_stats()
         expected = [("memo_" + f.name, getattr(stats, f.name)) for f in dataclasses.fields(stats)]
         assert [(key, int(value)) for key, value in tokens if key.startswith("memo_")] == expected
+
+    @pytest.mark.parametrize(
+        ("graph", "method", "memo_tokens"),
+        [
+            ("subcubic18", "fpt-indegree", "memo_entries=238 memo_hits=134 memo_max_key_width=17"),
+            ("dyadic20", "fpt-indegree", "memo_entries=152 memo_hits=79 memo_max_key_width=15"),
+            (
+                "dyadic20",
+                "fpt-budget",
+                "memo_entries=265 memo_color_entries=96 memo_distribute_entries=169"
+                " memo_hits=157 memo_max_key_width=6",
+            ),
+        ],
+        ids=["subcubic18-indegree", "dyadic20-indegree", "dyadic20-budget"],
+    )
+    def test_exact_small_memo_tokens_are_pinned(self, tmp_path, capsys, graph, method, memo_tokens):
+        # the tokens the decision search printed before it forced
+        # almost-simplicial eliminations: the same tables need the same
+        # exact-small decomposition
+        texts = {
+            "subcubic18": ("wug", lambda: serialize_undirected(random_subcubic_instance(18, seed=1))),
+            "dyadic20": ("wig", lambda: serialize_digraph(random_instance(20, 0.1, seed=4, bits=2))),
+        }
+        suffix, text = texts[graph]
+        path = tmp_path / f"{graph}.{suffix}"
+        path.write_text(text(), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(path), "--method", method, "--stats")
+        assert code == 0
+        tokens = out.strip().splitlines()[-1].split()
+        assert tokens[:2] == [f"solver={method}", "chromatic=2"]
+        assert " ".join(t for t in tokens if t.startswith("memo_")) == memo_tokens
 
     def test_all_methods_agree_on_prism(self, files, capsys):
         code, out, _ = run(capsys, "solve", str(files / "prism10.wug"), "--all-methods")

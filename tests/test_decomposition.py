@@ -7,6 +7,7 @@ import pytest
 import bruteforce
 from wicolor import (
     DecompositionViolation,
+    DuplicateEdgeError,
     InstanceTooLargeError,
     TreeDecomposition,
     UndirectedWeightedGraph,
@@ -112,6 +113,11 @@ class TestConstructor:
     def test_rejects_bad_shapes(self, bags, edges, root, message):
         with pytest.raises(ValueError, match=message):
             TreeDecomposition(bags, edges, root)
+
+    def test_duplicate_edge_names_its_index(self):
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate tree edge \(1, 2\)") as info:
+            TreeDecomposition([{1}, {2}, {3}], [(1, 2), (0, 1), (2, 1)])
+        assert info.value.index == 2
 
     def test_root_at(self):
         D = path4_decomposition()
@@ -321,6 +327,77 @@ class TestExactSmallReference:
         assert D.width == width
         assert validate_decomposition(embed_undirected(graph), D) == []
         assert D == reference_decomposition(graph)
+
+
+def search_reference_decomposition(graph) -> TreeDecomposition:
+    """The decomposition built from the previous decision search's order."""
+    adj = bruteforce._adjacency(graph)
+    return _decomposition_from_order(graph.n, adj, bruteforce.reference_search_order(adj))
+
+
+def octahedron() -> UndirectedWeightedGraph:
+    return undirected(6, [(a, b) for a in range(1, 7) for b in range(a + 1, 7) if b != a + 3])
+
+
+def pentagonal_prism() -> UndirectedWeightedGraph:
+    pairs = [(i, i % 5 + 1) for i in range(1, 6)] + [(i + 5, i % 5 + 6) for i in range(1, 6)]
+    return undirected(10, pairs + [(i, i + 5) for i in range(1, 6)])
+
+
+def wagner() -> UndirectedWeightedGraph:
+    return undirected(8, [(i, i % 8 + 1) for i in range(1, 9)] + [(i, i + 4) for i in range(1, 5)])
+
+
+def grid4x4() -> UndirectedWeightedGraph:
+    pairs = [(4 * r + c + 1, 4 * r + c + 2) for r in range(4) for c in range(3)]
+    pairs += [(4 * r + c + 1, 4 * r + c + 5) for r in range(3) for c in range(4)]
+    return undirected(16, pairs)
+
+
+def tree(n: int) -> UndirectedWeightedGraph:
+    return undirected(n, [(v, (v - 2) // 3 + 1) for v in range(2, n + 1)])
+
+
+class TestExactSmallSearchReference:
+    """`exact-small` keeps the orders of the decision search that preceded
+    its elimination-graph masks and forced eliminations."""
+
+    def test_random_instances(self):
+        for seed in range(504):
+            model = ("dyadic", "uniform-rational")[seed // 126 % 2]
+            n = 1 + seed % 14
+            p = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)[seed % 9]
+            G = random_instance(n, p, seed=seed, weight_model=model)
+            assert build_decomposition(G, "exact-small") == search_reference_decomposition(G)
+
+    @pytest.mark.parametrize(
+        "n, seeds",
+        [(n, range(4)) for n in range(1, 18)] + [(18, (1, 3)), (19, (1,)), (20, (2, 3))],
+    )
+    def test_subcubic_instances(self, n, seeds):
+        for seed in seeds:
+            H = random_subcubic_instance(n, seed=seed)
+            assert build_decomposition(H, "exact-small") == search_reference_decomposition(H)
+
+    @pytest.mark.parametrize(
+        "graph, width",
+        [
+            pytest.param(complete(5), 4, id="K5"),
+            pytest.param(octahedron(), 4, id="octahedron"),
+            pytest.param(pentagonal_prism(), 4, id="pentagonal-prism"),
+            pytest.param(wagner(), 4, id="wagner"),
+            pytest.param(petersen(), 4, id="petersen"),
+            pytest.param(grid4x4(), 4, id="grid4x4"),
+            pytest.param(grid3x3(), 3, id="grid3x3"),
+        ]
+        + [pytest.param(cycle(n), 2, id=f"C{n}") for n in (3, 4, 7, 12, 20)]
+        + [pytest.param(tree(n), 1, id=f"tree{n}") for n in (2, 9, 20)],
+    )
+    def test_known_treewidths(self, graph, width):
+        D = build_decomposition(graph, "exact-small")
+        assert D.width == width
+        assert validate_decomposition(embed_undirected(graph), D) == []
+        assert D == search_reference_decomposition(graph)
 
 
 GREEDY_SCORES = {"min-degree": decomposition._degree, "min-fill": decomposition._fill_count}

@@ -332,6 +332,27 @@ class TestDecompositionFormat:
         with pytest.raises(FormatError, match=message):
             parse_decomposition(text)
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("s td 2 1 1\nb 1 1\nb 2 1\n1 2\n2 1\n", "duplicate tree edge (1, 2)", 5),
+            ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n2 3\n1 2\n3 2\n", "duplicate tree edge (2, 3)", 7),
+            ("s td 2 1 1\nb 1 1\n2 1\nc note\nb 2 1\n1 2\n", "duplicate tree edge (1, 2)", 6),
+            ("s td 2 1 1\nb 1 1\nb 2 1\n1 1\n", "self-loop at bag 1", 4),
+            ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n2 2\n", "self-loop at bag 2", 6),
+        ],
+    )
+    def test_tree_edge_errors_name_their_line(self, text, message, line):
+        with pytest.raises(FormatError) as info:
+            parse_decomposition(text)
+        assert info.value.bare_message == message
+        assert info.value.line == line
+
+    def test_whole_file_errors_have_no_line(self):
+        with pytest.raises(FormatError, match="cannot form a tree") as info:
+            parse_decomposition("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n")
+        assert info.value.line is None
+
     def test_bad_root_request(self):
         with pytest.raises(FormatError, match="root bag"):
             parse_decomposition("s td 1 1 1\nb 1 1\n", root_bag_id=2)
