@@ -2,9 +2,9 @@
 
 Subcommands: solve, bounds, gen, decomp, validate, experiment.  Reports
 are key=value tokens so runs stay easy to script against.  Exit codes:
-0 success, 1 usage, 2 unreadable/unparseable input, 3 violated
-precondition (also: validation subcommands reporting an invalid input),
-4 refused resource guard.
+0 success, 1 usage, 2 unreadable/unparseable input or unwritable output
+file, 3 violated precondition (also: validation subcommands reporting an
+invalid input), 4 refused resource guard.
 """
 
 from __future__ import annotations
@@ -90,8 +90,19 @@ class RunReport:
         return " ".join(tokens)
 
 
+class _WriteError(Exception):
+    """An output file could not be written; the OSError is its cause."""
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _WriteError(exc) from exc
 
 
 def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
@@ -117,7 +128,7 @@ def _obtain_decomposition(args, G: WeightedDigraph) -> TreeDecomposition:
 def _write_witness(path: str, G: WeightedDigraph, witness: Coloring) -> None:
     if not is_valid_coloring(G, witness):  # defense in depth; solvers check too
         raise AssertionError("refusing to emit an invalid witness")
-    Path(path).write_text(formats.serialize_coloring(witness), encoding="utf-8")
+    _write(path, formats.serialize_coloring(witness))
 
 
 def _auto_method(G: WeightedDigraph, decomposition_given: bool) -> str | None:
@@ -231,7 +242,7 @@ def cmd_bounds(args) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         print(text, end="")
 
@@ -255,8 +266,8 @@ def cmd_gen_partition(args) -> int:
     graph_text = formats.serialize_digraph(G)
     decomposition_text = formats.serialize_decomposition(D, n=G.n)
     if args.out:
-        Path(f"{args.out}.wig").write_text(graph_text, encoding="utf-8")
-        Path(f"{args.out}.td").write_text(decomposition_text, encoding="utf-8")
+        _write(f"{args.out}.wig", graph_text)
+        _write(f"{args.out}.td", decomposition_text)
         print(f"graph={args.out}.wig decomposition={args.out}.td width={D.width}")
     else:
         print(graph_text, end="")
@@ -280,13 +291,9 @@ def cmd_gen_random(args) -> int:
 def cmd_decomp_build(args) -> int:
     graph = formats.parse_graph_auto(_read(args.graph))
     D = build_decomposition(graph, args.strategy)
-    print(f"width={D.width} bags={len(D.bags)}")
-    if args.out:
-        Path(args.out).write_text(
-            formats.serialize_decomposition(D, n=graph.n), encoding="utf-8"
-        )
-    else:
-        print(formats.serialize_decomposition(D, n=graph.n), end="")
+    _emit(formats.serialize_decomposition(D, n=graph.n), args.out)
+    # a decomposition on stdout keeps stdout a .td file
+    print(f"width={D.width} bags={len(D.bags)}", file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK
 
 
@@ -458,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except _WriteError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,7 +18,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, InstanceTooLargeError, PreconditionError
 from .graph import UndirectedWeightedGraph, WeightedDigraph
@@ -219,25 +219,10 @@ def _witness_key(witness: int | tuple[int, int]) -> tuple[int, int]:
 
 def _underlying_sets(graph: WeightedDigraph | UndirectedWeightedGraph) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    if isinstance(graph, WeightedDigraph):
-        pairs = ((t, h) for t, h, _ in graph.arcs)
-    else:
-        pairs = ((u, v) for u, v, _ in graph.edges)
-    for a, b in pairs:
+    for a, b, _ in graph.arcs if isinstance(graph, WeightedDigraph) else graph.edges:
         adj[a].add(b)
         adj[b].add(a)
     return adj
-
-
-def _eliminate(adj: dict[int, set[int]], v: int) -> None:
-    nbrs = adj.pop(v)
-    for u in nbrs:
-        adj[u].discard(v)
-    for u in nbrs:
-        for w in nbrs:
-            if u < w:
-                adj[u].add(w)
-                adj[w].add(u)
 
 
 def _degree(adj: dict[int, set[int]], v: int) -> int:
@@ -245,56 +230,79 @@ def _degree(adj: dict[int, set[int]], v: int) -> int:
 
 
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
-    nbrs = list(adj[v])
-    return sum(
-        1
-        for i, u in enumerate(nbrs)
-        for w in nbrs[i + 1 :]
-        if w not in adj[u]
-    )
+    """Pairs of v's neighbors that are not adjacent: C(d, 2) minus the
+    edges among them, each seen from both ends."""
+    nbrs = adj[v]
+    d = len(nbrs)
+    # a list sums faster than a generator at the small degrees that dominate
+    return (d * (d - 1) - sum([len(adj[u] & nbrs) for u in nbrs])) // 2
 
 
-def _order_greedy(
-    adj: dict[int, set[int]], score: Callable[[dict[int, set[int]], int], int]
-) -> list[int]:
+Eliminations = list[tuple[int, set[int]]]
+
+
+def _order_greedy(adj: dict[int, set[int]], min_fill: bool) -> Eliminations:
     """Repeatedly eliminate the vertex of least score, ties to the smallest.
 
-    Scores are kept in a table and rescored incrementally: eliminating v
-    changes the neighborhoods only of N(v) (they lose v and gain fill
-    edges among themselves), and a new edge between two of them can
-    change the fill count only of a vertex adjacent to both, so only
-    N(v) and N(N(v)) are rescored.  The next vertex is the least
-    (score, vertex) entry of a heap; an entry whose score no longer
-    matches the table is stale and skipped.
+    The score is the degree, or with `min_fill` the number of fill edges
+    the elimination would add.  Returns each vertex in elimination order
+    with its neighbors at that moment, consuming `adj`.
+
+    Scores are kept in a table, and an elimination rescores only what it
+    can change.  Eliminating v changes the neighborhoods only of N(v)
+    (they lose v and gain fill edges among themselves), so only N(v) is
+    rescored.  A vertex x outside N(v) keeps its neighborhood, and each
+    new fill edge between two of its neighbors lowers its fill count by
+    exactly one, so x's fill count is lowered by that many.  The next
+    vertex is the least (score, vertex) entry of a heap; an entry whose
+    score no longer matches the table is stale and skipped.
     """
-    adj = {v: set(s) for v, s in adj.items()}
+    score = _fill_count if min_fill else _degree
     scores = {v: score(adj, v) for v in adj}
     heap = [(s, v) for v, s in scores.items()]
     heapq.heapify(heap)
-    order = []
+    eliminations = []
     while heap:
         s, v = heapq.heappop(heap)
         if scores.get(v) != s:
             continue
-        order.append(v)
         del scores[v]
-        nbrs = adj[v]
-        touched = set(nbrs).union(*(adj[u] for u in nbrs))
-        touched.discard(v)
-        _eliminate(adj, v)
-        for u in touched:
+        nbrs = adj.pop(v)
+        eliminations.append((v, nbrs))
+        lowered = set()
+        for u in nbrs:
+            adj_u = adj[u]
+            adj_u.discard(v)
+            if min_fill:
+                if not s:
+                    continue  # v is simplicial: no fill edge
+                for w in nbrs - adj_u:
+                    if u < w:
+                        for x in adj_u & adj[w]:
+                            if x not in nbrs:
+                                scores[x] -= 1
+                                lowered.add(x)
+            adj_u |= nbrs
+            adj_u.discard(u)
+        for x in lowered:
+            heapq.heappush(heap, (scores[x], x))
+        for u in nbrs:
             s = score(adj, u)
             if s != scores[u]:
                 scores[u] = s
                 heapq.heappush(heap, (s, u))
-    return order
+    return eliminations
 
 
-def _order_exact(adj: dict[int, set[int]]) -> list[int]:
+def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
     """Elimination order of minimum width, via a decision search per width.
 
-    Simplicial vertices are peeled first (always safe: eliminating one
-    adds no fill and its degree lower-bounds the width anyway).  On the
+    Returns each vertex in elimination order with its neighbors at that
+    moment, consuming `adj`.  Simplicial vertices are peeled first
+    (always safe: eliminating one adds no fill and its degree
+    lower-bounds the width anyway), lowest index first.  A heap holds the
+    simplicial vertices: peeling one adds no edge, so fill counts only
+    fall, and only among its neighbors, which alone are rescored.  On the
     remainder, widths t are tried upward from its minimum degree (a lower
     bound): feasible(S) asks whether the elimination graph H_S, what is
     left once the set S is eliminated, has an order of width <= t.  It
@@ -318,16 +326,21 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
     feasible(S) depends on S alone, so the forced eliminations change the
     search time, not the order.
     """
-    adj = {v: set(s) for v, s in adj.items()}
-    prefix: list[int] = []
-    while True:
-        v = next((u for u in sorted(adj) if _fill_count(adj, u) == 0), None)
-        if v is None:
-            break
-        prefix.append(v)
-        _eliminate(adj, v)
+    eliminations = []
+    simplicial = [v for v in adj if not _fill_count(adj, v)]
+    heapq.heapify(simplicial)
+    queued = set(simplicial)
+    while simplicial:
+        v = heapq.heappop(simplicial)
+        nbrs = adj.pop(v)
+        eliminations.append((v, nbrs))
+        for u in nbrs:
+            adj[u].discard(v)
+            if u not in queued and not _fill_count(adj, u):
+                queued.add(u)
+                heapq.heappush(simplicial, u)
     if not adj:
-        return prefix
+        return eliminations
 
     # a state maps the bit of each vertex of H_S, ascending, to its neighbors' bits
     rest = sorted(adj)
@@ -404,52 +417,47 @@ def _order_exact(adj: dict[int, set[int]]) -> list[int]:
     while not feasible(0, root):
         target += 1
         failed = set()
-    order = prefix
     eliminated = 0
     masks = root
-    while len(masks) > target + 1:
+    # once at most t + 1 vertices are left, every one has degree <= t and
+    # is feasible, so the rest follow in index order
+    while masks:
         for bit, nbrs in masks.items():
             if nbrs.bit_count() > target:
                 continue
             after = child(masks, bit)
             # the state is feasible, and a forced elimination keeps it so
             if almost_simplicial(nbrs, masks) or feasible(eliminated | bit, after):
-                order.append(vertex_of[bit])
+                eliminations.append((vertex_of[bit], {u for b, u in vertex_of.items() if nbrs & b}))
                 eliminated |= bit
                 masks = after
                 break
         else:
             raise AssertionError("optimal elimination order reconstruction failed")
-    # every vertex left has degree <= t, so the rest follow in index order
-    order.extend(vertex_of[bit] for bit in masks)
-    return order
+    return eliminations
 
 
-def _decomposition_from_order(n: int, adj: dict[int, set[int]], order: list[int]) -> TreeDecomposition:
+def _decomposition_from_order(eliminations: Eliminations) -> TreeDecomposition:
+    """The decomposition of an elimination order, root first.
+
+    Bag i is the i-th eliminated vertex with the neighbors it had then,
+    as the order functions recorded them.  Its tree edge goes to the bag
+    of the earliest eliminated of those neighbors, or, with none, to the
+    next bag.  The final bag is the root; it is re-indexed to sit first,
+    matching the file convention, and every other bag moves up by one.
+    """
+    n = len(eliminations)
     if n == 0:
         return TreeDecomposition([frozenset()])
-    adj = {v: set(s) for v, s in adj.items()}
-    position = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
-    edges: list[tuple[int, int]] = []
-    for pos, v in enumerate(order):
-        nbrs = set(adj[v])
-        bags.append(frozenset({v} | nbrs))
-        if nbrs:
-            successor = min(nbrs, key=position.__getitem__)
-            edges.append((pos, position[successor]))
-        elif pos + 1 < n:
-            edges.append((pos, pos + 1))
-        _eliminate(adj, v)
-    # re-index so the final (root) bag sits first, matching the file convention
-    root = n - 1
-    perm = [root] + [i for i in range(n) if i != root]
-    new_index = {old: new for new, old in enumerate(perm)}
-    return TreeDecomposition(
-        [bags[old] for old in perm],
-        [(new_index[a], new_index[b]) for a, b in edges],
-        root=0,
-    )
+    position = {v: i for i, (v, _) in enumerate(eliminations)}
+    bags = []
+    edges = []
+    for pos, (v, nbrs) in enumerate(eliminations):
+        bags.append(frozenset((v, *nbrs)))
+        if pos + 1 < n:
+            successor = min(map(position.__getitem__, nbrs)) if nbrs else pos + 1
+            edges.append((pos + 1, successor + 1 if successor + 1 < n else 0))
+    return TreeDecomposition([bags[-1], *bags[:-1]], edges, root=0)
 
 
 def build_decomposition(
@@ -466,10 +474,8 @@ def build_decomposition(
     smallest vertex index, so results are reproducible.
     """
     adj = _underlying_sets(graph)
-    if strategy == "min-degree":
-        order = _order_greedy(adj, _degree)
-    elif strategy == "min-fill":
-        order = _order_greedy(adj, _fill_count)
+    if strategy in ("min-degree", "min-fill"):
+        eliminations = _order_greedy(adj, strategy == "min-fill")
     elif strategy == "exact-small":
         if graph.n > EXACT_SMALL_LIMIT:
             raise InstanceTooLargeError(
@@ -477,10 +483,10 @@ def build_decomposition(
                 size=graph.n,
                 limit=EXACT_SMALL_LIMIT,
             )
-        order = _order_exact(adj)
+        eliminations = _order_exact(adj)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _decomposition_from_order(graph.n, adj, order)
+    return _decomposition_from_order(eliminations)
 
 
 def extended_bags(D: TreeDecomposition, G: WeightedDigraph) -> tuple[frozenset[int], ...]:

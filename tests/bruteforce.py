@@ -16,6 +16,7 @@ from wicolor import (
     InstanceTooLargeError,
     PreconditionError,
     SolveResult,
+    TreeDecomposition,
     UndirectedWeightedGraph,
     WeightedDigraph,
 )
@@ -574,3 +575,40 @@ def reference_search_order(adj: dict[int, set[int]]) -> list[int]:
         else:
             raise AssertionError("optimal elimination order reconstruction failed")
     return order
+
+
+def reference_decomposition_from_order(n: int, adj: dict[int, set[int]], order: list[int]) -> TreeDecomposition:
+    """The decomposition of an elimination order, by eliminating it again.
+
+    The package's `_decomposition_from_order` before the order functions
+    recorded each bag as its vertex went, kept verbatim as the reference
+    their decompositions must equal: bag i is the i-th vertex of `order`
+    with its neighbors once the vertices before it are eliminated, its
+    tree edge goes to the bag of the earliest of those neighbors in the
+    order (or, with none, to the next bag), and the final bag is
+    re-indexed to sit first as the root.
+    """
+    if n == 0:
+        return TreeDecomposition([frozenset()])
+    adj = {v: set(s) for v, s in adj.items()}
+    position = {v: i for i, v in enumerate(order)}
+    bags: list[frozenset[int]] = []
+    edges: list[tuple[int, int]] = []
+    for pos, v in enumerate(order):
+        nbrs = set(adj[v])
+        bags.append(frozenset({v} | nbrs))
+        if nbrs:
+            successor = min(nbrs, key=position.__getitem__)
+            edges.append((pos, position[successor]))
+        elif pos + 1 < n:
+            edges.append((pos, pos + 1))
+        _eliminate(adj, v)
+    # re-index so the final (root) bag sits first, matching the file convention
+    root = n - 1
+    perm = [root] + [i for i in range(n) if i != root]
+    new_index = {old: new for new, old in enumerate(perm)}
+    return TreeDecomposition(
+        [bags[old] for old in perm],
+        [(new_index[a], new_index[b]) for a, b in edges],
+        root=0,
+    )

@@ -389,6 +389,13 @@ class TestSolve:
         assert code == 2
         assert "cannot read input" in err
 
+    def test_unwritable_witness(self, files, capsys):
+        out = files / "missing" / "dir" / "x.col"
+        code, _, err = run(capsys, "solve", str(files / "golden5.wig"), "--out", str(out))
+        assert code == 2
+        assert err.startswith("cannot write output: ")
+        assert str(out) in err
+
     def test_unparseable_file(self, files, capsys):
         (files / "broken.wig").write_text("p wig 2 1\ne 1 2 3/2\n", encoding="utf-8")
         code, _, err = run(capsys, "solve", str(files / "broken.wig"))
@@ -609,6 +616,19 @@ class TestGen:
         assert code == 0
         assert parse_digraph(out_path.read_text(encoding="utf-8")).n == 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("random", "--n", "5", "--p", "0.4", "--seed", "9"),
+            ("partition", "1", "2", "3"),
+        ],
+    )
+    def test_unwritable_output(self, files, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv, "--out", str(files / "missing" / "g"))
+        assert code == 2
+        assert err.startswith("cannot write output: ")
+        assert out == ""
+
     def test_random_rejects_bad_probability(self, files, capsys):
         code, _, err = run(
             capsys, "gen", "random", "--n", "5", "--p", "1.5", "--seed", "0"
@@ -619,7 +639,7 @@ class TestGen:
 
 class TestDecomp:
     def test_build_reports_width(self, files, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             "decomp",
             "build",
@@ -628,9 +648,31 @@ class TestDecomp:
             "exact-small",
         )
         assert code == 0
-        assert out.splitlines()[0] == "width=4 bags=10"
-        D = parse_decomposition("\n".join(out.splitlines()[1:]) + "\n")
+        # stdout is the .td alone, so `decomp build g > g.td` gives a file
+        # that `decomp validate` and `solve --decomposition` read
+        D = parse_decomposition(out)
         assert D.width == 4
+        assert len(D.bags) == 10
+        assert err == "width=4 bags=10\n"
+
+    def test_build_to_file_reports_on_stdout(self, files, capsys):
+        td = files / "prism.td"
+        code, out, err = run(
+            capsys, "decomp", "build", str(files / "prism10.wug"), "--out", str(td)
+        )
+        assert code == 0
+        D = parse_decomposition(td.read_text(encoding="utf-8"))
+        assert out == f"width={D.width} bags=10\n"
+        assert err == ""
+
+    def test_build_unwritable_output(self, files, capsys):
+        td = files / "missing" / "prism.td"
+        code, out, err = run(
+            capsys, "decomp", "build", str(files / "prism10.wug"), "--out", str(td)
+        )
+        assert code == 2
+        assert err.startswith("cannot write output: ")
+        assert out == ""
 
     def test_validate_good(self, files, capsys):
         td = files / "prism.td"

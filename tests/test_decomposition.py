@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,6 @@ from wicolor import (
     validate_decomposition,
 )
 from wicolor import decomposition
-from wicolor.decomposition import _decomposition_from_order
 
 F = Fraction
 
@@ -77,7 +77,9 @@ def ladder(k: int) -> UndirectedWeightedGraph:
 def reference_decomposition(graph) -> TreeDecomposition:
     """The decomposition built from the min-max subset DP's order."""
     adj = bruteforce._adjacency(graph)
-    return _decomposition_from_order(graph.n, adj, bruteforce.reference_exact_order(adj))
+    return bruteforce.reference_decomposition_from_order(
+        graph.n, adj, bruteforce.reference_exact_order(adj)
+    )
 
 
 class TestConstructor:
@@ -332,7 +334,9 @@ class TestExactSmallReference:
 def search_reference_decomposition(graph) -> TreeDecomposition:
     """The decomposition built from the previous decision search's order."""
     adj = bruteforce._adjacency(graph)
-    return _decomposition_from_order(graph.n, adj, bruteforce.reference_search_order(adj))
+    return bruteforce.reference_decomposition_from_order(
+        graph.n, adj, bruteforce.reference_search_order(adj)
+    )
 
 
 def octahedron() -> UndirectedWeightedGraph:
@@ -400,9 +404,6 @@ class TestExactSmallSearchReference:
         assert D == search_reference_decomposition(graph)
 
 
-GREEDY_SCORES = {"min-degree": decomposition._degree, "min-fill": decomposition._fill_count}
-
-
 def greedy_cases():
     for seed in range(300):
         n = 1 + seed % 40
@@ -419,16 +420,64 @@ def greedy_cases():
     yield WeightedDigraph(0)
 
 
-class TestGreedyReference:
-    """The incremental greedy orders equal the full rescan they replaced."""
+def weighted_ladder(k: int, bits: int, seed: int) -> WeightedDigraph:
+    """The 2 x k ladder with seeded weights of `bits` bits on both arc directions."""
+    rng = random.Random(seed)
+    arcs = []
+    for j in range(k):
+        top, bottom = 2 * j + 1, 2 * j + 2
+        pairs = [(top, bottom)] + ([(top, top + 2), (bottom, bottom + 2)] if j + 1 < k else [])
+        for u, v in pairs:
+            arcs += [(a, b, F(rng.randint(1, 1 << bits), 1 << bits)) for a, b in ((u, v), (v, u))]
+    return WeightedDigraph(2 * k, arcs)
 
-    @pytest.mark.parametrize("strategy", sorted(GREEDY_SCORES))
+
+def benchmark_cases():
+    """The graphs the benchmark's library jobs decompose: the 200
+    acceptance-sweep graphs and the 50 subcubic graphs (`exact-small`),
+    and the 13 dyadic ladders (`min-fill`)."""
+    for i in range(200):
+        n = 2 + i % 11
+        bits = 1 + i % 3 if n <= 6 else 1 + i % 2
+        p = min(1.0, 2.5 / n) if n <= 6 else 1.25 / n
+        yield random_instance(n, p, seed=1000 + i, weight_model="dyadic", bits=bits)
+    for n in range(8, 13):
+        for seed in range(10):
+            yield random_subcubic_instance(n, seed=seed)
+    for k in (8, 16, 32, 64):
+        for bits in (1, 2, 3):
+            yield weighted_ladder(k, bits, seed=10 * k + bits)
+    yield weighted_ladder(128, 1, seed=10 * 128 + 1)
+
+
+def counting(monkeypatch, name: str) -> list[int]:
+    """Count the calls of the score function `decomposition.<name>`."""
+    calls = [0]
+    score = getattr(decomposition, name)
+
+    def counted(adj, v):
+        calls[0] += 1
+        return score(adj, v)
+
+    monkeypatch.setattr(decomposition, name, counted)
+    return calls
+
+
+class TestGreedyReference:
+    """Each build equals the decomposition that eliminating the reference
+    order a second time gives, for the full-rescan greedy orders and the
+    `exact-small` orders alike."""
+
+    @pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
     def test_orders_and_decompositions(self, strategy):
-        for graph in greedy_cases():
+        for graph in [*greedy_cases(), *benchmark_cases()]:
             adj = bruteforce._adjacency(graph)
             expected = bruteforce.reference_greedy_order(adj, strategy)
-            assert decomposition._order_greedy(adj, GREEDY_SCORES[strategy]) == expected
-            reference = _decomposition_from_order(graph.n, adj, expected)
+            eliminations = decomposition._order_greedy(
+                bruteforce._adjacency(graph), strategy == "min-fill"
+            )
+            assert [v for v, _ in eliminations] == expected
+            reference = bruteforce.reference_decomposition_from_order(graph.n, adj, expected)
             assert build_decomposition(graph, strategy) == reference
 
     def test_exact_small_decompositions(self):
@@ -436,22 +485,41 @@ class TestGreedyReference:
             if graph.n <= 14:
                 assert build_decomposition(graph, "exact-small") == reference_decomposition(graph)
 
+    def test_exact_small_benchmark_decompositions(self):
+        for graph in benchmark_cases():
+            if graph.n <= decomposition.EXACT_SMALL_LIMIT:
+                assert build_decomposition(graph, "exact-small") == search_reference_decomposition(graph)
+
     @pytest.mark.parametrize("k", [100, 400, 800])
     def test_min_fill_work_is_linear_on_ladders(self, k, monkeypatch):
-        calls = 0
-        fill_count = decomposition._fill_count
-
-        def counting(adj, v):
-            nonlocal calls
-            calls += 1
-            return fill_count(adj, v)
-
-        monkeypatch.setattr(decomposition, "_fill_count", counting)
+        calls = counting(monkeypatch, "_fill_count")
         D = build_decomposition(ladder(k), "min-fill")
-        n = 2 * k
-        # a full rescan per step makes n(n+1)/2 evaluations
-        assert calls <= 6 * n
+        # one score per vertex, then one per neighbor of each eliminated
+        # vertex: 3n - 3 here, where rescoring two hops made about 5n and
+        # a full rescan per step n(n+1)/2
+        assert calls[0] <= 3 * 2 * k
         assert D.width == 2
+
+    @pytest.mark.parametrize("k", [100, 400, 800])
+    def test_min_degree_work_is_linear_on_ladders(self, k, monkeypatch):
+        calls = counting(monkeypatch, "_degree")
+        D = build_decomposition(ladder(k), "min-degree")
+        assert calls[0] <= 3 * 2 * k
+        assert D.width == 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simplicial_peel_work_is_linear(self, seed, monkeypatch):
+        # a path whose two leaves carry the largest labels: a rescan of
+        # every vertex per peeled vertex makes about n^2 / 4 evaluations
+        n = 20
+        inner = list(range(1, n - 1))
+        random.Random(seed).shuffle(inner)
+        order = [n - 1, *inner, n]
+        calls = counting(monkeypatch, "_fill_count")
+        D = build_decomposition(undirected(n, list(zip(order, order[1:]))), "exact-small")
+        # one fill count per vertex, then at most one per tree edge
+        assert calls[0] < 2 * n
+        assert D.width == 1
 
 
 class TestStructuralQueries:
