@@ -15,7 +15,7 @@ import random
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import formats
@@ -69,33 +69,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One solver run, rendered as a single key=value line."""
-
-    solver: str
-    chromatic: int
-    witness_path: str
-    wall_ms: float
-    stat_pairs: tuple[tuple[str, int], ...] = ()
-
-    def as_line(self) -> str:
-        tokens = [
-            f"solver={self.solver}",
-            f"chromatic={self.chromatic}",
-            f"witness={self.witness_path}",
-            f"time_ms={self.wall_ms:.1f}",
-        ]
-        tokens.extend(f"{key}={value}" for key, value in self.stat_pairs)
-        return " ".join(tokens)
-
-
 class _WriteError(Exception):
     """An output file could not be written; the OSError is its cause."""
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -151,7 +133,7 @@ def _solve(
     G: WeightedDigraph,
     method: str,
     decomposition: Callable[[], TreeDecomposition],
-    decomposition_given: bool = False,
+    decomposition_given: bool,
 ) -> tuple[str, SolveResult, tuple[tuple[str, int], ...]]:
     """Run one method; return the method that answered, its result and
     its statistics.  `auto` runs the oracle under ORACLE_WORK_BUDGET and
@@ -159,17 +141,17 @@ def _solve(
     refuses where it picks none.  `exact` searches without limit up to
     DEFAULT_SEARCH_LIMIT vertices and under ORACLE_WORK_BUDGET above it.
     A DP's statistics are its memo_stats() fields, in order."""
+    oracle_pairs = ()
     if method == "auto":
         try:
             # the work budget, not the vertex guard, bounds this search
             result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
+            return "exact", result, (("oracle_work", result.examined),)
         except InstanceTooLargeError as exc:
             method = _auto_method(G, decomposition_given)
             if method is None:
                 raise
-            method, result, stat_pairs = _solve(G, method, decomposition)
-            return method, result, (*stat_pairs, ("oracle_work", exc.size), ("oracle_gave_up", 1))
-        return "exact", result, (("oracle_work", result.examined),)
+            oracle_pairs = (("oracle_work", exc.size), ("oracle_gave_up", 1))
     if method == "exact":
         if G.n <= DEFAULT_SEARCH_LIMIT:
             result = exact_chi_w(G)
@@ -177,35 +159,14 @@ def _solve(
             result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
         if result is None:
             raise AssertionError("search up to n colors cannot fail")
-        return method, result, ()
+        return method, result, oracle_pairs
     if method == "fpt-indegree":
         solver = IndegreeSolver(G, decomposition())
-    elif method == "fpt-budget":
-        solver = BudgetSolver(G, decomposition())
     else:
-        raise PreconditionError(f"unknown method {method!r}")
+        solver = BudgetSolver(G, decomposition())
     result = solver.solve()
-    stats = asdict(solver.memo_stats())
-    return method, result, tuple((f"memo_{name}", value) for name, value in stats.items())
-
-
-def _run_method(
-    args,
-    G: WeightedDigraph,
-    method: str,
-    out: str | None,
-    decomposition: Callable[[], TreeDecomposition],
-) -> RunReport:
-    start = time.perf_counter()
-    method, result, stat_pairs = _solve(G, method, decomposition, bool(args.decomposition))
-    wall_ms = (time.perf_counter() - start) * 1000
-    witness_path = "-"
-    if out:
-        _write_witness(out, G, result.witness)
-        witness_path = out
-    return RunReport(
-        method, result.chromatic, witness_path, wall_ms, stat_pairs if args.stats else ()
-    )
+    stats = [(f"memo_{name}", value) for name, value in asdict(solver.memo_stats()).items()]
+    return method, result, (*stats, *oracle_pairs)
 
 
 def cmd_solve(args) -> int:
@@ -215,16 +176,24 @@ def cmd_solve(args) -> int:
     decomposition = functools.cache(lambda: _obtain_decomposition(args, G))
     if args.decomposition:  # a given file is checked even when no DP reads it
         require_valid(validate_decomposition(G, decomposition()))
+    methods = [args.method]
     if args.all_methods:
         methods = ["exact", "fpt-budget", "fpt-indegree"]
         if min_precision_bits(G) is None:
             methods.remove("fpt-budget")
-        methods.sort()
-        for method in methods:
-            out = f"{args.out}.{method}" if args.out else None
-            print(_run_method(args, G, method, out, decomposition).as_line())
-        return EXIT_OK
-    print(_run_method(args, G, args.method, args.out, decomposition).as_line())
+    for method in methods:
+        start = time.perf_counter()
+        solver, result, stat_pairs = _solve(G, method, decomposition, bool(args.decomposition))
+        wall_ms = (time.perf_counter() - start) * 1000
+        witness = "-"
+        if args.out:
+            witness = f"{args.out}.{method}" if args.all_methods else args.out
+            _write_witness(witness, G, result.witness)
+        tokens = [f"solver={solver}", f"chromatic={result.chromatic}", f"witness={witness}"]
+        tokens.append(f"time_ms={wall_ms:.1f}")
+        if args.stats:
+            tokens.extend(f"{key}={value}" for key, value in stat_pairs)
+        print(" ".join(tokens))
     return EXIT_OK
 
 

@@ -196,9 +196,10 @@ def parse_decomposition(text: str, root_bag_id: int = 1) -> TreeDecomposition:
                 raise FormatError(f"self-loop at bag {a}", line_no)
             edges.append((a - 1, b - 1))
             edge_lines.append(line_no)
-    missing = [i for i in range(1, count + 1) if i not in bags]
-    if missing:
-        raise FormatError(f"bag {missing[0]} never declared")
+    # the ids are distinct, so this stops by id len(bags) + 1 whatever the count
+    missing = next((i for i in range(1, count + 1) if i not in bags), None)
+    if missing is not None:
+        raise FormatError(f"bag {missing} never declared")
     actual_max = max(len(b) for b in bags.values())
     if actual_max != declared_max:
         raise FormatError(f"header claims max bag size {declared_max}, actual {actual_max}")

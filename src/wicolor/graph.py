@@ -116,21 +116,6 @@ class WeightedDigraph:
         return {(t, h): w for t, h, w in self.arcs}
 
     @cached_property
-    def in_arcs(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        """For each vertex v, the (tail, weight) pairs of arcs into v."""
-        acc: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in self.vertices}
-        for t, h, w in self.arcs:
-            acc[h].append((t, w))
-        return {v: tuple(pairs) for v, pairs in acc.items()}
-
-    @cached_property
-    def out_arcs(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-        acc: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in self.vertices}
-        for t, h, w in self.arcs:
-            acc[t].append((h, w))
-        return {v: tuple(pairs) for v, pairs in acc.items()}
-
-    @cached_property
     def in_neighbors(self) -> dict[int, frozenset[int]]:
         """Tails of arcs into each vertex, regardless of weight."""
         acc: dict[int, set[int]] = {v: set() for v in self.vertices}
@@ -146,9 +131,9 @@ class WeightedDigraph:
     @cached_property
     def in_units(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """For each vertex v, the (tail, weight * weight_scale) pairs of arcs
-        into v, in the order of `in_arcs`.  The units are integers, so a
-        same-colored indegree stays below 1 exactly when its units stay
-        below weight_scale."""
+        into v, in arc order.  The units are integers, so a same-colored
+        indegree stays below 1 exactly when its units stay below
+        weight_scale."""
         scale = self.weight_scale
         acc: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
         for t, h, w in self.arcs:

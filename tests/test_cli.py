@@ -301,6 +301,34 @@ class TestSolve:
         # the first choice already examines all five vertices
         assert line.endswith("oracle_work=5 oracle_gave_up=1")
 
+    def test_report_lines_are_pinned_whole(self, files, capsys, monkeypatch):
+        def lines(*argv):
+            code, out, err = run(capsys, "solve", *argv)
+            assert (code, err) == (0, "")
+            return re.sub(r"time_ms=\d+\.\d\b", "time_ms=*", out).splitlines()
+
+        prism, golden, w = (str(files / name) for name in ("prism10.wug", "golden5.wig", "w"))
+        assert lines(prism, "--all-methods", "--stats", "--out", w) == [
+            f"instance={prism} digest=d2f90086f8be n=10 arcs=30",
+            f"solver=exact chromatic=3 witness={w}.exact time_ms=*",
+            f"solver=fpt-budget chromatic=3 witness={w}.fpt-budget time_ms=*"
+            " memo_entries=261 memo_color_entries=77 memo_distribute_entries=184"
+            " memo_hits=182 memo_max_key_width=5",
+            f"solver=fpt-indegree chromatic=3 witness={w}.fpt-indegree time_ms=*"
+            " memo_entries=55 memo_hits=0 memo_max_key_width=10",
+        ]
+        golden_header = f"instance={golden} digest=fb7f82c04173 n=5 arcs=9"
+        assert lines(golden, "--stats") == [
+            golden_header,
+            "solver=exact chromatic=2 witness=- time_ms=* oracle_work=26",
+        ]
+        monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 3)
+        assert lines(golden, "--stats") == [
+            golden_header,
+            "solver=fpt-indegree chromatic=2 witness=- time_ms=* memo_entries=5 memo_hits=0"
+            " memo_max_key_width=5 oracle_work=5 oracle_gave_up=1",
+        ]
+
     def test_auto_answers_a_wide_dyadic_graph_from_the_oracle(self, files, capsys):
         # min-fill width 9: the budget DP took seconds on it, the oracle
         # answers within its budget
@@ -754,6 +782,24 @@ class TestValidate:
         )
         assert code == 3
         assert "precondition" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{bad}"),
+        ("validate", "{dir}/golden5.wig", "{bad}"),
+        ("solve", "{dir}/golden5.wig", "--decomposition", "{bad}"),
+    ],
+    ids=["graph", "coloring", "decomposition"],
+)
+def test_non_utf8_input_is_a_parse_error(files, capsys, argv):
+    bad = files / "latin1.txt"
+    bad.write_bytes(b"p wig 1 0\nc caf\xe9\n")
+    code, _, err = run(capsys, *(a.format(dir=files, bad=bad) for a in argv))
+    assert code == 2
+    assert err.startswith(f"parse error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count("\n") == 1
 
 
 class TestExperiment:

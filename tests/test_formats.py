@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -331,6 +333,26 @@ class TestDecompositionFormat:
     def test_parse_errors(self, text, message):
         with pytest.raises(FormatError, match=message):
             parse_decomposition(text)
+
+    def test_huge_bag_count_stops_at_the_first_missing_bag(self):
+        # two lines declaring 10**15 bags: the search for an undeclared id
+        # must stop by id len(bags) + 1.  The address-space cap makes a
+        # search that lists every id fail with MemoryError instead of
+        # taking the host's memory.
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from wicolor import FormatError, parse_decomposition\n"
+            "try:\n"
+            "    parse_decomposition('s td 1000000000000000 1 1\\nb 1 1\\n')\n"
+            "except FormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "bag 2 never declared\n"
 
     @pytest.mark.parametrize(
         "text, message, line",

@@ -200,8 +200,10 @@ class TestWeightedDigraph:
         assert G.weight_scale == 1
 
     def test_in_out_structures(self, golden5):
-        assert golden5.in_arcs[2] == ((4, F(3, 5)), (5, F(7, 10)))
-        assert golden5.out_arcs[3] == ((1, F(1, 5)), (4, F(9, 10)))
+        assert [(t, w) for t, h, w in golden5.arcs if h == 2] == [(4, F(3, 5)), (5, F(7, 10))]
+        assert [(h, w) for t, h, w in golden5.arcs if t == 3] == [(1, F(1, 5)), (4, F(9, 10))]
+        scale = golden5.weight_scale
+        assert golden5.in_units[2] == ((4, 3 * scale // 5), (5, 7 * scale // 10))
         assert golden5.in_neighbors[1] == frozenset({2, 3})
         assert golden5.in_neighbors[3] == frozenset({1, 2})
 
@@ -427,19 +429,21 @@ class TestIntegerUnits:
         assert scale == lcm(1, *(w.denominator for _, _, w in G.arcs))
         assert set(G.in_units) == set(G.vertices)
         for v in G.vertices:
-            assert [t for t, _ in G.in_units[v]] == [t for t, _ in G.in_arcs[v]]
-            for (_, units), (_, w) in zip(G.in_units[v], G.in_arcs[v]):
+            in_arcs = [(t, w) for t, h, w in G.arcs if h == v]
+            assert [t for t, _ in G.in_units[v]] == [t for t, _ in in_arcs]
+            for (_, units), (_, w) in zip(G.in_units[v], in_arcs):
                 assert type(units) is int
                 assert units == int(w * scale)
 
     def test_indegrees_match_fraction_sums(self, family, G):
-        sums = {v: sum((w for _, w in G.in_arcs[v]), F(0)) for v in G.vertices}
+        in_arcs = {v: [(t, w) for t, h, w in G.arcs if h == v] for v in G.vertices}
+        sums = {v: sum((w for _, w in in_arcs[v]), F(0)) for v in G.vertices}
         assert max_weighted_indegree(G) == max(sums.values(), default=F(0))
         for v in G.vertices:
             assert weighted_indegree(G, v) == sums[v]
             odd = [u for u in G.vertices if u % 2]
             assert weighted_indegree(G, v, odd) == sum(
-                (w for t, w in G.in_arcs[v] if t % 2), F(0)
+                (w for t, w in in_arcs[v] if t % 2), F(0)
             )
 
     def test_violations_match_the_fraction_reference(self, family, G):
