@@ -181,9 +181,18 @@ def cmd_solve(args) -> int:
         methods = ["exact", "fpt-budget", "fpt-indegree"]
         if min_precision_bits(G) is None:
             methods.remove("fpt-budget")
+    code = EXIT_OK
     for method in methods:
         start = time.perf_counter()
-        solver, result, stat_pairs = _solve(G, method, decomposition, bool(args.decomposition))
+        try:
+            solver, result, stat_pairs = _solve(G, method, decomposition, bool(args.decomposition))
+        except InstanceTooLargeError as exc:
+            if not args.all_methods:
+                raise
+            # the other methods still answer; the exit code reports the refusal
+            print(f"guard: {exc}", file=sys.stderr)
+            code = EXIT_GUARD
+            continue
         wall_ms = (time.perf_counter() - start) * 1000
         witness = "-"
         if args.out:
@@ -194,7 +203,7 @@ def cmd_solve(args) -> int:
         if args.stats:
             tokens.extend(f"{key}={value}" for key, value in stat_pairs)
         print(" ".join(tokens))
-    return EXIT_OK
+    return code
 
 
 def cmd_bounds(args) -> int:

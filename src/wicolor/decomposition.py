@@ -438,32 +438,61 @@ def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
 
 
 def _decomposition_from_order(eliminations: Eliminations) -> TreeDecomposition:
-    """The decomposition of an elimination order, root first.
+    """The compacted decomposition of an elimination order, root first.
 
-    Bag i is the i-th eliminated vertex with the neighbors it had then,
-    as the order functions recorded them.  Its tree edge goes to the bag
+    Bag i is the i-th eliminated vertex with the neighbors N_i it had
+    then, as the order functions recorded them.  It links to the bag p
     of the earliest eliminated of those neighbors, or, with none, to the
-    next bag.  The final bag is the root; it is re-indexed to sit first,
-    matching the file convention, and every other bag moves up by one.
+    next bag.  X_p holds all of N_i (they form a clique with v_p once
+    v_i is gone), so X_p lies inside X_i exactly when |X_p| = |N_i|,
+    while X_i never lies inside X_p, which lacks v_i.  Such a parent p
+    adds no constraint and is dropped: the first such child (lowest
+    position) takes its place, inheriting its parent and its other
+    children.  That settles chains too: X_p's own parent lies inside
+    that child's bag only if it lies inside X_p, which p's link decides
+    later in the same pass.  So no bag lies inside a tree neighbor's,
+    and on a chordal graph under a perfect elimination order the bags
+    are its maximal cliques (Blair & Peyton 1993).  The width is that
+    of the order.
+
+    The final bag, or the bag that took its place, is the root; it is
+    re-indexed to sit first, matching the file convention, and the
+    other kept bags follow in elimination order.
     """
     n = len(eliminations)
     if n == 0:
         return TreeDecomposition([frozenset()])
     position = {v: i for i, (v, _) in enumerate(eliminations)}
-    bags = []
-    edges = []
-    for pos, (v, nbrs) in enumerate(eliminations):
-        bags.append(frozenset((v, *nbrs)))
+    # keeper[i]: the position of the bag that stands in for bag i (i itself
+    # unless a child took its place); final once bag i's children are linked
+    keeper = list(range(n))
+    links = []
+    for pos, (_, nbrs) in enumerate(eliminations):
         if pos + 1 < n:
-            successor = min(map(position.__getitem__, nbrs)) if nbrs else pos + 1
-            edges.append((pos + 1, successor + 1 if successor + 1 < n else 0))
-    return TreeDecomposition([bags[-1], *bags[:-1]], edges, root=0)
+            parent = min(map(position.__getitem__, nbrs)) if nbrs else pos + 1
+            if keeper[parent] == parent and len(eliminations[parent][1]) + 1 == len(nbrs):
+                keeper[parent] = keeper[pos]
+            else:
+                links.append((pos, parent))
+    root = keeper[n - 1]
+    kept = [root, *(i for i in range(n) if keeper[i] == i and i != root)]
+    index = {i: new for new, i in enumerate(kept)}
+    bags = [frozenset((eliminations[i][0], *eliminations[i][1])) for i in kept]
+    edges = [(index[keeper[a]], index[keeper[b]]) for a, b in links]
+    return TreeDecomposition(bags, edges, root=0)
 
 
 def build_decomposition(
     graph: WeightedDigraph | UndirectedWeightedGraph, strategy: str = "min-fill"
 ) -> TreeDecomposition:
-    """Tree decomposition from an elimination ordering; root is bag 0.
+    """Compacted tree decomposition from an elimination ordering; root is bag 0.
+
+    One bag per eliminated vertex, less every bag that lies inside a
+    tree neighbor's (see `_decomposition_from_order`): no bag of the
+    result lies inside a neighbor's, and the width is the order's.  On
+    a chordal graph, min-fill gives one bag per maximal clique.  The
+    `bags=` count of `wicolor decomp build` is this compacted count;
+    a decomposition read from a file is used as given, not compacted.
 
     Strategies: "min-degree" and "min-fill" are fast heuristics whose
     width may exceed the treewidth; "exact-small" returns minimum width.

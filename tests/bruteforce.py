@@ -612,3 +612,59 @@ def reference_decomposition_from_order(n: int, adj: dict[int, set[int]], order: 
         [(new_index[a], new_index[b]) for a, b in edges],
         root=0,
     )
+
+
+def reference_maximal_cliques(graph) -> set[frozenset[int]]:
+    """Every maximal clique of the underlying graph, by testing every vertex subset."""
+    adj = _adjacency(graph)
+    vertices = sorted(adj)
+    cliques = set()
+    for mask in range(1, 1 << len(vertices)):
+        members = {v for i, v in enumerate(vertices) if mask >> i & 1}
+        if all(members - {v} <= adj[v] for v in members) and not any(
+            members <= adj[u] for u in vertices if u not in members
+        ):
+            cliques.add(frozenset(members))
+    return cliques
+
+
+def reference_compact(D: TreeDecomposition) -> TreeDecomposition:
+    """`D` with every tree edge contracted whose one bag lies inside the other.
+
+    Contract one edge at a time until none is left: take the first bag
+    in preorder (from the root, children ascending) that lies inside a
+    tree neighbor's bag, and merge it into the lowest indexed such
+    neighbor.  That neighbor keeps its own (larger) bag and takes over
+    the merged bag's other tree edges and, if the merged bag was the
+    root, the root.  The root is then re-indexed to sit first and the
+    other kept bags follow in their old order.
+    """
+    bags = dict(enumerate(D.bags))
+    adj = {i: set(nbrs) for i, nbrs in enumerate(D.adjacency)}
+    root = D.root
+    while True:
+        merge = None
+        stack, seen = [root], {root}
+        while stack and merge is None:
+            a = stack.pop()
+            covers = sorted(b for b in adj[a] if bags[a] <= bags[b])
+            if covers:
+                merge = a, covers[0]
+            kids = sorted(adj[a] - seen)
+            seen.update(kids)
+            stack.extend(reversed(kids))
+        if merge is None:
+            break
+        a, b = merge
+        for c in adj.pop(a):
+            adj[c].discard(a)
+            if c != b:
+                adj[c].add(b)
+                adj[b].add(c)
+        del bags[a]
+        if root == a:
+            root = b
+    kept = [root] + [i for i in sorted(bags) if i != root]
+    new_index = {old: new for new, old in enumerate(kept)}
+    edges = {tuple(sorted((new_index[a], new_index[b]))) for a in adj for b in adj[a]}
+    return TreeDecomposition([bags[i] for i in kept], sorted(edges), root=0)

@@ -164,21 +164,20 @@ class TestSolve:
     @pytest.mark.parametrize(
         ("graph", "method", "memo_tokens"),
         [
-            ("subcubic18", "fpt-indegree", "memo_entries=238 memo_hits=134 memo_max_key_width=17"),
-            ("dyadic20", "fpt-indegree", "memo_entries=152 memo_hits=79 memo_max_key_width=15"),
+            ("subcubic18", "fpt-indegree", "memo_entries=94 memo_hits=56 memo_max_key_width=17"),
+            ("dyadic20", "fpt-indegree", "memo_entries=493 memo_hits=578 memo_max_key_width=15"),
             (
                 "dyadic20",
                 "fpt-budget",
-                "memo_entries=265 memo_color_entries=96 memo_distribute_entries=169"
-                " memo_hits=157 memo_max_key_width=6",
+                "memo_entries=219 memo_color_entries=65 memo_distribute_entries=154"
+                " memo_hits=142 memo_max_key_width=6",
             ),
         ],
         ids=["subcubic18-indegree", "dyadic20-indegree", "dyadic20-budget"],
     )
     def test_exact_small_memo_tokens_are_pinned(self, tmp_path, capsys, graph, method, memo_tokens):
-        # the tokens the decision search printed before it forced
-        # almost-simplicial eliminations: the same tables need the same
-        # exact-small decomposition
+        # the tables of the compacted exact-small decomposition: a change
+        # to the order or to the compaction shows here
         texts = {
             "subcubic18": ("wug", lambda: serialize_undirected(random_subcubic_instance(18, seed=1))),
             "dyadic20": ("wig", lambda: serialize_digraph(random_instance(20, 0.1, seed=4, bits=2))),
@@ -312,10 +311,10 @@ class TestSolve:
             f"instance={prism} digest=d2f90086f8be n=10 arcs=30",
             f"solver=exact chromatic=3 witness={w}.exact time_ms=*",
             f"solver=fpt-budget chromatic=3 witness={w}.fpt-budget time_ms=*"
-            " memo_entries=261 memo_color_entries=77 memo_distribute_entries=184"
-            " memo_hits=182 memo_max_key_width=5",
+            " memo_entries=196 memo_color_entries=55 memo_distribute_entries=141"
+            " memo_hits=139 memo_max_key_width=5",
             f"solver=fpt-indegree chromatic=3 witness={w}.fpt-indegree time_ms=*"
-            " memo_entries=55 memo_hits=0 memo_max_key_width=10",
+            " memo_entries=39 memo_hits=0 memo_max_key_width=10",
         ]
         golden_header = f"instance={golden} digest=fb7f82c04173 n=5 arcs=9"
         assert lines(golden, "--stats") == [
@@ -325,7 +324,7 @@ class TestSolve:
         monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 3)
         assert lines(golden, "--stats") == [
             golden_header,
-            "solver=fpt-indegree chromatic=2 witness=- time_ms=* memo_entries=5 memo_hits=0"
+            "solver=fpt-indegree chromatic=2 witness=- time_ms=* memo_entries=3 memo_hits=0"
             " memo_max_key_width=5 oracle_work=5 oracle_gave_up=1",
         ]
 
@@ -385,6 +384,33 @@ class TestSolve:
         code, _, err = run(capsys, "solve", f"{prefix}.wig", "--stats")
         assert code == 4
         assert "gave up after" in err
+
+    def test_all_methods_keep_going_when_exact_gives_up(self, files, capsys, oracle_gives_up):
+        # exact refuses the 17-vertex gadget; the indegree DP still answers
+        # on the given decomposition, and the exit code reports the refusal
+        elements = "3 1 4 1 5 9 2 6 5 3 5 8 9 7 9".split()
+        prefix = files / "m15"
+        assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
+        code, out, err = run(
+            capsys,
+            "solve",
+            f"{prefix}.wig",
+            "--all-methods",
+            "--decomposition",
+            f"{prefix}.td",
+            "--out",
+            str(files / "w"),
+        )
+        assert code == 4
+        assert err == "guard: exhaustive search gave up after 17 examined vertices (limit 0)\n"
+        lines = out.strip().splitlines()
+        assert len(lines) == 2 and " n=17 " in lines[0]
+        assert lines[1].startswith(f"solver=fpt-indegree chromatic=3 witness={files / 'w'}.fpt-indegree ")
+        G = parse_digraph((files / "m15.wig").read_text(encoding="utf-8"))
+        witness = parse_coloring((files / "w.fpt-indegree").read_text(encoding="utf-8"))
+        assert is_valid_coloring(G, witness)
+        assert max(witness.values()) == 3
+        assert not (files / "w.exact").exists()
 
     def test_supplied_decomposition_and_root(self, files, capsys):
         td = files / "prism.td"
@@ -680,8 +706,9 @@ class TestDecomp:
         # that `decomp validate` and `solve --decomposition` read
         D = parse_decomposition(out)
         assert D.width == 4
-        assert len(D.bags) == 10
-        assert err == "width=4 bags=10\n"
+        # one bag per vertex less the four that lie inside a tree neighbor's
+        assert len(D.bags) == 6
+        assert err == "width=4 bags=6\n"
 
     def test_build_to_file_reports_on_stdout(self, files, capsys):
         td = files / "prism.td"
@@ -690,7 +717,7 @@ class TestDecomp:
         )
         assert code == 0
         D = parse_decomposition(td.read_text(encoding="utf-8"))
-        assert out == f"width={D.width} bags=10\n"
+        assert out == f"width={D.width} bags=6\n"
         assert err == ""
 
     def test_build_unwritable_output(self, files, capsys):

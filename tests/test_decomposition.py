@@ -75,11 +75,24 @@ def ladder(k: int) -> UndirectedWeightedGraph:
 
 
 def reference_decomposition(graph) -> TreeDecomposition:
-    """The decomposition built from the min-max subset DP's order."""
+    """The compacted decomposition built from the min-max subset DP's order."""
     adj = bruteforce._adjacency(graph)
-    return bruteforce.reference_decomposition_from_order(
-        graph.n, adj, bruteforce.reference_exact_order(adj)
+    return bruteforce.reference_compact(
+        bruteforce.reference_decomposition_from_order(
+            graph.n, adj, bruteforce.reference_exact_order(adj)
+        )
     )
+
+
+def uncompacted_decomposition(graph, strategy: str) -> TreeDecomposition:
+    """One bag per vertex: the reference decomposition of `strategy`'s
+    order before compaction."""
+    adj = bruteforce._adjacency(graph)
+    if strategy == "exact-small":
+        order = bruteforce.reference_search_order(adj)
+    else:
+        order = bruteforce.reference_greedy_order(adj, strategy)
+    return bruteforce.reference_decomposition_from_order(graph.n, adj, order)
 
 
 class TestConstructor:
@@ -263,7 +276,9 @@ class TestBuild:
             for strategy in STRATEGIES:
                 D = build_decomposition(G, strategy)
                 assert validate_decomposition(G, D) == []
-                assert len(D.bags) == G.n
+                full = uncompacted_decomposition(G, strategy)
+                assert len(full.bags) == G.n
+                assert len(D.bags) == len(bruteforce.reference_compact(full).bags)
                 assert D.root == 0
 
     def test_deterministic(self):
@@ -332,10 +347,12 @@ class TestExactSmallReference:
 
 
 def search_reference_decomposition(graph) -> TreeDecomposition:
-    """The decomposition built from the previous decision search's order."""
+    """The compacted decomposition built from the previous decision search's order."""
     adj = bruteforce._adjacency(graph)
-    return bruteforce.reference_decomposition_from_order(
-        graph.n, adj, bruteforce.reference_search_order(adj)
+    return bruteforce.reference_compact(
+        bruteforce.reference_decomposition_from_order(
+            graph.n, adj, bruteforce.reference_search_order(adj)
+        )
     )
 
 
@@ -464,9 +481,9 @@ def counting(monkeypatch, name: str) -> list[int]:
 
 
 class TestGreedyReference:
-    """Each build equals the decomposition that eliminating the reference
-    order a second time gives, for the full-rescan greedy orders and the
-    `exact-small` orders alike."""
+    """Each build equals the compacted decomposition that eliminating the
+    reference order a second time gives, for the full-rescan greedy
+    orders and the `exact-small` orders alike."""
 
     @pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
     def test_orders_and_decompositions(self, strategy):
@@ -478,7 +495,7 @@ class TestGreedyReference:
             )
             assert [v for v, _ in eliminations] == expected
             reference = bruteforce.reference_decomposition_from_order(graph.n, adj, expected)
-            assert build_decomposition(graph, strategy) == reference
+            assert build_decomposition(graph, strategy) == bruteforce.reference_compact(reference)
 
     def test_exact_small_decompositions(self):
         for graph in greedy_cases():
@@ -520,6 +537,116 @@ class TestGreedyReference:
         # one fill count per vertex, then at most one per tree edge
         assert calls[0] < 2 * n
         assert D.width == 1
+
+
+def tree_neighbors_nested(D: TreeDecomposition) -> list[tuple[int, int]]:
+    """The tree edges whose one bag lies inside the other."""
+    return [(a, b) for a, b in D.tree_edges if D.bags[a] <= D.bags[b] or D.bags[b] <= D.bags[a]]
+
+
+def relabeled(n: int, pairs, seed: int) -> UndirectedWeightedGraph:
+    """The graph on `pairs` over 1..n with its vertices renamed at random,
+    so that no strategy meets the vertices in construction order."""
+    name = list(range(1, n + 1))
+    random.Random(seed).shuffle(name)
+    return undirected(n, [(name[a - 1], name[b - 1]) for a, b in pairs])
+
+
+def random_tree(n: int, seed: int) -> UndirectedWeightedGraph:
+    rng = random.Random(seed)
+    return relabeled(n, [(v, rng.randint(1, v - 1)) for v in range(2, n + 1)], seed)
+
+
+def random_k_tree(n: int, k: int, seed: int) -> UndirectedWeightedGraph:
+    """A k-clique grown by vertices that each join all of a k-clique of the
+    graph so far (one of the (k+1)-cliques made, less one vertex)."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    cliques = [tuple(range(1, k + 1))]
+    for v in range(k + 1, n + 1):
+        base = list(rng.choice(cliques))
+        if len(base) > k:
+            base.pop(rng.randrange(len(base)))
+        pairs += [(u, v) for u in base]
+        cliques.append((*base, v))
+    return relabeled(n, pairs, seed)
+
+
+def random_interval_graph(n: int, seed: int) -> UndirectedWeightedGraph:
+    """Vertices are random closed intervals; overlapping ones are adjacent."""
+    rng = random.Random(seed)
+    spans = []
+    for _ in range(n):
+        start = rng.randint(0, 3 * n)
+        spans.append((start, start + rng.randint(0, n)))
+    pairs = [
+        (a + 1, b + 1)
+        for a in range(n)
+        for b in range(a + 1, n)
+        if spans[a][0] <= spans[b][1] and spans[b][0] <= spans[a][1]
+    ]
+    return relabeled(n, pairs, seed)
+
+
+class TestCompaction:
+    """Builds drop every bag that lies inside a tree neighbor's bag."""
+
+    def test_reference_compact_contracts_nested_bags(self):
+        path = TreeDecomposition([{1, 2}, {2}, {2, 3}], [(0, 1), (1, 2)])
+        assert bruteforce.reference_compact(path) == TreeDecomposition(
+            [{1, 2}, {2, 3}], [(0, 1)]
+        )
+        # an absorbed root hands the root to the bag that took it in
+        chain = TreeDecomposition([{1}, {1, 2}, {1, 2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
+        assert bruteforce.reference_compact(chain) == TreeDecomposition(
+            [{1, 2, 3}, {3, 4}], [(0, 1)]
+        )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_valid_same_width_and_no_nested_neighbors(self, strategy):
+        for graph in [*greedy_cases(), *benchmark_cases()]:
+            if strategy == "exact-small" and graph.n > 14:
+                continue
+            # the reference comparisons above pin the bags; this checks
+            # what compaction promises, against the order's own width
+            adj = bruteforce._adjacency(graph)
+            if strategy == "exact-small":
+                eliminations = decomposition._order_exact(adj)
+            else:
+                eliminations = decomposition._order_greedy(adj, strategy == "min-fill")
+            D = build_decomposition(graph, strategy)
+            G = graph if isinstance(graph, WeightedDigraph) else embed_undirected(graph)
+            assert validate_decomposition(G, D) == []
+            assert D.width == max((len(nbrs) for _, nbrs in eliminations), default=-1)
+            assert tree_neighbors_nested(D) == []
+
+    def test_benchmark_families_lose_a_third_of_their_bags(self):
+        bags = {"sweep": 0, "subcubic": 0, "ladder": 0}
+        for i, graph in enumerate(benchmark_cases()):
+            family = "sweep" if i < 200 else "subcubic" if i < 250 else "ladder"
+            strategy = "min-fill" if family == "ladder" else "exact-small"
+            bags[family] += len(build_decomposition(graph, strategy).bags)
+        # one bag per vertex before compaction: 1391, 500 and 1090
+        assert bags == {"sweep": 935, "subcubic": 338, "ladder": 950}
+
+    @pytest.mark.parametrize(
+        "graph",
+        [pytest.param(random_tree(n, seed=n), id=f"tree{n}") for n in (1, 2, 5, 9, 13)]
+        + [
+            pytest.param(random_k_tree(n, k, seed=10 * n + k), id=f"{k}-tree{n}")
+            for n, k in ((6, 2), (9, 2), (12, 2), (8, 3), (11, 3), (10, 4), (12, 5))
+        ]
+        + [pytest.param(random_interval_graph(n, seed=n), id=f"interval{n}") for n in (4, 8, 11, 14)]
+        + [pytest.param(random_interval_graph(12, seed=s), id=f"interval12-s{s}") for s in range(5)],
+    )
+    def test_chordal_min_fill_bags_are_the_maximal_cliques(self, graph):
+        # a chordal graph always has a simplicial vertex, so min-fill
+        # follows a perfect elimination order, and its compacted bags are
+        # the maximal cliques: one bag per clique-tree node
+        D = build_decomposition(graph, "min-fill")
+        cliques = bruteforce.reference_maximal_cliques(graph)
+        assert len(D.bags) == len(cliques)
+        assert set(D.bags) == cliques
 
 
 class TestStructuralQueries:
