@@ -160,10 +160,7 @@ def _solve(
         if result is None:
             raise AssertionError("search up to n colors cannot fail")
         return method, result, oracle_pairs
-    if method == "fpt-indegree":
-        solver = IndegreeSolver(G, decomposition())
-    else:
-        solver = BudgetSolver(G, decomposition())
+    solver = (IndegreeSolver if method == "fpt-indegree" else BudgetSolver)(G, decomposition())
     result = solver.solve()
     stats = [(f"memo_{name}", value) for name, value in asdict(solver.memo_stats()).items()]
     return method, result, (*stats, *oracle_pairs)

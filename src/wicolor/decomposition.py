@@ -8,8 +8,9 @@ minus one.
 
 Decompositions here are rooted: the dynamic programs in this package key
 each bag's table by the colors it shares with its parent, and read their
-witnesses from the root down.  Bag indices are 0-based internally (the
-text format is 1-based, see `formats`).
+witnesses from the root down; `TreeDP` holds that layout and the decision
+loop both share.  Bag indices are 0-based internally (the text format is
+1-based, see `formats`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, InstanceTooLargeError, PreconditionError
-from .graph import UndirectedWeightedGraph, WeightedDigraph
+from .graph import Coloring, SolveResult, UndirectedWeightedGraph, WeightedDigraph
 
 EXACT_SMALL_LIMIT = 20
 
@@ -529,25 +530,51 @@ def extended_bags(D: TreeDecomposition, G: WeightedDigraph) -> tuple[frozenset[i
     return tuple(out)
 
 
-def shared_first_layout(D: TreeDecomposition, tracked: Sequence[frozenset[int]]):
-    """Per-bag layout for a DP whose bag i tracks the vertices tracked[i]
-    and keys its table by the colors of those it shares with its parent.
+class TreeDP:
+    """Base of the two tree-decomposition DPs: decide k-colorability for
+    k = 1, 2, ... and stop at the first k that works (width+1 colors
+    always suffice), keying bag i's table by the colors of the vertices
+    it tracks, tracked[i], that it shares with its parent.
 
-    Returns (shared, order, position, kids): shared[i] is tracked[i] ∩
-    tracked[parent]; order[i] lists tracked[i] with the shared vertices
-    first, each part ascending, so a coloring's prefix is its key;
-    position[i] maps each vertex to its index in order[i]; kids[i] pairs
-    each child with the positions in order[i] of that child's shared
-    vertices, in the child's order.
+    shared_set[i] is tracked[i] ∩ tracked[parent]; order[i] lists
+    tracked[i] with the shared vertices first, each part ascending, so a
+    coloring's prefix is its key; position[i] maps each vertex to its
+    index in order[i]; kids[i] pairs each child with the positions in
+    order[i] of that child's shared vertices, in the child's order.
+    A subclass provides decide(k) and witness(), the coloring found by
+    the last decide(k) that returned True.
     """
-    shared = [
-        frozenset() if p is None else tracked[i] & tracked[p] for i, p in enumerate(D.parent)
-    ]
-    order = [tuple(sorted(s)) + tuple(sorted(tracked[i] - s)) for i, s in enumerate(shared)]
-    position = [{v: p for p, v in enumerate(vertices)} for vertices in order]
-    kids = [
-        [(c, tuple(position[i][v] for v in order[c][: len(shared[c])])) for c in D.children[i]]
-        for i in range(len(order))
-    ]
-    return shared, order, position, kids
 
+    def __init__(
+        self, G: WeightedDigraph, D: TreeDecomposition, tracked: Sequence[frozenset[int]]
+    ):
+        self.graph = G
+        self.decomposition = D
+        self.palette = max(1, D.width + 1)  # an empty bag has width -1
+        self.k = 0  # k of the last decide(k)
+        shared = [
+            frozenset() if p is None else tracked[i] & tracked[p] for i, p in enumerate(D.parent)
+        ]
+        order = [tuple(sorted(s)) + tuple(sorted(tracked[i] - s)) for i, s in enumerate(shared)]
+        position = [{v: p for p, v in enumerate(vertices)} for vertices in order]
+        kids = [
+            [(c, tuple(position[i][v] for v in order[c][: len(shared[c])])) for c in D.children[i]]
+            for i in range(len(order))
+        ]
+        self.shared_set, self.order, self.position, self.kids = shared, order, position, kids
+
+    def shared_key(self, bag: int, colors: Coloring) -> tuple[int, ...]:
+        """The colors of bag's shared vertices in order[bag], the prefix a
+        table key starts with; `colors` must cover exactly the shared set."""
+        shared = self.shared_set[bag]
+        if set(colors) != shared:
+            raise PreconditionError(
+                f"colors must cover exactly the shared set of bag {bag}", witness=bag
+            )
+        return tuple(colors[v] for v in self.order[bag][: len(shared)])
+
+    def solve(self) -> SolveResult:
+        k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)
+        if k is None:
+            raise AssertionError("width+1 colors always suffice")
+        return SolveResult(k, self.witness())

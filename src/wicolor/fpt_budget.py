@@ -37,15 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .decomposition import (
-    TreeDecomposition,
-    require_valid,
-    shared_first_layout,
-    validate_decomposition,
-)
+from .decomposition import TreeDecomposition, TreeDP, require_valid, validate_decomposition
 from .errors import PreconditionError
-from .graph import Coloring, WeightedDigraph, is_valid_coloring
-from .oracle import SolveResult
+from .graph import Coloring, SolveResult, WeightedDigraph, is_valid_coloring
 
 Vector = tuple[int, ...]
 
@@ -121,9 +115,9 @@ def _first_use(colors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([relabel.setdefault(c, len(relabel) + 1) for c in colors])
 
 
-class BudgetSolver:
+class BudgetSolver(TreeDP):
     """One solve against a fixed graph, validated rooted decomposition,
-    and precision; create a fresh instance per solve.
+    and precision; create a fresh instance per solve.  Bag i tracks X_i.
 
     With bits omitted, the smallest sufficient precision is detected;
     non-dyadic weights are rejected.
@@ -142,13 +136,9 @@ class BudgetSolver:
                 f"arc ({t}, {h}) weight {w} is not {bits}-bit fixed point",
                 witness=offending,
             )
-        self.graph = G
-        self.decomposition = D
+        super().__init__(G, D, D.bags)
         self.bits = bits
         self.full = (1 << bits) - 1
-        self.palette = max(1, D.width + 1)  # an empty bag has width -1
-
-        self.shared_set, self.order, position, self._kids = shared_first_layout(D, D.bags)
 
         # each arc is charged at exactly one bag: the rootmost bag
         # containing both endpoints (its parent does not); the fixed-point
@@ -166,14 +156,13 @@ class BudgetSolver:
             )
             self.charge_list.append(charges)
             self._charges.append(
-                [(position[i][t], position[i][h], units) for t, h, units in charges if units]
+                [(self.position[i][t], self.position[i][h], u) for t, h, u in charges if u]
             )
         charged = sorted((t, h) for charges in self.charge_list for t, h, _ in charges)
         if charged != sorted((t, h) for t, h, _ in G.arcs):
             raise AssertionError("every arc must be charged at exactly one bag")
 
         self.tables: list[dict[tuple[int, ...], list[Vector]]] = [{} for _ in D.bags]
-        self._k = 0  # k of the last decide(k)
         self._canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.considered_counts: dict[tuple[int, int], int] = {}
         self._stats = BudgetMemoStats(0, 0, 0, 0, 0)
@@ -196,7 +185,7 @@ class BudgetSolver:
         if max(own, default=0) > full:
             return None
         layers = [[tuple(own)]]
-        for child, pos in self._kids[bag]:
+        for child, pos in self.kids[bag]:
             key = tuple([colors[p] for p in pos])
             canon = canonical.get(key)
             if canon is None:
@@ -227,7 +216,7 @@ class BudgetSolver:
             raise PreconditionError(f"color count must be >= 1, got {k}")
         D = self.decomposition
         self.tables = [{} for _ in D.bags]
-        self._k = k
+        self.k = k
         color_entries = distribute_entries = hits = width = 0
         feasible = True
         for bag in reversed(D.preorder):
@@ -237,7 +226,7 @@ class BudgetSolver:
             for colors in _first_use_extensions(len(self.order[bag]), k, 0):
                 layers = self._layers(bag, colors)
                 if layers is not None:
-                    hits += len(self._kids[bag])
+                    hits += len(self.kids[bag])
                     distribute_entries += sum(len(layer) for layer in layers[1:])
                     found.setdefault(colors[:ns], []).extend(vec[:ns] for vec in layers[-1])
             table = self.tables[bag] = {key: _minimal(vecs) for key, vecs in found.items()}
@@ -255,30 +244,17 @@ class BudgetSolver:
         given the colors of its shared vertices; empty when no coloring
         of the subtree extends them.  Renaming the colors changes
         nothing."""
-        shared = self.shared_set[bag]
-        if set(colors) != shared:
-            raise PreconditionError(
-                f"colors must cover exactly the shared set of bag {bag}", witness=bag
-            )
-        if not all(1 <= c <= self._k for c in colors.values()):
+        key = self.shared_key(bag, colors)
+        if not all(1 <= c <= self.k for c in key):
             return []
-        keys = self.order[bag][: len(shared)]
-        front = self.tables[bag].get(_first_use(tuple(colors[v] for v in keys)), [])
-        return [dict(zip(keys, demand)) for demand in front]
+        front = self.tables[bag].get(_first_use(key), [])
+        return [dict(zip(self.order[bag], demand)) for demand in front]
 
     # -- public API --------------------------------------------------
 
-    def solve(self) -> SolveResult:
-        k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)
-        if k is None:
-            raise AssertionError("width+1 colors always suffice")
-        witness = self._replay(k)
-        if not is_valid_coloring(self.graph, witness):
-            raise AssertionError("replayed witness is not a valid coloring")
-        return SolveResult(k, witness)
-
-    def _replay(self, k: int) -> Coloring:
-        """Rebuild one k-coloring from the tables of decide(k), root first.
+    def witness(self) -> Coloring:
+        """Rebuild one k-coloring from the tables of the last decide(k),
+        root first.
 
         Each child gets the stored demand vector it was summed with as
         its budget; every bag is visited once, so the per-arc
@@ -287,6 +263,7 @@ class BudgetSolver:
         decide(k) filled, and maps the one it keeps back, giving each new
         color the smallest real color not yet inherited.
         """
+        k = self.k
         witness: Coloring = {}
         stack: list[tuple[int, tuple[int, ...], Vector]] = [(self.decomposition.root, (), ())]
         while stack:
@@ -319,8 +296,8 @@ class BudgetSolver:
                 self.considered_counts[(t, h)] = self.considered_counts.get((t, h), 0) + 1
             # walk the layers back: some stored vector of each child
             # leads from a sum of the previous layer to the current one
-            for j in range(len(self._kids[bag]) - 1, -1, -1):
-                child, pos = self._kids[bag][j]
+            for j in range(len(self.kids[bag]) - 1, -1, -1):
+                child, pos = self.kids[bag][j]
                 previous = set(layers[j])
                 for demand in self.tables[child][_first_use(tuple(colors[p] for p in pos))]:
                     rest = list(total)
@@ -334,6 +311,8 @@ class BudgetSolver:
                 stack.append((child, tuple(real_colors[p] for p in pos), demand))
         if set(witness) != set(self.graph.vertices):
             raise AssertionError("witness not total")
+        if not is_valid_coloring(self.graph, witness):
+            raise AssertionError("replayed witness is not a valid coloring")
         return witness
 
     def memo_stats(self) -> BudgetMemoStats:

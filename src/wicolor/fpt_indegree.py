@@ -29,14 +29,13 @@ from typing import Generator
 
 from .decomposition import (
     TreeDecomposition,
+    TreeDP,
     extended_bags,
     require_valid,
-    shared_first_layout,
     validate_decomposition,
 )
 from .errors import PreconditionError
-from .graph import Coloring, WeightedDigraph, is_valid_coloring
-from .oracle import SolveResult
+from .graph import Coloring, SolveResult, WeightedDigraph, is_valid_coloring
 
 Colors = tuple[int, ...]
 MemoKey = tuple[int, Colors]
@@ -53,19 +52,13 @@ class MemoStats:
     max_key_width: int
 
 
-class IndegreeSolver:
+class IndegreeSolver(TreeDP):
     """One solve against a fixed graph and validated rooted decomposition;
-    create a fresh instance per solve."""
+    create a fresh instance per solve.  Bag i tracks V_i."""
 
     def __init__(self, G: WeightedDigraph, D: TreeDecomposition):
         require_valid(validate_decomposition(G, D))
-        self.graph = G
-        self.decomposition = D
-        self.palette = max(1, D.width + 1)  # an empty bag has width -1
-        self.scale = G.weight_scale
-        self.inherited_set, self.order, position, self._kids = shared_first_layout(
-            D, extended_bags(D, G)
-        )
+        super().__init__(G, D, extended_bags(D, G))
 
         # per bag and position p in self.order[bag]: each positive arc
         # into a bag vertex whose endpoints sit at p and at an earlier
@@ -77,11 +70,10 @@ class IndegreeSolver:
             for h in bag:
                 for t, units in G.in_units[h]:
                     if units > 0:
-                        a, b = position[i][t], position[i][h]
+                        a, b = self.position[i][t], self.position[i][h]
                         back[max(a, b)].append((min(a, b), b, units))
             self._back.append(back)
 
-        self.k = 0
         self.memo: dict[MemoKey, Colors | None] = {}
         self.hits = 0
 
@@ -92,7 +84,7 @@ class IndegreeSolver:
         `key` and keeps every bag vertex's same-color in-units below the
         scale.  Free vertices take colors ascending; the yielded list is
         live, so copy it to keep it."""
-        back, scale, k = self._back[bag], self.scale, self.k
+        back, scale, k = self._back[bag], self.graph.weight_scale, self.k
         m, ns = len(back), len(key)
         colors = list(key) + [0] * (m - ns)
         spent = [0] * m  # same-color in-units of each bag vertex so far
@@ -130,7 +122,7 @@ class IndegreeSolver:
         accepts, or None.  Yields each child state it needs and expects
         the child's answer sent back."""
         for colors in self._colorings(bag, key):
-            for child, pos in self._kids[bag]:
+            for child, pos in self.kids[bag]:
                 if not (yield child, tuple(colors[p] for p in pos)):
                     break
             else:
@@ -143,15 +135,9 @@ class IndegreeSolver:
         that passes the local check and that every child accepts, or
         None when no coloring of the subtree extends `partial`.  Read
         from the memo, or searched and stored there."""
-        shared = self.inherited_set[bag]
-        if set(partial) != shared:
-            raise PreconditionError(
-                f"partial coloring must cover exactly the shared set of bag {bag}",
-                witness=bag,
-            )
-        if not all(1 <= c <= self.k for c in partial.values()):
+        key = self.shared_key(bag, partial)
+        if not all(1 <= c <= self.k for c in key):
             raise PreconditionError(f"partial coloring uses a color outside 1..{self.k}")
-        key = tuple(partial[v] for v in self.order[bag][: len(shared)])
         stack = []
         if (bag, key) in self.memo:
             self.hits += 1
@@ -185,16 +171,7 @@ class IndegreeSolver:
 
     # -- public API --------------------------------------------------
 
-    def solve(self) -> SolveResult:
-        k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)
-        if k is None:
-            raise AssertionError("width+1 colors always suffice")
-        witness = self._witness()
-        if not is_valid_coloring(self.graph, witness):
-            raise AssertionError("witness read from the memo is not a valid coloring")
-        return SolveResult(k, witness)
-
-    def _witness(self) -> Coloring:
+    def witness(self) -> Coloring:
         """Join the stored bag colorings of the last decide(k), root first.
 
         Each vertex is colored at the rootmost bag whose V_i holds it and
@@ -208,17 +185,19 @@ class IndegreeSolver:
             if colors is None:
                 raise AssertionError(f"no stored coloring for an accepted state of bag {bag}")
             for v, c in zip(self.order[bag], colors):
-                if v in self.inherited_set[bag]:
+                if v in self.shared_set[bag]:
                     if witness.get(v) != c:
                         raise AssertionError(f"inherited color of {v} drifted")
                 elif v in witness:
                     raise AssertionError(f"vertex {v} colored twice")
                 else:
                     witness[v] = c
-            for child, pos in self._kids[bag]:
+            for child, pos in self.kids[bag]:
                 stack.append((child, tuple(colors[p] for p in pos)))
         if set(witness) != set(self.graph.vertices):
             raise AssertionError("witness not total")
+        if not is_valid_coloring(self.graph, witness):
+            raise AssertionError("witness read from the memo is not a valid coloring")
         return witness
 
     def memo_stats(self) -> MemoStats:

@@ -15,7 +15,7 @@ c[u] == c[v] sum to less than 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -192,6 +192,17 @@ class UndirectedWeightedGraph:
 
 
 Coloring = dict[int, int]
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """A minimum color count together with one coloring achieving it."""
+
+    chromatic: int
+    witness: Coloring
+    # vertices the oracle's choice rule examined over every k it tried
+    # (0 from the DP solvers); a cost, not part of the answer
+    examined: int = field(default=0, compare=False)
 
 
 def check_total_coloring(n: int, coloring: Coloring) -> None:

@@ -26,12 +26,12 @@ returned witnesses are canonical and stable across runs and platforms.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .errors import InstanceTooLargeError, PreconditionError
 from .generators import reduce_defective
 from .graph import (
     Coloring,
+    SolveResult,
     UndirectedWeightedGraph,
     WeightedDigraph,
     check_total_coloring,
@@ -40,17 +40,6 @@ from .graph import (
 
 DEFAULT_SEARCH_LIMIT = 16
 DEFAULT_CHROMATIC_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """A minimum color count together with one coloring achieving it."""
-
-    chromatic: int
-    witness: Coloring
-    # vertices the oracle's choice rule examined over every k it tried
-    # (0 from the DP solvers); a cost, not part of the answer
-    examined: int = field(default=0, compare=False)
 
 
 def _guard(n: int, max_n: int, what: str) -> None:

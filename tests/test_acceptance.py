@@ -286,7 +286,7 @@ def test_criterion_8_memo_tables_within_caps(sweep):
             palette = D.width + 1
             stats = r.indegree_solver.memo_stats()
             cap = sum(
-                palette ** len(shared) for shared in r.indegree_solver.inherited_set
+                palette ** len(shared) for shared in r.indegree_solver.shared_set
             )
             assert stats.entries <= cap, f"instance {r.index}"
 

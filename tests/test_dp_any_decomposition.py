@@ -1,29 +1,44 @@
-"""Both DPs on arbitrary valid decompositions, not only the built ones.
+"""Both DPs through their one decision protocol, on any valid decomposition.
 
-A decomposition is built, then reshaped by moves that keep it valid:
-subdividing a tree edge with a bag that holds both ends' shared
-vertices, carrying a vertex along a tree path, hanging a copy of a bag
-or an empty bag as a leaf, and re-rooting.  Whatever the shape, the oracle and both DPs must agree
-on the chromatic value, and every witness must be valid.
+Both solvers subclass `TreeDP`: `solve()` is the least k that `decide(k)`
+accepts, and `witness()` reads the coloring of the last accepted
+`decide(k)`.  A decomposition is built, then reshaped by moves that keep
+it valid: subdividing a tree edge with a bag that holds both ends'
+shared vertices, carrying a vertex along a tree path, hanging a copy of
+a bag or an empty bag as a leaf, and re-rooting.  Whatever the shape,
+the oracle and both DPs must agree on the chromatic value, in the
+library and through `wicolor solve --decomposition`, and every witness
+must be valid.
 """
 
 from __future__ import annotations
 
+import io
+import tempfile
 from collections import deque
+from contextlib import redirect_stdout
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wicolor import (
+    BudgetSolver,
+    IndegreeSolver,
+    PreconditionError,
     TreeDecomposition,
     build_decomposition,
     exact_chi_w,
     is_valid_coloring,
     random_instance,
+    serialize_decomposition,
+    serialize_digraph,
     solve_fpt_budget,
     solve_fpt_indegree,
     validate_decomposition,
 )
+from wicolor import cli, fpt_budget, fpt_indegree
 
 MOVES = ("subdivide", "carry", "hang-copy", "hang-empty", "reroot")
 
@@ -92,3 +107,82 @@ def test_dps_agree_with_the_oracle_on_any_valid_decomposition(case):
         assert result.chromatic == expected
         assert is_valid_coloring(G, result.witness)
         assert max(result.witness.values(), default=1) <= expected
+
+
+@given(reshaped_decompositions(), st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_cli_agrees_with_the_oracle_on_any_serialized_decomposition(case, data):
+    G, D = case
+    # the file lists the decomposition's root as bag 1; --root picks another
+    root = data.draw(st.integers(1, len(D.bags)))
+    expected = exact_chi_w(G).chromatic
+    with tempfile.TemporaryDirectory() as tmp:
+        g, td, w = (str(Path(tmp) / name) for name in ("g.wig", "g.td", "w"))
+        Path(g).write_text(serialize_digraph(G), encoding="utf-8")
+        Path(td).write_text(serialize_decomposition(D, n=G.n), encoding="utf-8")
+        argv = ["solve", g, "--decomposition", td, "--all-methods", "--out", w]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(argv + ["--root", str(root)] if root > 1 else argv) == 0
+            reports = [
+                dict(token.split("=", 1) for token in line.split())
+                for line in out.getvalue().splitlines()
+                if line.startswith("solver=")
+            ]
+            assert [r["solver"] for r in reports] == ["exact", "fpt-budget", "fpt-indegree"]
+            for report in reports:
+                assert int(report["chromatic"]) == expected, report
+                assert cli.main(["validate", g, report["witness"]]) == 0
+
+
+def protocol_case(seed: int, strategy: str):
+    G = random_instance(4 + seed % 5, (0.3, 0.5)[seed % 2], seed=seed, bits=1 + seed % 2)
+    return G, build_decomposition(G, strategy)
+
+
+@pytest.mark.parametrize("strategy", ("exact-small", "min-fill"))
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)
+def test_one_decision_protocol(solver_class, seed, strategy):
+    G, D = protocol_case(seed, strategy)
+    solver = solver_class(G, D)
+    chi = solver.solve().chromatic
+    assert chi == exact_chi_w(G).chromatic
+    assert not any(solver.decide(k) for k in range(1, chi))
+    # every accepted decide(k) leaves a valid k-coloring behind
+    for k in range(chi, solver.palette + 1):
+        assert solver.decide(k)
+        witness = solver.witness()
+        assert is_valid_coloring(G, witness)
+        assert set(witness.values()) <= set(range(1, k + 1))
+    for bag, shared in enumerate(solver.shared_set):
+        colors = {v: c for c, v in enumerate(sorted(shared), start=1)}
+        assert solver.shared_key(bag, colors) == tuple(range(1, len(shared) + 1))
+        with pytest.raises(PreconditionError, match="shared set"):
+            solver.shared_key(bag, {**colors, G.n + 1: 1})
+        if shared:
+            with pytest.raises(PreconditionError, match="shared set"):
+                solver.shared_key(bag, dict(list(colors.items())[1:]))
+    with pytest.raises(PreconditionError, match=">= 1"):
+        solver.decide(0)
+
+
+@pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)
+def test_each_solver_checks_through_its_own_module(monkeypatch, solver_class):
+    """The benchmark's tracer (perfbench/tracer.py) times decomposition
+    and witness checks by wrapping these names in each solver's module,
+    so each solver must look them up there, once per solve."""
+    calls = {}
+    for owner in (fpt_indegree, fpt_budget):
+        for name in ("validate_decomposition", "is_valid_coloring"):
+            key = f"{owner.__name__}.{name}"
+            calls[key] = 0
+
+            def counted(*args, _key=key, _fn=getattr(owner, name)):
+                calls[_key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+    solver_class(*protocol_case(3, "min-fill")).solve()
+    own = solver_class.__module__ + "."
+    assert calls == {key: int(key.startswith(own)) for key in calls}

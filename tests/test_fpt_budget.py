@@ -618,7 +618,7 @@ class TestColorSymmetry:
         assert solver.decide(k)
         filled = list(calls)
         calls.clear()
-        assert is_valid_coloring(G, solver._replay(k))
+        assert is_valid_coloring(G, solver.witness())
         assert set(calls) <= set(filled)
         assert len(calls) < len(filled)
 

@@ -117,7 +117,7 @@ class TestPreconditions:
         D = TreeDecomposition([{1, 2, 3}, {3}], [(0, 1)])
         solver = IndegreeSolver(G, D)
         # V_child = {3} plus in-neighbors {1, 2}; child inherits all three
-        assert solver.inherited_set[1] == frozenset({1, 2, 3})
+        assert solver.shared_set[1] == frozenset({1, 2, 3})
         solver.decide(2)
         assert solver.bag_coloring(1, {1: 1, 2: 1, 3: 1}) is None
         # feasible, and the inherited color 2 needs at least two colors
@@ -200,9 +200,9 @@ class TestMemoization:
             stats = solver.memo_stats()
             palette = D.width + 1
             analytic = sum(
-                palette ** len(shared) for shared in solver.inherited_set
+                palette ** len(shared) for shared in solver.shared_set
             )
             assert stats.entries <= analytic
             assert stats.max_key_width <= max(
-                len(shared) for shared in solver.inherited_set
+                len(shared) for shared in solver.shared_set
             )
