@@ -541,8 +541,9 @@ class TreeDP:
     coloring's prefix is its key; position[i] maps each vertex to its
     index in order[i]; kids[i] pairs each child with the positions in
     order[i] of that child's shared vertices, in the child's order.
-    A subclass provides decide(k) and witness(), the coloring found by
-    the last decide(k) that returned True.
+    A subclass provides _decide(k), which fills its tables for k colors
+    and says whether the graph is k-colorable, and _witness(), the
+    coloring those tables hold when it is.
     """
 
     def __init__(
@@ -552,6 +553,7 @@ class TreeDP:
         self.decomposition = D
         self.palette = max(1, D.width + 1)  # an empty bag has width -1
         self.k = 0  # k of the last decide(k)
+        self.accepted = False  # whether the last decide(k) returned True
         shared = [
             frozenset() if p is None else tracked[i] & tracked[p] for i, p in enumerate(D.parent)
         ]
@@ -565,13 +567,32 @@ class TreeDP:
 
     def shared_key(self, bag: int, colors: Coloring) -> tuple[int, ...]:
         """The colors of bag's shared vertices in order[bag], the prefix a
-        table key starts with; `colors` must cover exactly the shared set."""
+        table key starts with; `colors` must cover exactly the shared set,
+        with colors in 1..k for the k of the last decide(k)."""
         shared = self.shared_set[bag]
         if set(colors) != shared:
             raise PreconditionError(
                 f"colors must cover exactly the shared set of bag {bag}", witness=bag
             )
-        return tuple(colors[v] for v in self.order[bag][: len(shared)])
+        key = tuple(colors[v] for v in self.order[bag][: len(shared)])
+        if not all(1 <= c <= self.k for c in key):
+            raise PreconditionError(f"coloring uses a color outside 1..{self.k}", witness=bag)
+        return key
+
+    def decide(self, k: int) -> bool:
+        """Whether the graph is k-colorable; fills fresh tables for k."""
+        if k < 1:
+            raise PreconditionError(f"color count must be >= 1, got {k}")
+        self.k, self.accepted = k, False
+        self.accepted = self._decide(k)
+        return self.accepted
+
+    def witness(self) -> Coloring:
+        """A k-coloring read from the tables of the last decide(k), which
+        must have returned True."""
+        if not self.accepted:
+            raise PreconditionError("witness() needs a decide(k) that returned True")
+        return self._witness()
 
     def solve(self) -> SolveResult:
         k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)

@@ -16,7 +16,9 @@ A parent combines one coloring of its own bag, its own charges and one
 stored vector per child, keeping a sum only while no vertex goes over
 2^b - 1.  Storing only the minimal vectors suffices because a parent
 can use any demand that a smaller one would also fit (Cygan et al.,
-Parameterized Algorithms, 2015, ch. 7).
+Parameterized Algorithms, 2015, ch. 7).  Each stored vector keeps the
+bag coloring and child vectors that first gave it, so the witness is
+read from the tables root first, without a second search.
 
 Colors are interchangeable: renaming them maps the valid colorings of
 a subtree onto each other and leaves every demand unchanged.  So a
@@ -36,12 +38,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Collection, TypeVar
 
 from .decomposition import TreeDecomposition, TreeDP, require_valid, validate_decomposition
 from .errors import PreconditionError
 from .graph import Coloring, SolveResult, WeightedDigraph, is_valid_coloring
 
 Vector = tuple[int, ...]
+Origin = TypeVar("Origin")
+# where a stored demand came from: the bag's canonical coloring and the
+# vector it read from each child
+Entry = tuple[tuple[int, ...], tuple[Vector, ...]]
 
 
 @dataclass(frozen=True)
@@ -85,21 +92,23 @@ def min_precision_bits(G: WeightedDigraph) -> int | None:
     return max(1, scale.bit_length() - 1)
 
 
-def _minimal(vectors) -> list[Vector]:
-    """The antichain of componentwise-minimal vectors among `vectors`."""
-    kept: list[Vector] = []
-    for vec in sorted(set(vectors), key=sum):  # a dominating vector sorts first
+def _minimal(pairs: list[tuple[Vector, Origin]]) -> dict[Vector, Origin]:
+    """The antichain of componentwise-minimal vectors among the
+    (vector, origin) pairs, each mapped to the first origin it came
+    with; ordered by sum, a dominating vector first."""
+    origin = dict(reversed(pairs))  # the first origin of a vector wins
+    kept: dict[Vector, Origin] = {}
+    for vec in sorted({vec for vec, _ in pairs}, key=sum):
         if not any(all(a <= b for a, b in zip(low, vec)) for low in kept):
-            kept.append(vec)
+            kept[vec] = origin[vec]
     return kept
 
 
 @lru_cache(maxsize=None)
-def _first_use_extensions(length: int, k: int, top: int) -> tuple[tuple[int, ...], ...]:
+def _first_use_extensions(length: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Every tuple of `length` colors in 1..k in which each color is at
-    most 1 + the largest color before it, counting `top` as the largest
-    color of an earlier prefix; in lexicographic order."""
-    partial: list[tuple[tuple[int, ...], int]] = [((), top)]
+    most 1 + the largest color before it; in lexicographic order."""
+    partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
     for _ in range(length):
         partial = [
             (colors + (c,), max(high, c))
@@ -162,20 +171,24 @@ class BudgetSolver(TreeDP):
         if charged != sorted((t, h) for t, h, _ in G.arcs):
             raise AssertionError("every arc must be charged at exactly one bag")
 
-        self.tables: list[dict[tuple[int, ...], list[Vector]]] = [{} for _ in D.bags]
+        self.tables: list[dict[tuple[int, ...], dict[Vector, Entry]]] = [{} for _ in D.bags]
         self._canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.considered_counts: dict[tuple[int, int], int] = {}
         self._stats = BudgetMemoStats(0, 0, 0, 0, 0)
 
     # -- decision DP ---------------------------------------------------
 
-    def _layers(self, bag: int, colors: tuple[int, ...]) -> list[list[Vector]] | None:
+    def _layers(
+        self, bag: int, colors: tuple[int, ...]
+    ) -> tuple[Collection[tuple[Vector, tuple[Vector, ...]]], int] | None:
         """Demand vectors over the bag's vertices (in self.order[bag])
-        under `colors`: layer 0 holds the bag's own charges, layer j adds
-        one stored vector of child j to each sum of layer j-1, keeping
-        the minimal sums with no vertex over budget.  Each child is read
-        under its shared colors renamed in order of first use.  None when
-        a child has no entry for these colors or some layer is empty."""
+        under `colors`, each with the stored vector it read from each
+        child, and the number of partial sums kept.  Layer 0 holds the
+        bag's own charges; layer j adds one stored vector of child j to
+        each sum of layer j-1, keeping the minimal sums with no vertex
+        over budget.  Each child is read under its shared colors renamed
+        in order of first use.  None when a child has no entry for these
+        colors or some layer is empty."""
         full = self.full
         canonical = self._canonical
         own = [0] * len(colors)
@@ -184,8 +197,9 @@ class BudgetSolver(TreeDP):
                 own[h] += units
         if max(own, default=0) > full:
             return None
-        layers = [[tuple(own)]]
-        for child, pos in self.kids[bag]:
+        layer: Collection[tuple[Vector, tuple[Vector, ...]]] = [(tuple(own), ())]
+        kept = 0
+        for j, (child, pos) in enumerate(self.kids[bag]):
             key = tuple([colors[p] for p in pos])
             canon = canonical.get(key)
             if canon is None:
@@ -194,42 +208,46 @@ class BudgetSolver(TreeDP):
             if front is None:
                 return None
             sums = []
-            for base in layers[-1]:
+            for base, picks in layer:
                 for demand in front:
                     total = list(base)
                     for p, units in zip(pos, demand):
-                        total[p] += units
-                    if all(total[p] <= full for p in pos):
-                        sums.append(tuple(total))
+                        units += total[p]
+                        if units > full:
+                            break
+                        total[p] = units
+                    else:
+                        sums.append((tuple(total), picks + (demand,)))
             if not sums:
                 return None
             # one base plus an antichain is an antichain already
-            layers.append(sums if len(layers) == 1 else _minimal(sums))
-        return layers
+            layer = sums if j == 0 else _minimal(sums).items()
+            kept += len(layer)
+        return layer, kept
 
-    def decide(self, k: int) -> bool:
+    def _decide(self, k: int) -> bool:
         """Fill the demand tables for k colors, leaves first; True when
         the whole graph is k-colorable.  Each bag tries its first-use
-        canonical colorings only.  Stops at the first bag whose table is
-        empty."""
-        if k < 1:
-            raise PreconditionError(f"color count must be >= 1, got {k}")
+        canonical colorings only, and stores with each minimal demand
+        the coloring and child vectors that first gave it.  Stops at the
+        first bag whose table is empty."""
         D = self.decomposition
         self.tables = [{} for _ in D.bags]
-        self.k = k
         color_entries = distribute_entries = hits = width = 0
         feasible = True
         for bag in reversed(D.preorder):
             ns = len(self.shared_set[bag])
             width = max(width, len(self.order[bag]))
-            found: dict[tuple[int, ...], list[Vector]] = {}
-            for colors in _first_use_extensions(len(self.order[bag]), k, 0):
-                layers = self._layers(bag, colors)
-                if layers is not None:
+            found: dict[tuple[int, ...], list[tuple[Vector, Entry]]] = {}
+            for colors in _first_use_extensions(len(self.order[bag]), k):
+                filled = self._layers(bag, colors)
+                if filled is not None:
                     hits += len(self.kids[bag])
-                    distribute_entries += sum(len(layer) for layer in layers[1:])
-                    found.setdefault(colors[:ns], []).extend(vec[:ns] for vec in layers[-1])
-            table = self.tables[bag] = {key: _minimal(vecs) for key, vecs in found.items()}
+                    distribute_entries += filled[1]
+                    pairs = found.setdefault(colors[:ns], [])
+                    for vec, picks in filled[0]:
+                        pairs.append((vec[:ns], (colors, picks)))
+            table = self.tables[bag] = {key: _minimal(pairs) for key, pairs in found.items()}
             color_entries += sum(len(front) for front in table.values())
             if not table:
                 feasible = False
@@ -244,47 +262,37 @@ class BudgetSolver(TreeDP):
         given the colors of its shared vertices; empty when no coloring
         of the subtree extends them.  Renaming the colors changes
         nothing."""
-        key = self.shared_key(bag, colors)
-        if not all(1 <= c <= self.k for c in key):
-            return []
-        front = self.tables[bag].get(_first_use(key), [])
+        front = self.tables[bag].get(_first_use(self.shared_key(bag, colors)), {})
         return [dict(zip(self.order[bag], demand)) for demand in front]
 
     # -- public API --------------------------------------------------
 
-    def witness(self) -> Coloring:
-        """Rebuild one k-coloring from the tables of the last decide(k),
+    def _witness(self) -> Coloring:
+        """Read one k-coloring from the tables of the last decide(k),
         root first.
 
-        Each child gets the stored demand vector it was summed with as
-        its budget; every bag is visited once, so the per-arc
-        considered_counts end up exactly 1.  A bag renames its inherited
-        colors in order of first use, tries the canonical extensions that
-        decide(k) filled, and maps the one it keeps back, giving each new
-        color the smallest real color not yet inherited.
+        A bag renames its inherited colors in order of first use and
+        reads the entry stored for them and its demand: the canonical
+        coloring and child vectors that gave that demand.  It maps the
+        coloring back, giving each new color the smallest real color not
+        yet inherited, and hands each child the vector it was summed
+        with.  Every bag is visited once, so the per-arc
+        considered_counts end up exactly 1.
         """
         k = self.k
         witness: Coloring = {}
         stack: list[tuple[int, tuple[int, ...], Vector]] = [(self.decomposition.root, (), ())]
         while stack:
-            bag, inherited, budget = stack.pop()
+            bag, inherited, demand = stack.pop()
             ns = len(inherited)
             canon = _first_use(inherited)
-            top = max(canon, default=0)
-            for free in _first_use_extensions(len(self.order[bag]) - ns, k, top):
-                colors = canon + free
-                layers = self._layers(bag, colors)
-                if layers is None:
-                    continue
-                total = next(
-                    (vec for vec in layers[-1] if all(a <= b for a, b in zip(vec, budget))), None
-                )
-                if total is not None:
-                    break
-            else:
-                raise AssertionError(f"replay failed to rediscover a stored demand at bag {bag}")
+            entry = self.tables[bag].get(canon, {}).get(demand)
+            if entry is None:
+                raise AssertionError(f"no stored entry for an accepted state of bag {bag}")
+            colors, picks = entry
             # canonical colors above `top` are new: they take the real
             # colors not inherited, both in ascending order
+            top = max(canon, default=0)
             real = dict(zip(canon, inherited))
             real.update(zip(range(top + 1, k + 1), sorted(set(range(1, k + 1)) - set(inherited))))
             real_colors = [real[c] for c in colors]
@@ -294,21 +302,8 @@ class BudgetSolver(TreeDP):
                 witness[v] = c
             for t, h, _ in self.charge_list[bag]:
                 self.considered_counts[(t, h)] = self.considered_counts.get((t, h), 0) + 1
-            # walk the layers back: some stored vector of each child
-            # leads from a sum of the previous layer to the current one
-            for j in range(len(self.kids[bag]) - 1, -1, -1):
-                child, pos = self.kids[bag][j]
-                previous = set(layers[j])
-                for demand in self.tables[child][_first_use(tuple(colors[p] for p in pos))]:
-                    rest = list(total)
-                    for p, units in zip(pos, demand):
-                        rest[p] -= units
-                    if tuple(rest) in previous:
-                        break
-                else:
-                    raise AssertionError(f"replay lost the demand of child bag {child}")
-                total = tuple(rest)
-                stack.append((child, tuple(real_colors[p] for p in pos), demand))
+            for (child, pos), pick in zip(self.kids[bag], picks):
+                stack.append((child, tuple([real_colors[p] for p in pos]), pick))
         if set(witness) != set(self.graph.vertices):
             raise AssertionError("witness not total")
         if not is_valid_coloring(self.graph, witness):

@@ -34,7 +34,6 @@ from .decomposition import (
     require_valid,
     validate_decomposition,
 )
-from .errors import PreconditionError
 from .graph import Coloring, SolveResult, WeightedDigraph, is_valid_coloring
 
 Colors = tuple[int, ...]
@@ -136,8 +135,6 @@ class IndegreeSolver(TreeDP):
         None when no coloring of the subtree extends `partial`.  Read
         from the memo, or searched and stored there."""
         key = self.shared_key(bag, partial)
-        if not all(1 <= c <= self.k for c in key):
-            raise PreconditionError(f"partial coloring uses a color outside 1..{self.k}")
         stack = []
         if (bag, key) in self.memo:
             self.hits += 1
@@ -162,16 +159,14 @@ class IndegreeSolver(TreeDP):
         colors = self.memo[bag, key]
         return None if colors is None else dict(zip(self.order[bag], colors))
 
-    def decide(self, k: int) -> bool:
+    def _decide(self, k: int) -> bool:
         """Whether the graph is k-colorable; starts a fresh memo for k."""
-        if k < 1:
-            raise PreconditionError(f"color count must be >= 1, got {k}")
-        self.k, self.memo, self.hits = k, {}, 0
+        self.memo, self.hits = {}, 0
         return self.bag_coloring(self.decomposition.root, {}) is not None
 
     # -- public API --------------------------------------------------
 
-    def witness(self) -> Coloring:
+    def _witness(self) -> Coloring:
         """Join the stored bag colorings of the last decide(k), root first.
 
         Each vertex is colored at the rootmost bag whose V_i holds it and

@@ -155,14 +155,18 @@ def test_one_decision_protocol(solver_class, seed, strategy):
         witness = solver.witness()
         assert is_valid_coloring(G, witness)
         assert set(witness.values()) <= set(range(1, k + 1))
+    k = solver.palette
     for bag, shared in enumerate(solver.shared_set):
-        colors = {v: c for c, v in enumerate(sorted(shared), start=1)}
-        assert solver.shared_key(bag, colors) == tuple(range(1, len(shared) + 1))
+        colors = {v: 1 + i % k for i, v in enumerate(sorted(shared))}
+        assert solver.shared_key(bag, colors) == tuple(1 + i % k for i in range(len(shared)))
         with pytest.raises(PreconditionError, match="shared set"):
             solver.shared_key(bag, {**colors, G.n + 1: 1})
         if shared:
             with pytest.raises(PreconditionError, match="shared set"):
                 solver.shared_key(bag, dict(list(colors.items())[1:]))
+            for color in (0, k + 1):
+                with pytest.raises(PreconditionError, match=f"outside 1..{k}"):
+                    solver.shared_key(bag, {**colors, min(shared): color})
     with pytest.raises(PreconditionError, match=">= 1"):
         solver.decide(0)
 
@@ -186,3 +190,18 @@ def test_each_solver_checks_through_its_own_module(monkeypatch, solver_class):
     solver_class(*protocol_case(3, "min-fill")).solve()
     own = solver_class.__module__ + "."
     assert calls == {key: int(key.startswith(own)) for key in calls}
+
+
+@pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)
+def test_witness_needs_an_accepted_decision(solver_class):
+    G = random_instance(8, 0.5, seed=3, bits=2)
+    solver = solver_class(G, build_decomposition(G, "min-fill"))
+    with pytest.raises(PreconditionError, match="returned True"):
+        solver.witness()
+    chi = solver.solve().chromatic
+    assert chi > 1
+    assert not solver.decide(chi - 1)
+    with pytest.raises(PreconditionError, match="returned True"):
+        solver.witness()
+    assert solver.decide(chi)
+    assert is_valid_coloring(G, solver.witness())

@@ -29,6 +29,7 @@ from wicolor import (
 )
 from wicolor import cli
 from wicolor.cli import main
+from wicolor.fpt_budget import _first_use
 
 F = Fraction
 
@@ -418,6 +419,50 @@ class TestPreconditions:
             solver.demands(1, {1: 1, 2: 1})
 
 
+class TestWitnessFromTheTables:
+    def test_each_entry_records_a_coloring_and_child_vectors(self):
+        G = random_instance(10, 0.5, seed=5, bits=1)
+        solver = BudgetSolver(G, build_decomposition(G, "exact-small"), 1)
+        solver.solve()
+        for bag, table in enumerate(solver.tables):
+            ns = len(solver.shared_set[bag])
+            for key, front in table.items():
+                for demand, (colors, picks) in front.items():
+                    assert colors[:ns] == key and len(demand) == ns
+                    assert len(picks) == len(solver.kids[bag])
+                    for (child, pos), pick in zip(solver.kids[bag], picks):
+                        child_key = tuple(colors[p] for p in pos)
+                        assert pick in solver.tables[child][_first_use(child_key)]
+
+    def test_a_missing_entry_names_its_bag(self):
+        G = random_instance(10, 0.5, seed=5, bits=1)
+        solver = BudgetSolver(G, build_decomposition(G, "exact-small"), 1)
+        witness = solver.solve().witness
+        root = solver.decomposition.root
+        _, picks = solver.tables[root][()][()]
+        (child, _), demand = solver.kids[root][0], picks[0]
+        shared = solver.order[child][: len(solver.shared_set[child])]
+        key = _first_use(tuple(witness[v] for v in shared))
+        del solver.tables[child][key][demand]
+        with pytest.raises(AssertionError, match=rf"bag {child}$"):
+            solver.witness()
+
+
+class TestBenchLadders:
+    """The benchmark's 2 x k ladders: min-fill chains of depth 2k-1."""
+
+    @pytest.mark.parametrize("bits", (1, 2, 3))
+    @pytest.mark.parametrize("k", (8, 16, 32, 64, 128))
+    def test_budget_agrees_with_indegree(self, k, bits):
+        G = ladder(k, 1 << bits, seed=10 * k + bits)
+        D = build_decomposition(G, "min-fill")
+        solver = BudgetSolver(G, D, bits)
+        result = solver.solve()
+        assert result.chromatic == solve_fpt_indegree(G, D).chromatic
+        assert is_valid_coloring(G, result.witness)
+        assert solver.considered_counts == {(t, h): 1 for t, h, _ in G.arcs}
+
+
 class TestChargingDiscipline:
     def test_every_arc_charged_once_during_replay(self, prism_digraph):
         D = build_decomposition(prism_digraph, "exact-small")
@@ -588,12 +633,14 @@ class TestColorSymmetry:
                     renamed = {v: perm[c - 1] for v, c in coloring.items()}
                     assert solver.demands(bag, renamed) == expected, (bag, coloring, perm)
 
-    def test_colors_outside_the_palette_have_no_entry(self):
+    def test_colors_outside_the_palette_are_refused(self):
         G, D = fan_instance()
         solver = BudgetSolver(G, D, 2)
         solver.decide(2)
         assert solver.demands(1, {1: 1}) == [{1: 0}]
-        assert solver.demands(1, {1: 3}) == []
+        for color in (0, 3):
+            with pytest.raises(PreconditionError, match="outside 1..2"):
+                solver.demands(1, {1: color})
 
     @pytest.mark.parametrize("name", SYMMETRIC_CASES)
     def test_keys_are_first_use_canonical(self, name, request):
@@ -608,7 +655,7 @@ class TestColorSymmetry:
         assert _bell_partitions(4, 2) == 1 + 7
         assert _bell_partitions(3, 1) == 1
 
-    def test_replay_tries_only_filled_colorings(self):
+    def test_witness_reads_the_tables_without_summing(self):
         G = random_instance(10, 0.5, seed=5, bits=1)
         solver = BudgetSolver(G, build_decomposition(G, "exact-small"), 1)
         k = solver.solve().chromatic
@@ -616,11 +663,10 @@ class TestColorSymmetry:
         layers = solver._layers
         solver._layers = lambda bag, colors: calls.append((bag, colors)) or layers(bag, colors)
         assert solver.decide(k)
-        filled = list(calls)
+        assert calls
         calls.clear()
         assert is_valid_coloring(G, solver.witness())
-        assert set(calls) <= set(filled)
-        assert len(calls) < len(filled)
+        assert calls == []
 
     # the three dense cli-auto graphs and a width-7 graph, with the
     # color_entries of the decisive run when every k-coloring of every
