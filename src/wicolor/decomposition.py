@@ -595,7 +595,14 @@ class TreeDP:
         return self._witness()
 
     def solve(self) -> SolveResult:
-        k = next((k for k in range(1, self.palette + 1) if self.decide(k)), None)
+        """The least k that decide(k) accepts, with its witness.  k = 1 is
+        skipped when some vertex's whole indegree reaches 1, since the
+        one 1-coloring then fails there."""
+        scale = self.graph.weight_scale
+        first = 1 + any(
+            sum([units for _, units in pairs]) >= scale for pairs in self.graph.in_units.values()
+        )
+        k = next((k for k in range(first, self.palette + 1) if self.decide(k)), None)
         if k is None:
             raise AssertionError("width+1 colors always suffice")
         return SolveResult(k, self.witness())

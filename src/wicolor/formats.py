@@ -12,10 +12,15 @@ Tree decomposition:  header `s td <bags> <max-bag-size> <n>`, bag lines
 
 Weights may be written as a fraction `7/10`, an integer, or a decimal
 `0.7`; they are parsed exactly and serialized in lowest terms.  Each
-distinct weight spelling is parsed once per file and reused for its
-later lines.  Parse failures raise FormatError carrying the 1-based
-line number; for a duplicate arc, edge or bag-tree edge, that of the line
-repeating it.
+graph line is split once and each arc checked once: endpoints are read
+by `int`, a plain ASCII `p/q` weight as `Fraction(int(p), int(q))` and
+any other spelling by `Fraction(token)`, so values and errors are
+theirs.  Each distinct weight spelling is parsed once per file and
+reused for its later lines.  Two limits guard the parse: a graph header
+may declare at most MAX_VERTICES (100 000) vertices, and a weight's
+decimal exponent may be at most MAX_EXPONENT (4300) in magnitude.
+Parse failures raise FormatError carrying the 1-based line number; for
+a duplicate arc, edge or bag-tree edge, that of the line repeating it.
 """
 
 from __future__ import annotations
@@ -27,14 +32,25 @@ from .errors import DuplicateEdgeError, FormatError
 from .graph import Coloring, UndirectedWeightedGraph, WeightedDigraph
 
 
+# The largest vertex count a graph header may declare.  `wicolor solve`
+# spends about 2.5 KB and 50 us per vertex on an arc-free graph (2-core
+# x86 host), so at this cap it peaks near 250 MB and answers in about
+# 5 s; at ten times it the decomposition build runs out of a 1 GB
+# address space.
+MAX_VERTICES = 100_000
+
+# The largest decimal exponent, in magnitude, a weight spelling may
+# carry: Fraction builds 10**exponent, so `1e-10000000` would take
+# seconds.  It is the digit limit `int` already applies to every
+# integer token.
+MAX_EXPONENT = 4300
+
+
 def _content_lines(text: str, extra_comment: str = "") -> list[tuple[int, list[str]]]:
     out = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if extra_comment and tokens[0] == extra_comment:
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#" or tokens[0] == extra_comment:
             continue
         out.append((line_no, tokens))
     return out
@@ -50,12 +66,36 @@ def _parse_int(token: str, line_no: int, what: str, minimum: int = 0) -> int:
     return value
 
 
+def _rational(token: str) -> Fraction:
+    """`Fraction(token)`, with a plain ASCII `p/q` read from its two
+    integers, and OverflowError for a decimal exponent above
+    MAX_EXPONENT in magnitude instead of building 10**exponent."""
+    num, slash, den = token.partition("/")
+    if slash:
+        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+        return Fraction(token)
+    at = next((i for i, ch in enumerate(token) if ch in "eE"), None)
+    if at is not None:
+        digits = token[at + 1 :]
+        # zeroing each exponent digit keeps the spelling valid exactly when it was
+        Fraction(token[:at] + "e" + "".join("0" if ch.isdecimal() else ch for ch in digits))
+        if abs(int(digits)) > MAX_EXPONENT:
+            raise OverflowError
+    return Fraction(token)
+
+
 def _parse_weight(token: str, line_no: int) -> Fraction:
     try:
-        w = Fraction(token)
+        w = _rational(token)
+    except OverflowError:
+        raise FormatError(
+            f"weight {token!r} has an exponent above {MAX_EXPONENT} in magnitude", line_no
+        ) from None
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"weight {token!r} is not a rational", line_no) from None
-    if not 0 <= w <= 1:
+    # denominators are positive, so this is 0 <= w <= 1 on integers
+    if not 0 <= w.numerator <= w.denominator:
         raise FormatError(f"weight {token} outside [0, 1]", line_no)
     return w
 
@@ -71,6 +111,8 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
         raise FormatError(f"expected graph kind {header_kind!r}, got {head[1]!r}", head_no)
     n = _parse_int(head[2], head_no, "vertex count")
     m = _parse_int(head[3], head_no, "edge count")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} above the limit {MAX_VERTICES}", head_no)
     triples: list[tuple[int, int, Fraction]] = []
     # each distinct spelling is parsed and range-checked once per file; a
     # bad token raises before it is stored, so it raises at its first line
@@ -84,15 +126,20 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
             raise FormatError("edge line needs exactly 'e <a> <b> <weight>'", line_no)
         if len(triples) == m:
             raise FormatError(f"more than the declared {m} edge lines", line_no)
-        a = _parse_int(tokens[1], line_no, "endpoint", minimum=1)
-        b = _parse_int(tokens[2], line_no, "endpoint", minimum=1)
-        if a > n or b > n:
+        _, ta, tb, tw = tokens
+        try:
+            a, b = int(ta), int(tb)
+        except ValueError:
+            a = b = 0  # _parse_int below raises the message
+        if not (0 < a <= n and 0 < b <= n):
+            _parse_int(ta, line_no, "endpoint", minimum=1)
+            _parse_int(tb, line_no, "endpoint", minimum=1)
             raise FormatError(f"endpoint outside 1..{n}", line_no)
         if a == b:
             raise FormatError(f"self-loop at vertex {a}", line_no)
-        w = weights.get(tokens[3])
+        w = weights.get(tw)
         if w is None:
-            w = weights[tokens[3]] = _parse_weight(tokens[3], line_no)
+            w = weights[tw] = _parse_weight(tw, line_no)
         triples.append((a, b, w))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")

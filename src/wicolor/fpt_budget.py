@@ -277,10 +277,11 @@ class BudgetSolver(TreeDP):
         coloring back, giving each new color the smallest real color not
         yet inherited, and hands each child the vector it was summed
         with.  Every bag is visited once, so the per-arc
-        considered_counts end up exactly 1.
+        considered_counts, reset here, end up exactly 1.
         """
         k = self.k
         witness: Coloring = {}
+        counts = self.considered_counts = {}
         stack: list[tuple[int, tuple[int, ...], Vector]] = [(self.decomposition.root, (), ())]
         while stack:
             bag, inherited, demand = stack.pop()
@@ -301,7 +302,7 @@ class BudgetSolver(TreeDP):
                     raise AssertionError(f"vertex {v} colored twice")
                 witness[v] = c
             for t, h, _ in self.charge_list[bag]:
-                self.considered_counts[(t, h)] = self.considered_counts.get((t, h), 0) + 1
+                counts[(t, h)] = counts.get((t, h), 0) + 1
             for (child, pos), pick in zip(self.kids[bag], picks):
                 stack.append((child, tuple([real_colors[p] for p in pos]), pick))
         if set(witness) != set(self.graph.vertices):

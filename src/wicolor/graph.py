@@ -76,6 +76,14 @@ def _check_vertex(n: int, v: object, role: str) -> int:
     return v
 
 
+def _store_arcs(G: "WeightedDigraph", n: int, arcs: list[tuple[int, int, Fraction]]) -> None:
+    """Give G the vertex count n and the arcs, sorted; the arcs are
+    already checked."""
+    arcs.sort()
+    object.__setattr__(G, "n", n)
+    object.__setattr__(G, "arcs", tuple(arcs))
+
+
 @dataclass(frozen=True, init=False)
 class WeightedDigraph:
     """Immutable weighted digraph on vertices 1..n.
@@ -95,17 +103,18 @@ class WeightedDigraph:
         canon: list[tuple[int, int, Fraction]] = []
         seen: set[tuple[int, int]] = set()
         for tail, head, weight in arcs:
-            _check_vertex(n, tail, "arc tail")
-            _check_vertex(n, head, "arc head")
+            if not (type(tail) is int and type(head) is int and 0 < tail <= n and 0 < head <= n):
+                _check_vertex(n, tail, "arc tail")
+                _check_vertex(n, head, "arc head")
             if tail == head:
                 raise ValueError(f"self-loop at vertex {tail}")
             if (tail, head) in seen:
                 raise DuplicateEdgeError(f"duplicate arc ({tail}, {head})", len(canon))
             seen.add((tail, head))
-            canon.append((tail, head, as_weight(weight)))
-        canon.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", tuple(canon))
+            if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
+                weight = as_weight(weight)
+            canon.append((tail, head, weight))
+        _store_arcs(self, n, canon)
 
     @property
     def vertices(self) -> range:
@@ -157,15 +166,18 @@ class UndirectedWeightedGraph:
         canon: list[tuple[int, int, Fraction]] = []
         seen: set[tuple[int, int]] = set()
         for a, b, weight in edges:
-            _check_vertex(n, a, "edge endpoint")
-            _check_vertex(n, b, "edge endpoint")
+            if not (type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n):
+                _check_vertex(n, a, "edge endpoint")
+                _check_vertex(n, b, "edge endpoint")
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             u, v = (a, b) if a < b else (b, a)
             if (u, v) in seen:
                 raise DuplicateEdgeError(f"duplicate edge {{{u}, {v}}}", len(canon))
             seen.add((u, v))
-            canon.append((u, v, as_weight(weight)))
+            if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
+                weight = as_weight(weight)
+            canon.append((u, v, weight))
         canon.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
@@ -290,4 +302,7 @@ def embed_undirected(H: UndirectedWeightedGraph) -> WeightedDigraph:
     for u, v, w in H.edges:
         arcs.append((u, v, w))
         arcs.append((v, u, w))
-    return WeightedDigraph(H.n, arcs)
+    # H's edges were checked when H was built, so the arcs are valid
+    G = object.__new__(WeightedDigraph)
+    _store_arcs(G, H.n, arcs)
+    return G

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from wicolor import (
+    DuplicateEdgeError,
     FormatError,
     InstanceTooLargeError,
     PreconditionError,
@@ -58,16 +59,20 @@ def reference_as_weight(value):
 
 
 def reference_parse_graph(text: str):
-    """`formats.parse_graph_auto` as it was before weight tokens were
-    parsed once per file: `Fraction(token)` and a Fraction range check on
-    every edge line.  The one difference kept on purpose: a duplicate arc
-    (an unordered pair for `wug`) names the line that repeats it, found
-    here while reading the lines."""
-    lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((line_no, stripped.split()))
+    """`formats.parse_graph_auto` as it was before each arc was checked
+    once: every line stripped, then split; each endpoint through
+    `parse_int`; each distinct weight spelling through `Fraction(token)`
+    and one Fraction range check, once per file; then one graph
+    constructor call."""
+
+    def content_lines(text):
+        out = []
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            out.append((line_no, stripped.split()))
+        return out
 
     def parse_int(token, line_no, what, minimum=0):
         try:
@@ -78,20 +83,29 @@ def reference_parse_graph(text: str):
             raise FormatError(f"{what} {value} below {minimum}", line_no)
         return value
 
+    def parse_weight(token, line_no):
+        try:
+            w = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"weight {token!r} is not a rational", line_no) from None
+        if not 0 <= w <= 1:
+            raise FormatError(f"weight {token} outside [0, 1]", line_no)
+        return w
+
+    lines = content_lines(text)
     head = lines[0][1] if lines else []
     if len(head) < 2 or head[0] != "p":
         raise FormatError("missing header line")
-    kind = head[1]
-    if kind not in ("wig", "wug"):
-        raise FormatError(f"unknown graph kind {kind!r}", lines[0][0])
+    if head[1] not in ("wig", "wug"):
+        raise FormatError(f"unknown graph kind {head[1]!r}", lines[0][0])
+    header_kind = head[1]
     head_no = lines[0][0]
-    if len(head) != 4:
-        raise FormatError(f"expected header 'p {kind} <n> <m>'", head_no)
+    if len(head) != 4 or head[0] != "p":
+        raise FormatError(f"expected header 'p {header_kind} <n> <m>'", head_no)
     n = parse_int(head[2], head_no, "vertex count")
     m = parse_int(head[3], head_no, "edge count")
     triples = []
-    seen = set()
-    repeat_line = None
+    weights = {}
     for line_no, tokens in lines[1:]:
         if tokens[0] == "p":
             raise FormatError("duplicate header", line_no)
@@ -107,24 +121,17 @@ def reference_parse_graph(text: str):
             raise FormatError(f"endpoint outside 1..{n}", line_no)
         if a == b:
             raise FormatError(f"self-loop at vertex {a}", line_no)
-        try:
-            w = Fraction(tokens[3])
-        except (ValueError, ZeroDivisionError):
-            raise FormatError(f"weight {tokens[3]!r} is not a rational", line_no) from None
-        if not 0 <= w <= 1:
-            raise FormatError(f"weight {tokens[3]} outside [0, 1]", line_no)
-        pair = (a, b) if kind == "wig" else frozenset((a, b))
-        if pair in seen and repeat_line is None:
-            repeat_line = line_no
-        seen.add(pair)
+        w = weights.get(tokens[3])
+        if w is None:
+            w = weights[tokens[3]] = parse_weight(tokens[3], line_no)
         triples.append((a, b, w))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")
-    graph_type = WeightedDigraph if kind == "wig" else UndirectedWeightedGraph
+    graph_type = WeightedDigraph if header_kind == "wig" else UndirectedWeightedGraph
     try:
         return graph_type(n, triples)
-    except ValueError as exc:
-        raise FormatError(str(exc), repeat_line) from None
+    except DuplicateEdgeError as exc:
+        raise FormatError(str(exc), lines[1 + exc.index][0]) from None
 
 
 def reference_fixed_point(G: WeightedDigraph, bits: int):

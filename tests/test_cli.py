@@ -456,6 +456,21 @@ class TestSolve:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p wig 1000000000000000 0\n", 1),
+            ("p wig 2 1\ne 1 2 1e-10000000\n", 2),
+        ],
+        ids=["vertex-count", "exponent"],
+    )
+    def test_input_beyond_a_limit(self, files, capsys, text, line):
+        (files / "huge.wig").write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "solve", str(files / "huge.wig"))
+        assert code == 2
+        assert err.startswith(f"parse error: line {line}: ")
+        assert err.count("\n") == 1
+
     def test_guard_on_oversized_exact(self, files, capsys):
         # above 16 vertices exact refuses once its work budget runs out
         elements = "5 9 4 11 19 6 1 14 14 3 4 5 11 16 19 15 14 7 7 11".split()

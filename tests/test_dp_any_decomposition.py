@@ -31,6 +31,7 @@ from wicolor import (
     build_decomposition,
     exact_chi_w,
     is_valid_coloring,
+    max_weighted_indegree,
     random_instance,
     serialize_decomposition,
     serialize_digraph,
@@ -169,6 +170,27 @@ def test_one_decision_protocol(solver_class, seed, strategy):
                     solver.shared_key(bag, {**colors, min(shared): color})
     with pytest.raises(PreconditionError, match=">= 1"):
         solver.decide(0)
+
+
+@pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)
+def test_solve_skips_one_color_only_when_it_must_fail(solver_class):
+    """solve() starts at k = 2 exactly when some vertex's whole indegree
+    reaches 1, and keeps the answer, witness and memo_stats() of the
+    k = 1, 2, ... loop."""
+    starts = set()
+    for seed in range(16):
+        G, D = protocol_case(seed, "min-fill")
+        solver = solver_class(G, D)
+        asked = []
+        solver.decide = lambda k, _decide=solver.decide: asked.append(k) or _decide(k)
+        result = solver.solve()
+        reference = solver_class(G, D)
+        k = next(k for k in range(1, reference.palette + 1) if reference.decide(k))
+        assert (result.chromatic, result.witness) == (k, reference.witness())
+        assert solver.memo_stats() == reference.memo_stats()
+        assert asked[0] == (2 if max_weighted_indegree(G) >= 1 else 1)
+        starts.add(asked[0])
+    assert starts == {1, 2}
 
 
 @pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)

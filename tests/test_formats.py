@@ -3,9 +3,12 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from wicolor import (
@@ -27,6 +30,7 @@ from wicolor import (
     validate_decomposition,
 )
 from wicolor.data import load_text
+from wicolor.formats import MAX_EXPONENT, MAX_VERTICES
 
 F = Fraction
 
@@ -184,8 +188,8 @@ def _outcome(parse, text):
 
 
 class TestMatchesReference:
-    """The parser reads each distinct weight token once per file; the
-    per-line `Fraction(token)` parser is the reference it must equal."""
+    """The parser checks each arc once; the parser that stripped, split
+    and parsed every token on its own is the reference it must equal."""
 
     def test_random_texts(self):
         rng = random.Random(13)
@@ -211,6 +215,124 @@ class TestMatchesReference:
         assert (str(info.value), info.value.line) == _outcome(
             bruteforce.reference_parse_graph, text
         )
+
+
+BUNDLED_GRAPHS = (load_text("golden5.wig"), load_text("prism10.wug"))
+MUTANT_WEIGHTS = (
+    "+1/2", "1_0/20", "١/٢", ".5", "1e-1", "1/0", "3/2", "1E-2", "0.5e1", "1e+0",
+    "1e-4300", "1e-4301", "0e5000", "1e-1_0", "1e2e3", "1/2e5", "e5", "1e", "0x1", "½",
+)
+MUTANT_TOKENS = ("p", "e", "wig", "wug", "#", "#e", "0", "-1", "1", "2", "x", "1.5", "١", "10", "16")
+NEW_REFUSALS = (
+    f"above {MAX_EXPONENT} in magnitude",  # a weight exponent beyond MAX_EXPONENT
+    f"above the limit {MAX_VERTICES}",  # a header vertex count beyond MAX_VERTICES
+)
+
+
+@st.composite
+def mutated_graph_texts(draw):
+    """A bundled graph file after one to three edits: drop, insert, swap
+    or replace a token, truncate, drop, repeat or comment out a line, put
+    an endpoint out of range, change a header count, or respell a
+    weight."""
+    lines = draw(st.sampled_from(BUNDLED_GRAPHS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        j = draw(st.integers(0, max(0, len(tokens) - 1)))
+        move = draw(
+            st.sampled_from(
+                (
+                    "drop", "insert", "swap", "replace", "truncate",
+                    "drop line", "repeat", "comment", "id", "count", "weight",
+                )
+            )
+        )
+        if move == "drop" and tokens:
+            del tokens[j]
+        elif move == "insert":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(MUTANT_TOKENS)))
+        elif move == "swap" and tokens:
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+        elif move == "replace" and tokens:
+            tokens[j] = draw(st.sampled_from(MUTANT_TOKENS))
+        elif move == "truncate":
+            tokens = lines[i][: draw(st.integers(0, len(lines[i])))].split()
+        elif move == "drop line":
+            del lines[i]
+            continue
+        elif move == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            continue
+        elif move == "comment":
+            lines[i] = "#" + lines[i]
+            continue
+        elif move == "id" and len(tokens) == 4:
+            tokens[draw(st.integers(1, 2))] = draw(st.sampled_from(("0", "11", "-3", "10" * 8)))
+        elif move == "count":
+            i = next((k for k, line in enumerate(lines) if line.startswith("p ")), i)
+            tokens = lines[i].split()
+            if len(tokens) == 4:
+                tokens[draw(st.integers(2, 3))] = draw(
+                    st.sampled_from(("0", "9", "16", str(MAX_VERTICES), str(MAX_VERTICES + 1), "10" * 8))
+                )
+        elif move == "weight" and len(tokens) == 4 and tokens[0] == "e":
+            tokens[3] = draw(st.sampled_from(MUTANT_WEIGHTS))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedInput:
+    def test_mutated_files_match_reference(self):
+        """The same graph, or the same FormatError message and line, as the
+        reference, except where a new refusal applies; never another
+        exception.  The mutations reach graphs, old refusals and both new
+        ones, so the property is not vacuous."""
+        seen = set()
+
+        @given(mutated_graph_texts())
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        def matches(text):
+            got = _outcome(parse_graph_auto, text)
+            new = [r for r in NEW_REFUSALS if isinstance(got, tuple) and r in got[0]]
+            if new:
+                seen.add(new[0])
+                return
+            assert got == _outcome(bruteforce.reference_parse_graph, text), text
+            seen.add("refusal" if isinstance(got, tuple) else "graph")
+
+        matches()
+        assert seen == {"graph", "refusal", *NEW_REFUSALS}
+
+    def test_huge_exponent_refused_fast(self):
+        """`Fraction` would build 10**10000000 (seconds) and accept the value."""
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match=f"exponent above {MAX_EXPONENT}") as info:
+            parse_digraph("p wig 2 1\ne 1 2 1e-10000000\n")
+        assert time.perf_counter() - start < 1.0
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("token", ("1e-4301", "1E+4301", "0e4301", "0.5e-1_0000"))
+    def test_exponent_limit(self, token):
+        with pytest.raises(FormatError, match="exponent above") as info:
+            parse_undirected(f"p wug 2 1\n# c\ne 1 2 {token}\n")
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "token, value",
+        (("1e-4300", F(1, 10**4300)), ("0e4300", F(0)), ("5e-1", F(1, 2)), ("1/2", F(1, 2))),
+    )
+    def test_within_exponent_limit(self, token, value):
+        assert parse_digraph(f"p wig 2 1\ne 1 2 {token}\n").arcs == ((1, 2, value),)
+
+    def test_vertex_count_limit(self):
+        assert parse_digraph(f"p wig {MAX_VERTICES} 0\n").n == MAX_VERTICES
+        for n in (MAX_VERTICES + 1, 10**15):
+            for kind in ("wig", "wug"):
+                with pytest.raises(FormatError, match=f"vertex count {n} above the limit") as info:
+                    parse_graph_auto(f"# big\np {kind} {n} 0\n")
+                assert info.value.line == 2
 
 
 class TestSerializeGraphs:

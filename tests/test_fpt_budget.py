@@ -472,6 +472,14 @@ class TestChargingDiscipline:
             (t, h): 1 for t, h, _ in prism_digraph.arcs
         }
 
+    def test_counts_are_per_witness(self, prism_digraph):
+        D = build_decomposition(prism_digraph, "exact-small")
+        solver = BudgetSolver(prism_digraph, D, 1)
+        solver.solve()
+        first = solver.witness()
+        assert solver.witness() == first
+        assert solver.considered_counts == {(t, h): 1 for t, h, _ in prism_digraph.arcs}
+
     def test_charge_lists_partition_the_arcs(self):
         for seed in range(15):
             G = random_instance(8, 0.4, seed=2000 + seed, bits=2)

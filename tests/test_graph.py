@@ -22,9 +22,11 @@ from wicolor import (
     embed_undirected,
     is_valid_coloring,
     max_weighted_indegree,
+    random_subcubic_instance,
     underlying_graph,
     weighted_indegree,
 )
+from wicolor.graph import _check_vertex
 
 F = Fraction
 
@@ -215,6 +217,69 @@ class TestWeightedDigraph:
         assert golden5.weight_scale == 10
         G = WeightedDigraph(3, [(1, 2, F(1, 4)), (2, 3, F(1, 6))])
         assert G.weight_scale == 12
+
+
+ODD_TRIPLES = [
+    (True, 2, F(1, 2)),
+    (1, False, F(1, 2)),
+    (0, 2, F(1, 2)),
+    (1, 3, F(1, 2)),
+    (-1, 2, F(1, 2)),
+    (1.0, 2, F(1, 2)),
+    (1, "2", F(1, 2)),
+    (1, 2, F(3, 2)),
+    (1, 2, F(-1, 2)),
+    (1, 2, _FractionSubclass(1, 2)),
+    (1, 2, _FractionSubclass(3, 2)),
+    (1, 2, "7/10"),
+    (1, 2, "x"),
+    (1, 2, 1),
+    (1, 2, 2),
+    (1, 2, True),
+    (1, 2, 0.5),
+    (1, 2, None),
+    (2, 1, F(1)),
+    (1, 2, F(0)),
+]
+
+
+class TestConstructorChecks:
+    """The constructors skip the vertex and weight checks for an int in
+    1..n and a Fraction in [0, 1], and fall back to them otherwise: any
+    triple gives what `_check_vertex` and `as_weight` give."""
+
+    @pytest.mark.parametrize("triple", ODD_TRIPLES, ids=repr)
+    @pytest.mark.parametrize(
+        "graph_type, role",
+        (
+            (WeightedDigraph, ("arc tail", "arc head")),
+            (UndirectedWeightedGraph, ("edge endpoint", "edge endpoint")),
+        ),
+        ids=("digraph", "undirected"),
+    )
+    def test_same_outcome_as_the_checks(self, graph_type, role, triple):
+        a, b, weight = triple
+        try:
+            _check_vertex(2, a, role[0])
+            _check_vertex(2, b, role[1])
+            expected = as_weight(weight)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                graph_type(2, [triple])
+            assert str(info.value) == str(exc)
+        else:
+            graph = graph_type(2, [triple])
+            stored = (graph.arcs if graph_type is WeightedDigraph else graph.edges)[0][2]
+            assert (stored, type(stored)) == (expected, type(expected))
+
+    def test_embedding_equals_the_constructor(self):
+        for seed in range(20):
+            H = random_subcubic_instance(4 + seed % 9, seed=seed)
+            arcs = [arc for u, v, w in H.edges for arc in ((v, u, w), (u, v, w))]
+            G = embed_undirected(H)
+            assert G == WeightedDigraph(H.n, arcs)
+            assert hash(G) == hash(WeightedDigraph(H.n, arcs))
+            assert G.in_units == WeightedDigraph(H.n, arcs).in_units
 
 
 class TestUndirectedWeightedGraph:
