@@ -101,7 +101,7 @@ def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
 def _obtain_decomposition(args, G: WeightedDigraph) -> TreeDecomposition:
     if getattr(args, "decomposition", None):
         return formats.parse_decomposition(
-            _read(args.decomposition), root_bag_id=getattr(args, "root", 1)
+            _read(args.decomposition), root_bag_id=getattr(args, "root", 1), n=G.n
         )
     strategy = "exact-small" if G.n <= EXACT_SMALL_LIMIT else "min-fill"
     return build_decomposition(G, strategy)
@@ -274,7 +274,7 @@ def cmd_decomp_build(args) -> int:
 
 def cmd_decomp_validate(args) -> int:
     G, _ = _load_digraph(args.graph)
-    D = formats.parse_decomposition(_read(args.decomposition), root_bag_id=args.root)
+    D = formats.parse_decomposition(_read(args.decomposition), root_bag_id=args.root, n=G.n)
     violations = validate_decomposition(G, D)
     if not violations:
         print(f"valid=true width={D.width}")

@@ -554,14 +554,18 @@ class TreeDP:
         self.palette = max(1, D.width + 1)  # an empty bag has width -1
         self.k = 0  # k of the last decide(k)
         self.accepted = False  # whether the last decide(k) returned True
-        shared = [
-            frozenset() if p is None else tracked[i] & tracked[p] for i, p in enumerate(D.parent)
-        ]
-        order = [tuple(sorted(s)) + tuple(sorted(tracked[i] - s)) for i, s in enumerate(shared)]
-        position = [{v: p for p, v in enumerate(vertices)} for vertices in order]
+        shared: list[frozenset[int]] = []
+        order: list[tuple[int, ...]] = []
+        position: list[dict[int, int]] = []
+        for bag, p in zip(tracked, D.parent):
+            s = frozenset() if p is None else bag & tracked[p]
+            vertices = (*sorted(s), *sorted(bag - s))
+            shared.append(s)
+            order.append(vertices)
+            position.append(dict(zip(vertices, range(len(vertices)))))
         kids = [
-            [(c, tuple(position[i][v] for v in order[c][: len(shared[c])])) for c in D.children[i]]
-            for i in range(len(order))
+            [(c, tuple([position[i][v] for v in order[c][: len(shared[c])]])) for c in children]
+            for i, children in enumerate(D.children)
         ]
         self.shared_set, self.order, self.position, self.kids = shared, order, position, kids
 

@@ -198,8 +198,12 @@ def serialize_coloring(coloring: Coloring) -> str:
     return "".join(f"{v} {coloring[v]}\n" for v in sorted(coloring))
 
 
-def parse_decomposition(text: str, root_bag_id: int = 1) -> TreeDecomposition:
-    """Parse a decomposition file; `root_bag_id` picks the root (1-based, default bag 1)."""
+def parse_decomposition(
+    text: str, root_bag_id: int = 1, n: int | None = None
+) -> TreeDecomposition:
+    """Parse a decomposition file; `root_bag_id` picks the root (1-based,
+    default bag 1).  Given `n`, the vertex count of the graph the file
+    decomposes, a header that declares another count is refused."""
     lines = _content_lines(text, extra_comment="c")
     if not lines:
         raise FormatError("missing header line")
@@ -208,7 +212,10 @@ def parse_decomposition(text: str, root_bag_id: int = 1) -> TreeDecomposition:
         raise FormatError("expected header 's td <bags> <max-bag-size> <n>'", head_no)
     count = _parse_int(head[2], head_no, "bag count", minimum=1)
     declared_max = _parse_int(head[3], head_no, "max bag size")
-    n = _parse_int(head[4], head_no, "vertex count")
+    declared_n = _parse_int(head[4], head_no, "vertex count")
+    if n is not None and declared_n != n:
+        raise FormatError(f"header vertex count {declared_n} is not the graph's {n}", head_no)
+    n = declared_n
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []

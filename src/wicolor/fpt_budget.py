@@ -97,6 +97,8 @@ def _minimal(pairs: list[tuple[Vector, Origin]]) -> dict[Vector, Origin]:
     (vector, origin) pairs, each mapped to the first origin it came
     with; ordered by sum, a dominating vector first."""
     origin = dict(reversed(pairs))  # the first origin of a vector wins
+    if len(origin) < 2:
+        return origin
     kept: dict[Vector, Origin] = {}
     for vec in sorted({vec for vec, _ in pairs}, key=sum):
         if not any(all(a <= b for a, b in zip(low, vec)) for low in kept):
@@ -155,18 +157,17 @@ class BudgetSolver(TreeDP):
         factor = (1 << bits) // G.weight_scale
         self.charge_list: list[list[tuple[int, int, int]]] = []
         self._charges: list[list[tuple[int, int, int]]] = []
-        for i, bag in enumerate(D.bags):
-            parent = D.bags[D.parent[i]] if D.parent[i] is not None else frozenset()
+        for bag, shared, position in zip(D.bags, self.shared_set, self.position):
             charges = sorted(
-                (t, h, units * factor)
-                for h in bag
-                for t, units in G.in_units[h]
-                if t in bag and not (t in parent and h in parent)
+                [
+                    (t, h, units * factor)
+                    for h in bag
+                    for t, units in G.in_units[h]
+                    if t in bag and not (h in shared and t in shared)
+                ]
             )
             self.charge_list.append(charges)
-            self._charges.append(
-                [(self.position[i][t], self.position[i][h], u) for t, h, u in charges if u]
-            )
+            self._charges.append([(position[t], position[h], u) for t, h, u in charges if u])
         charged = sorted((t, h) for charges in self.charge_list for t, h, _ in charges)
         if charged != sorted((t, h) for t, h, _ in G.arcs):
             raise AssertionError("every arc must be charged at exactly one bag")
@@ -248,7 +249,7 @@ class BudgetSolver(TreeDP):
                     for vec, picks in filled[0]:
                         pairs.append((vec[:ns], (colors, picks)))
             table = self.tables[bag] = {key: _minimal(pairs) for key, pairs in found.items()}
-            color_entries += sum(len(front) for front in table.values())
+            color_entries += sum(map(len, table.values()))
             if not table:
                 feasible = False
                 break
@@ -274,9 +275,10 @@ class BudgetSolver(TreeDP):
         A bag renames its inherited colors in order of first use and
         reads the entry stored for them and its demand: the canonical
         coloring and child vectors that gave that demand.  It maps the
-        coloring back, giving each new color the smallest real color not
-        yet inherited, and hands each child the vector it was summed
-        with.  Every bag is visited once, so the per-arc
+        coloring back, canonical color i to the i-th inherited color
+        first used and each new color to the next real color not
+        inherited, ascending, and hands each child the vector it was
+        summed with.  Every bag is visited once, so the per-arc
         considered_counts, reset here, end up exactly 1.
         """
         k = self.k
@@ -286,16 +288,16 @@ class BudgetSolver(TreeDP):
         while stack:
             bag, inherited, demand = stack.pop()
             ns = len(inherited)
-            canon = _first_use(inherited)
-            entry = self.tables[bag].get(canon, {}).get(demand)
+            first: dict[int, int] = {}  # inherited color -> canonical color
+            canon = tuple([first.setdefault(c, len(first) + 1) for c in inherited])
+            front = self.tables[bag].get(canon)
+            entry = None if front is None else front.get(demand)
             if entry is None:
                 raise AssertionError(f"no stored entry for an accepted state of bag {bag}")
             colors, picks = entry
-            # canonical colors above `top` are new: they take the real
-            # colors not inherited, both in ascending order
-            top = max(canon, default=0)
-            real = dict(zip(canon, inherited))
-            real.update(zip(range(top + 1, k + 1), sorted(set(range(1, k + 1)) - set(inherited))))
+            # real[c] for canonical c: the inherited colors in order of
+            # first use, then the colors not inherited, ascending
+            real = [0, *first, *[c for c in range(1, k + 1) if c not in first]]
             real_colors = [real[c] for c in colors]
             for v, c in zip(self.order[bag][ns:], real_colors[ns:]):
                 if v in witness:

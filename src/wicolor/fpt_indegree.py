@@ -64,13 +64,17 @@ class IndegreeSolver(TreeDP):
         # position q, as (q, head position, units); an arc is checked
         # once, when its later endpoint gets a color
         self._back: list[list[list[tuple[int, int, int]]]] = []
-        for i, bag in enumerate(D.bags):
-            back: list[list[tuple[int, int, int]]] = [[] for _ in self.order[i]]
+        for bag, position in zip(D.bags, self.position):
+            back: list[list[tuple[int, int, int]]] = [[] for _ in position]
             for h in bag:
+                b = position[h]
                 for t, units in G.in_units[h]:
                     if units > 0:
-                        a, b = self.position[i][t], self.position[i][h]
-                        back[max(a, b)].append((min(a, b), b, units))
+                        a = position[t]
+                        if a < b:
+                            back[b].append((a, b, units))
+                        else:
+                            back[a].append((b, b, units))
             self._back.append(back)
 
         self.memo: dict[MemoKey, Colors | None] = {}
@@ -82,39 +86,49 @@ class IndegreeSolver(TreeDP):
         """Each k-coloring of V_bag, in self.order[bag], that starts with
         `key` and keeps every bag vertex's same-color in-units below the
         scale.  Free vertices take colors ascending; the yielded list is
-        live, so copy it to keep it."""
+        live, so copy it to keep it.  A free position adds its arcs'
+        units when it takes a color and removes them when it gives the
+        color up; the inherited prefix is summed once, up front."""
         back, scale, k = self._back[bag], self.graph.weight_scale, self.k
         m, ns = len(back), len(key)
         colors = list(key) + [0] * (m - ns)
         spent = [0] * m  # same-color in-units of each bag vertex so far
-
-        def charge(p: int, sign: int) -> bool:
-            ok = True
+        for p in range(ns):
+            c = colors[p]
             for q, head, units in back[p]:
-                if colors[q] == colors[p]:
-                    spent[head] += sign * units
-                    ok = ok and spent[head] < scale
-            return ok
-
-        if not all(charge(p, 1) for p in range(ns)):
+                if colors[q] == c:
+                    spent[head] += units
+        if max(spent, default=0) >= scale:
             return  # the inherited colors alone already violate
         p = ns
         while True:
             if p == m:
                 yield colors
             elif colors[p] < k:
-                colors[p] += 1
-                if charge(p, 1):
-                    p += 1
+                c = colors[p] = colors[p] + 1
+                arcs = back[p]
+                over = False
+                for q, head, units in arcs:
+                    if colors[q] == c:
+                        spent[head] += units
+                        if spent[head] >= scale:
+                            over = True
+                if over:  # take the units back and try the next color
+                    for q, head, units in arcs:
+                        if colors[q] == c:
+                            spent[head] -= units
                 else:
-                    charge(p, -1)
+                    p += 1
                 continue
             else:
                 colors[p] = 0
             p -= 1  # position p is exhausted: back up one position
             if p < ns:
                 return
-            charge(p, -1)
+            c = colors[p]
+            for q, head, units in back[p]:
+                if colors[q] == c:
+                    spent[head] -= units
 
     def _search(self, bag: int, key: Colors) -> Generator[MemoKey, bool, Colors | None]:
         """The first coloring of V_bag extending `key` that every child
@@ -122,7 +136,7 @@ class IndegreeSolver(TreeDP):
         the child's answer sent back."""
         for colors in self._colorings(bag, key):
             for child, pos in self.kids[bag]:
-                if not (yield child, tuple(colors[p] for p in pos)):
+                if not (yield child, tuple([colors[p] for p in pos])):
                     break
             else:
                 return tuple(colors)
@@ -179,16 +193,16 @@ class IndegreeSolver(TreeDP):
             colors = self.memo.get((bag, key))
             if colors is None:
                 raise AssertionError(f"no stored coloring for an accepted state of bag {bag}")
-            for v, c in zip(self.order[bag], colors):
-                if v in self.shared_set[bag]:
-                    if witness.get(v) != c:
-                        raise AssertionError(f"inherited color of {v} drifted")
-                elif v in witness:
+            order, ns = self.order[bag], len(key)  # the shared vertices come first
+            for v, c in zip(order[:ns], colors):
+                if witness.get(v) != c:
+                    raise AssertionError(f"inherited color of {v} drifted")
+            for v, c in zip(order[ns:], colors[ns:]):
+                if v in witness:
                     raise AssertionError(f"vertex {v} colored twice")
-                else:
-                    witness[v] = c
+                witness[v] = c
             for child, pos in self.kids[bag]:
-                stack.append((child, tuple(colors[p] for p in pos)))
+                stack.append((child, tuple([colors[p] for p in pos])))
         if set(witness) != set(self.graph.vertices):
             raise AssertionError("witness not total")
         if not is_valid_coloring(self.graph, witness):

@@ -8,6 +8,7 @@ code before a comparison test could pass by accident.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -675,3 +676,164 @@ def reference_compact(D: TreeDecomposition) -> TreeDecomposition:
     new_index = {old: new for new, old in enumerate(kept)}
     edges = {tuple(sorted((new_index[a], new_index[b]))) for a in adj for b in adj[a]}
     return TreeDecomposition([bags[i] for i in kept], sorted(edges), root=0)
+
+
+# -- the tree DPs' per-bag loops as they were written first ------------------
+#
+# Each function below is the library's code before its per-bag loops were
+# rewritten without closures, generator expressions or per-bag sets, kept
+# verbatim (as a function of what it read from the solver) so that the
+# rewritten loops can be compared with it on whole solves.
+
+
+def dyadic_ladder(k: int, bits: int, seed: int) -> WeightedDigraph:
+    """The benchmark's seeded dyadic 2 x k ladder (`perfbench/workloads.py`,
+    `ladder_digraph`): column j holds vertices 2j+1 (top) and 2j+2
+    (bottom), and both directions of every edge weigh a seeded multiple
+    of 2^-bits in (0, 1]."""
+    rng = random.Random(seed)
+    scale = 1 << bits
+    arcs = []
+    for j in range(k):
+        top, bottom = 2 * j + 1, 2 * j + 2
+        pairs = [(top, bottom)]
+        if j + 1 < k:
+            pairs += [(top, top + 2), (bottom, bottom + 2)]
+        for u, v in pairs:
+            arcs.append((u, v, Fraction(rng.randint(1, scale), scale)))
+            arcs.append((v, u, Fraction(rng.randint(1, scale), scale)))
+    return WeightedDigraph(2 * k, arcs)
+
+
+def reference_layout(D: TreeDecomposition, tracked):
+    """`TreeDP.__init__`'s shared_set, order, position and kids, one
+    comprehension each."""
+    shared = [
+        frozenset() if p is None else tracked[i] & tracked[p] for i, p in enumerate(D.parent)
+    ]
+    order = [tuple(sorted(s)) + tuple(sorted(tracked[i] - s)) for i, s in enumerate(shared)]
+    position = [{v: p for p, v in enumerate(vertices)} for vertices in order]
+    kids = [
+        [(c, tuple(position[i][v] for v in order[c][: len(shared[c])])) for c in D.children[i]]
+        for i in range(len(order))
+    ]
+    return shared, order, position, kids
+
+
+def reference_back(G: WeightedDigraph, D: TreeDecomposition, order, position):
+    """`IndegreeSolver._back`, each arc placed by `min` and `max` of its
+    endpoints' positions."""
+    result = []
+    for i, bag in enumerate(D.bags):
+        back = [[] for _ in order[i]]
+        for h in bag:
+            for t, units in G.in_units[h]:
+                if units > 0:
+                    a, b = position[i][t], position[i][h]
+                    back[max(a, b)].append((min(a, b), b, units))
+        result.append(back)
+    return result
+
+
+def reference_charges(G: WeightedDigraph, D: TreeDecomposition, bits: int, position):
+    """`BudgetSolver`'s charge_list and _charges, each bag testing its
+    arcs against its parent's bag."""
+    factor = (1 << bits) // G.weight_scale
+    charge_list, positioned = [], []
+    for i, bag in enumerate(D.bags):
+        parent = D.bags[D.parent[i]] if D.parent[i] is not None else frozenset()
+        charges = sorted(
+            (t, h, units * factor)
+            for h in bag
+            for t, units in G.in_units[h]
+            if t in bag and not (t in parent and h in parent)
+        )
+        charge_list.append(charges)
+        positioned.append([(position[i][t], position[i][h], u) for t, h, u in charges if u])
+    return charge_list, positioned
+
+
+def reference_colorings(back, scale: int, k: int, key):
+    """`IndegreeSolver._colorings` for one bag's `back` lists, with the
+    `charge` closure that adds or removes one position's units."""
+    m, ns = len(back), len(key)
+    colors = list(key) + [0] * (m - ns)
+    spent = [0] * m  # same-color in-units of each bag vertex so far
+
+    def charge(p: int, sign: int) -> bool:
+        ok = True
+        for q, head, units in back[p]:
+            if colors[q] == colors[p]:
+                spent[head] += sign * units
+                ok = ok and spent[head] < scale
+        return ok
+
+    if not all(charge(p, 1) for p in range(ns)):
+        return  # the inherited colors alone already violate
+    p = ns
+    while True:
+        if p == m:
+            yield colors
+        elif colors[p] < k:
+            colors[p] += 1
+            if charge(p, 1):
+                p += 1
+            else:
+                charge(p, -1)
+            continue
+        else:
+            colors[p] = 0
+        p -= 1  # position p is exhausted: back up one position
+        if p < ns:
+            return
+        charge(p, -1)
+
+
+def reference_minimal(pairs):
+    """`fpt_budget._minimal`: the antichain of componentwise-minimal
+    vectors among the (vector, origin) pairs, each mapped to the first
+    origin it came with; ordered by sum, a dominating vector first."""
+    origin = dict(reversed(pairs))  # the first origin of a vector wins
+    kept = {}
+    for vec in sorted({vec for vec, _ in pairs}, key=sum):
+        if not any(all(a <= b for a, b in zip(low, vec)) for low in kept):
+            kept[vec] = origin[vec]
+    return kept
+
+
+def _reference_first_use(colors):
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(c, len(relabel) + 1) for c in colors])
+
+
+def reference_budget_witness(solver):
+    """`BudgetSolver._witness` on the solver's tables, mapping each bag's
+    canonical colors back through two sets and a sorted list; returns
+    the witness and the per-arc considered counts."""
+    k = solver.k
+    witness = {}
+    counts = {}
+    stack = [(solver.decomposition.root, (), ())]
+    while stack:
+        bag, inherited, demand = stack.pop()
+        ns = len(inherited)
+        canon = _reference_first_use(inherited)
+        entry = solver.tables[bag].get(canon, {}).get(demand)
+        if entry is None:
+            raise AssertionError(f"no stored entry for an accepted state of bag {bag}")
+        colors, picks = entry
+        # canonical colors above `top` are new: they take the real
+        # colors not inherited, both in ascending order
+        top = max(canon, default=0)
+        real = dict(zip(canon, inherited))
+        real.update(zip(range(top + 1, k + 1), sorted(set(range(1, k + 1)) - set(inherited))))
+        real_colors = [real[c] for c in colors]
+        for v, c in zip(solver.order[bag][ns:], real_colors[ns:]):
+            if v in witness:
+                raise AssertionError(f"vertex {v} colored twice")
+            witness[v] = c
+        for t, h, _ in solver.charge_list[bag]:
+            counts[(t, h)] = counts.get((t, h), 0) + 1
+        for (child, pos), pick in zip(solver.kids[bag], picks):
+            stack.append((child, tuple([real_colors[p] for p in pos]), pick))
+    return witness, counts

@@ -115,12 +115,29 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["fpt-indegree", "fpt-budget", "exact", "auto"])
     def test_decomposition_naming_a_foreign_vertex(self, tmp_path, capsys, method):
+        # its header declares 5 vertices, so it is refused before any bag is read
         graph, td = foreign_vertex_files(tmp_path)
-        code, _, err = run(
+        code, out, err = run(
             capsys, "solve", str(graph), "--method", method, "--decomposition", str(td)
         )
-        assert code == 3
-        assert "vertex 5 in a bag is outside 1..3" in err
+        assert code == 2
+        assert "solver=" not in out
+        assert err == "parse error: line 1: header vertex count 5 is not the graph's 3\n"
+
+    @pytest.mark.parametrize("declared", [4, 9])
+    @pytest.mark.parametrize("method", ["fpt-indegree", "fpt-budget", "exact", "auto"])
+    def test_decomposition_header_with_another_vertex_count(
+        self, tmp_path, capsys, method, declared
+    ):
+        graph, td = six_vertex_files(tmp_path, declared)
+        code, out, err = run(
+            capsys, "solve", str(graph), "--method", method, "--decomposition", str(td)
+        )
+        assert code == 2
+        assert "solver=" not in out
+        assert err == f"parse error: line 1: header vertex count {declared} is not the graph's 6\n"
+        td.write_text(td.read_text(encoding="utf-8").replace(f" {declared}\n", " 6\n", 1))
+        assert run(capsys, "solve", str(graph), "--method", method, "--decomposition", str(td))[0] == 0
 
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_missing_decomposition_file(self, tmp_path, capsys, method):
@@ -514,6 +531,17 @@ def foreign_vertex_files(tmp_path):
     return graph, td
 
 
+def six_vertex_files(tmp_path, declared: int):
+    """A 6-vertex path and its one-bag decomposition, valid apart from a
+    header that declares `declared` vertices."""
+    graph = tmp_path / "path6.wig"
+    arcs = [f"e {v} {v + 1} 1/2" for v in range(1, 6)]
+    graph.write_text("\n".join(["p wig 6 5", *arcs, ""]), encoding="utf-8")
+    td = tmp_path / "declared.td"
+    td.write_text(f"s td 1 6 {declared}\nb 1 1 2 3 4 5 6\n", encoding="utf-8")
+    return graph, td
+
+
 class TestBounds:
     def test_invalid_decomposition_refused(self, tmp_path, capsys):
         graph = tmp_path / "triangle.wig"
@@ -774,6 +802,12 @@ class TestDecomp:
             "--out",
             str(td),
         )
+        code, _, err = run(capsys, "decomp", "validate", str(files / "prism10.wug"), str(td))
+        assert code == 2
+        assert err == "parse error: line 1: header vertex count 5 is not the graph's 10\n"
+        # declaring the prism's 10 vertices leaves 6..10 in no bag
+        header, body = td.read_text(encoding="utf-8").split("\n", 1)
+        td.write_text(header.rsplit(" ", 1)[0] + " 10\n" + body, encoding="utf-8")
         code, out, _ = run(
             capsys, "decomp", "validate", str(files / "prism10.wug"), str(td)
         )
@@ -784,13 +818,25 @@ class TestDecomp:
 
 
     def test_validate_foreign_vertex(self, tmp_path, capsys):
+        # its header declares 5 vertices, so it is refused before any bag is read
         graph, td = foreign_vertex_files(tmp_path)
-        code, out, _ = run(capsys, "decomp", "validate", str(graph), str(td))
-        assert code == 3
-        assert out.splitlines() == [
-            "valid=false",
-            "violation property=0 vertex 5 in a bag is outside 1..3",
-        ]
+        code, out, err = run(capsys, "decomp", "validate", str(graph), str(td))
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: line 1: header vertex count 5 is not the graph's 3\n"
+
+    @pytest.mark.parametrize("declared", [4, 9])
+    def test_validate_header_with_another_vertex_count(self, tmp_path, capsys, declared):
+        graph, td = six_vertex_files(tmp_path, declared)
+        code, out, err = run(capsys, "decomp", "validate", str(graph), str(td))
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: line 1: header vertex count {declared} is not the graph's 6\n"
+        td.write_text(td.read_text(encoding="utf-8").replace(f" {declared}\n", " 6\n", 1))
+        assert run(capsys, "decomp", "validate", str(graph), str(td))[:2] == (
+            0,
+            "valid=true width=5\n",
+        )
 
 
 class TestValidate:

@@ -501,6 +501,19 @@ class TestDecompositionFormat:
         with pytest.raises(FormatError, match="root bag"):
             parse_decomposition("s td 1 1 1\nb 1 1\n", root_bag_id=2)
 
+    @pytest.mark.parametrize("declared", [1, 4, 9])
+    def test_header_must_declare_the_graphs_vertex_count(self, declared):
+        # the header is checked before any bag, so a vertex above a low
+        # count is reported as the count mismatch
+        text = f"c six vertices\ns td 1 6 {declared}\nb 1 1 2 3 4 5 6\n"
+        with pytest.raises(FormatError) as info:
+            parse_decomposition(text, n=6)
+        assert info.value.bare_message == f"header vertex count {declared} is not the graph's 6"
+        assert info.value.line == 2
+        assert parse_decomposition(text.replace(f" {declared}\n", " 6\n"), n=6).width == 5
+        if declared > 6:  # without n the header is the only count
+            assert parse_decomposition(text).width == 5
+
     def test_random_round_trips(self):
         for seed in range(12):
             G = random_instance(7, 0.4, seed=seed)
