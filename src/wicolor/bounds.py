@@ -100,8 +100,7 @@ def upper_bound_degree_weight(G: WeightedDigraph) -> int:
 
 def upper_bound_sum_weights(G: WeightedDigraph) -> int:
     """2*floor(sqrt(2W)) + 1 where W is the total arc weight."""
-    units = sum(units for pairs in G.in_units.values() for _, units in pairs)
-    return 2 * isqrt(2 * units // G.weight_scale) + 1
+    return 2 * isqrt_floor(2 * sum(w for _, _, w in G.arcs)) + 1
 
 
 def upper_bound_indegree(G: WeightedDigraph) -> int:

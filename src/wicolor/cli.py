@@ -176,8 +176,6 @@ def cmd_solve(args) -> int:
     methods = [args.method]
     if args.all_methods:
         methods = ["exact", "fpt-budget", "fpt-indegree"]
-        if min_precision_bits(G) is None:
-            methods.remove("fpt-budget")
     code = EXIT_OK
     for method in methods:
         start = time.perf_counter()
@@ -333,7 +331,7 @@ def _build_parser() -> _Parser:
         choices=["exact", "fpt-indegree", "fpt-budget", "auto"],
         default="auto",
     )
-    solve.add_argument("--all-methods", action="store_true", help="run every applicable method")
+    solve.add_argument("--all-methods", action="store_true", help="run every method")
     solve.add_argument("--decomposition", help="decomposition file (built when omitted)")
     solve.add_argument("--root", type=int, default=1, help="root bag id in the file")
     solve.add_argument("--out", help="write the witness coloring here")

@@ -602,9 +602,10 @@ class TreeDP:
         """The least k that decide(k) accepts, with its witness.  k = 1 is
         skipped when some vertex's whole indegree reaches 1, since the
         one 1-coloring then fails there."""
-        scale = self.graph.weight_scale
+        scale = self.graph.scale
         first = 1 + any(
-            sum([units for _, units in pairs]) >= scale for pairs in self.graph.in_units.values()
+            sum([units for _, units in pairs]) >= scale[v]
+            for v, pairs in self.graph.in_units.items()
         )
         k = next((k for k in range(first, self.palette + 1) if self.decide(k)), None)
         if k is None:

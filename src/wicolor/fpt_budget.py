@@ -1,10 +1,12 @@
-"""Tree-decomposition dynamic program over fixed-point budgets.
+"""Tree-decomposition dynamic program over integer budgets.
 
-Weights must be b-bit fixed point, i.e. multiples of 2^-b.  Every
-vertex has a budget of 2^b - 1 units (the largest value strictly below
-1): its capacity for incoming same-color weight.  Each arc's units are
-charged to its head exactly once, at the rootmost bag containing both
-endpoints, and only when both endpoints share a color.
+Weights may be any rationals.  Each vertex v counts its incoming weight
+in its own unit, 1/scale[v] (`WeightedDigraph.scale`: the lcm of the
+denominators of v's in-arc weights), and has a budget of scale[v] - 1
+units, the largest amount strictly below 1: its capacity for incoming
+same-color weight.  Each arc's units are charged to its head exactly
+once, at the rootmost bag containing both endpoints, and only when both
+endpoints share a color.
 
 The program decides k-colorability for k = 1, 2, ... and stops at the
 first k that works; width+1 colors always suffice.  For one k it fills
@@ -14,7 +16,7 @@ vectors: the units its subtree charges to each shared vertex, over the
 colorings of the subtree that keep every other vertex within budget.
 A parent combines one coloring of its own bag, its own charges and one
 stored vector per child, keeping a sum only while no vertex goes over
-2^b - 1.  Storing only the minimal vectors suffices because a parent
+its budget.  Storing only the minimal vectors suffices because a parent
 can use any demand that a smaller one would also fit (Cygan et al.,
 Parameterized Algorithms, 2015, ch. 7).  Each stored vector keeps the
 bag coloring and child vectors that first gave it, so the witness is
@@ -30,13 +32,17 @@ only the colorings that are first-use canonical in its shared-first
 order, whose shared prefix is then canonical too: one per class
 instead of up to k! of them.
 
-State is polynomial in n for fixed width and b: colorings and demand
-vectors range over bag vertices only.
+Colorings and demand vectors range over bag vertices only, and a demand
+coordinate of v is a sum of some of v's in-arc units below scale[v], so
+it takes at most min(scale[v], 2^indeg(v)) values.  State is therefore
+polynomial in n for a fixed width and either a fixed precision (b-bit
+fixed point weights give scale[v] <= 2^b) or a fixed maximum in-degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Collection, TypeVar
 
@@ -77,19 +83,17 @@ def check_fixed_point(G: WeightedDigraph, bits: int) -> tuple[int, int, object] 
     offending arc in canonical order."""
     if bits < 1:
         raise PreconditionError(f"bits must be >= 1, got {bits}")
-    scale = 1 << bits
-    if scale % G.weight_scale == 0:
-        return None
-    return next((t, h, w) for t, h, w in G.arcs if scale % w.denominator)
+    unit = 1 << bits
+    return next(((t, h, w) for t, h, w in G.arcs if unit % w.denominator), None)
 
 
 def min_precision_bits(G: WeightedDigraph) -> int | None:
     """Smallest b >= 1 representing all weights, or None if some weight
     is not dyadic."""
-    scale = G.weight_scale  # a power of two exactly when every denominator is
-    if scale & (scale - 1):
+    scales = G.scale.values()  # powers of two exactly when every denominator is
+    if any(scale & (scale - 1) for scale in scales):
         return None
-    return max(1, scale.bit_length() - 1)
+    return max(1, max(scales, default=1).bit_length() - 1)
 
 
 def _minimal(pairs: list[tuple[Vector, Origin]]) -> dict[Vector, Origin]:
@@ -127,20 +131,16 @@ def _first_use(colors: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class BudgetSolver(TreeDP):
-    """One solve against a fixed graph, validated rooted decomposition,
-    and precision; create a fresh instance per solve.  Bag i tracks X_i.
+    """One solve against a fixed graph and validated rooted decomposition;
+    create a fresh instance per solve.  Bag i tracks X_i.
 
-    With bits omitted, the smallest sufficient precision is detected;
-    non-dyadic weights are rejected.
+    `bits`, when given, states the caller's precision: a weight that is
+    not a multiple of 2^-bits is refused.  The units never depend on it.
     """
 
     def __init__(self, G: WeightedDigraph, D: TreeDecomposition, bits: int | None = None):
         require_valid(validate_decomposition(G, D))
-        if bits is None:
-            bits = min_precision_bits(G)
-            if bits is None:
-                raise PreconditionError("weights are not dyadic; fpt-budget needs 2^-b weights")
-        offending = check_fixed_point(G, bits)
+        offending = None if bits is None else check_fixed_point(G, bits)
         if offending is not None:
             t, h, w = offending
             raise PreconditionError(
@@ -148,19 +148,17 @@ class BudgetSolver(TreeDP):
                 witness=offending,
             )
         super().__init__(G, D, D.bags)
-        self.bits = bits
-        self.full = (1 << bits) - 1
 
         # each arc is charged at exactly one bag: the rootmost bag
-        # containing both endpoints (its parent does not); the fixed-point
-        # check makes weight_scale divide 2^bits
-        factor = (1 << bits) // G.weight_scale
+        # containing both endpoints (its parent does not); each position
+        # has its vertex's budget, scale - 1
         self.charge_list: list[list[tuple[int, int, int]]] = []
         self._charges: list[list[tuple[int, int, int]]] = []
-        for bag, shared, position in zip(D.bags, self.shared_set, self.position):
+        self._budget: list[list[int]] = []
+        for bag, shared, order, position in zip(D.bags, self.shared_set, self.order, self.position):
             charges = sorted(
                 [
-                    (t, h, units * factor)
+                    (t, h, units)
                     for h in bag
                     for t, units in G.in_units[h]
                     if t in bag and not (h in shared and t in shared)
@@ -168,6 +166,7 @@ class BudgetSolver(TreeDP):
             )
             self.charge_list.append(charges)
             self._charges.append([(position[t], position[h], u) for t, h, u in charges if u])
+            self._budget.append([G.scale[v] - 1 for v in order])
         charged = sorted((t, h) for charges in self.charge_list for t, h, _ in charges)
         if charged != sorted((t, h) for t, h, _ in G.arcs):
             raise AssertionError("every arc must be charged at exactly one bag")
@@ -187,17 +186,18 @@ class BudgetSolver(TreeDP):
         child, and the number of partial sums kept.  Layer 0 holds the
         bag's own charges; layer j adds one stored vector of child j to
         each sum of layer j-1, keeping the minimal sums with no vertex
-        over budget.  Each child is read under its shared colors renamed
-        in order of first use.  None when a child has no entry for these
+        over its budget.  Each child is read under its shared colors
+        renamed in order of first use.  None when the bag's own charges
+        put a vertex over its budget, a child has no entry for these
         colors or some layer is empty."""
-        full = self.full
+        budget = self._budget[bag]
         canonical = self._canonical
         own = [0] * len(colors)
         for t, h, units in self._charges[bag]:
             if colors[t] == colors[h]:
                 own[h] += units
-        if max(own, default=0) > full:
-            return None
+                if own[h] > budget[h]:
+                    return None
         layer: Collection[tuple[Vector, tuple[Vector, ...]]] = [(tuple(own), ())]
         kept = 0
         for j, (child, pos) in enumerate(self.kids[bag]):
@@ -214,7 +214,7 @@ class BudgetSolver(TreeDP):
                     total = list(base)
                     for p, units in zip(pos, demand):
                         units += total[p]
-                        if units > full:
+                        if units > budget[p]:
                             break
                         total[p] = units
                     else:
@@ -258,13 +258,17 @@ class BudgetSolver(TreeDP):
         )
         return feasible
 
-    def demands(self, bag: int, colors: Coloring) -> list[dict[int, int]]:
+    def demands(self, bag: int, colors: Coloring) -> list[dict[int, Fraction]]:
         """Minimal demand vectors stored for `bag` by the last decide(k),
-        given the colors of its shared vertices; empty when no coloring
-        of the subtree extends them.  Renaming the colors changes
-        nothing."""
+        given the colors of its shared vertices, as the weight each
+        shared vertex receives; empty when no coloring of the subtree
+        extends them.  Renaming the colors changes nothing."""
         front = self.tables[bag].get(_first_use(self.shared_key(bag, colors)), {})
-        return [dict(zip(self.order[bag], demand)) for demand in front]
+        scale = self.graph.scale
+        return [
+            {v: Fraction(units, scale[v]) for v, units in zip(self.order[bag], demand)}
+            for demand in front
+        ]
 
     # -- public API --------------------------------------------------
 

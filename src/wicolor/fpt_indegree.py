@@ -62,9 +62,12 @@ class IndegreeSolver(TreeDP):
         # per bag and position p in self.order[bag]: each positive arc
         # into a bag vertex whose endpoints sit at p and at an earlier
         # position q, as (q, head position, units); an arc is checked
-        # once, when its later endpoint gets a color
+        # once, when its later endpoint gets a color; and each position's
+        # start for its same-color in-units, minus its vertex's scale, so
+        # that a bag vertex violates once its count reaches 0
         self._back: list[list[list[tuple[int, int, int]]]] = []
-        for bag, position in zip(D.bags, self.position):
+        self._start: list[list[int]] = []
+        for bag, order, position in zip(D.bags, self.order, self.position):
             back: list[list[tuple[int, int, int]]] = [[] for _ in position]
             for h in bag:
                 b = position[h]
@@ -76,6 +79,7 @@ class IndegreeSolver(TreeDP):
                         else:
                             back[a].append((b, b, units))
             self._back.append(back)
+            self._start.append([-G.scale[v] for v in order])
 
         self.memo: dict[MemoKey, Colors | None] = {}
         self.hits = 0
@@ -84,21 +88,22 @@ class IndegreeSolver(TreeDP):
 
     def _colorings(self, bag: int, key: Colors) -> Generator[list[int], None, None]:
         """Each k-coloring of V_bag, in self.order[bag], that starts with
-        `key` and keeps every bag vertex's same-color in-units below the
+        `key` and keeps every bag vertex's same-color in-units below its
         scale.  Free vertices take colors ascending; the yielded list is
         live, so copy it to keep it.  A free position adds its arcs'
         units when it takes a color and removes them when it gives the
         color up; the inherited prefix is summed once, up front."""
-        back, scale, k = self._back[bag], self.graph.weight_scale, self.k
+        back, k = self._back[bag], self.k
         m, ns = len(back), len(key)
         colors = list(key) + [0] * (m - ns)
-        spent = [0] * m  # same-color in-units of each bag vertex so far
+        # same-color in-units of each bag vertex so far, minus its scale
+        spent = self._start[bag].copy()
         for p in range(ns):
             c = colors[p]
             for q, head, units in back[p]:
                 if colors[q] == c:
                     spent[head] += units
-        if max(spent, default=0) >= scale:
+        if max(spent, default=-1) >= 0:
             return  # the inherited colors alone already violate
         p = ns
         while True:
@@ -111,7 +116,7 @@ class IndegreeSolver(TreeDP):
                 for q, head, units in arcs:
                     if colors[q] == c:
                         spent[head] += units
-                        if spent[head] >= scale:
+                        if spent[head] >= 0:
                             over = True
                 if over:  # take the units back and try the next color
                     for q, head, units in arcs:

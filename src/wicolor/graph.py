@@ -4,9 +4,12 @@ Vertices are the dense integers 1..n.  Arc weights are exact rationals
 in [0, 1]; every comparison in the package is exact, so validity of a
 coloring never depends on floating point rounding.  Floats are rejected
 outright at construction time instead of being converted.  Solvers and
-checks read the integer view `in_units`: each weight times
-`weight_scale`, the lcm of the weight denominators, so an indegree
-below 1 is a sum of units below weight_scale.
+checks read an integer view with one unit per vertex: `scale[v]` is the
+lcm of the denominators of v's in-arc weights, and `in_units[v]` holds
+each in-arc's weight times scale[v], so v's indegree is below 1 exactly
+when its units are below scale[v].  A vertex's constraint reads only its
+own in-arcs, so no unit is shared between vertices, and the integers
+stay as long as the largest per-vertex lcm.
 
 A coloring c is valid when every vertex v has same-color weighted
 indegree strictly below 1, i.e. the weights of arcs u -> v with
@@ -133,20 +136,24 @@ class WeightedDigraph:
         return {v: frozenset(s) for v, s in acc.items()}
 
     @cached_property
-    def weight_scale(self) -> int:
-        """lcm of the weight denominators; scaling by it makes all weights integral."""
-        return lcm(1, *{w.denominator for _, _, w in self.arcs})
+    def scale(self) -> dict[int, int]:
+        """For each vertex v, the lcm of the denominators of v's in-arc
+        weights (1 when v has none): v's integer unit is 1/scale[v]."""
+        acc = dict.fromkeys(self.vertices, 1)
+        for _, h, w in self.arcs:
+            acc[h] = lcm(acc[h], w.denominator)
+        return acc
 
     @cached_property
     def in_units(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """For each vertex v, the (tail, weight * weight_scale) pairs of arcs
+        """For each vertex v, the (tail, weight * scale[v]) pairs of arcs
         into v, in arc order.  The units are integers, so a same-colored
-        indegree stays below 1 exactly when its units stay below
-        weight_scale."""
-        scale = self.weight_scale
+        indegree of v stays below 1 exactly when its units stay below
+        scale[v]."""
+        scale = self.scale
         acc: dict[int, list[tuple[int, int]]] = {v: [] for v in self.vertices}
         for t, h, w in self.arcs:
-            acc[h].append((t, w.numerator * (scale // w.denominator)))
+            acc[h].append((t, w.numerator * (scale[h] // w.denominator)))
         return {v: tuple(pairs) for v, pairs in acc.items()}
 
 
@@ -244,15 +251,14 @@ def weighted_indegree(G: WeightedDigraph, v: int, among: Iterable[int] | None = 
     _check_vertex(G.n, v, "vertex")
     pairs = G.in_units[v]
     if among is None:
-        return Fraction(sum(units for _, units in pairs), G.weight_scale)
+        return Fraction(sum(units for _, units in pairs), G.scale[v])
     allowed = set(among)
-    return Fraction(sum(units for t, units in pairs if t in allowed), G.weight_scale)
+    return Fraction(sum(units for t, units in pairs if t in allowed), G.scale[v])
 
 
 def max_weighted_indegree(G: WeightedDigraph) -> Fraction:
     """Largest weighted indegree over all vertices; 0 for the empty graph."""
-    best = max((sum(units for _, units in pairs) for pairs in G.in_units.values()), default=0)
-    return Fraction(best, G.weight_scale)
+    return max((weighted_indegree(G, v) for v in G.vertices), default=Fraction(0))
 
 
 def coloring_violations(G: WeightedDigraph, coloring: Coloring) -> list[tuple[int, Fraction]]:
@@ -262,13 +268,13 @@ def coloring_violations(G: WeightedDigraph, coloring: Coloring) -> list[tuple[in
     is valid.  Requires a total coloring of 1..n.
     """
     check_total_coloring(G.n, coloring)
-    scale = G.weight_scale
+    scale = G.scale
     out: list[tuple[int, Fraction]] = []
     for v, pairs in G.in_units.items():
         c = coloring[v]
         d = sum([units for t, units in pairs if coloring[t] == c])
-        if d >= scale:
-            out.append((v, Fraction(d, scale)))
+        if d >= scale[v]:
+            out.append((v, Fraction(d, scale[v])))
     return out
 
 

@@ -13,7 +13,7 @@ its own stack, so depth is not limited by Python's recursion limit.
 The choice rule reads one count per vertex: for each uncolored vertex u
 and color c the search keeps `load[u][c]`, the units from in-neighbors
 colored c, and `reasons[u][c]`, the constraints forbidding c (that load
-reaching the weight scale, and each out-neighbor colored c that an arc
+reaching u's scale, and each out-neighbor colored c that an arc
 from u would push to 1), plus `nblocked[u]`, the colors with a reason.
 Coloring a vertex updates them for its neighbors and the in-neighbors
 of its same-colored out-neighbors, and backtracking undoes that in
@@ -59,7 +59,7 @@ def exact_chi_w(
     """Minimum number of colors in a valid coloring of G, with witness.
 
     Tries k = 1, 2, ... in turn; each decision runs a backtracking
-    search over integer-scaled weights (all exact).  Returns None when
+    search over each vertex's integer units (all exact).  Returns None when
     no valid coloring with at most `k_limit` colors exists; k_limit
     defaults to n, which always suffices.  Raises InstanceTooLargeError
     when G has more than `max_n` vertices, or once the vertices examined
@@ -71,8 +71,8 @@ def exact_chi_w(
         k_limit = max(1, G.n)
     if k_limit < 1:
         raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
-    scale = G.weight_scale
     n = G.n
+    scale = [0, *G.scale.values()]  # by vertex: v's indegree is below 1 in units below scale[v]
     # positive arcs only; each vertex's in-arcs heaviest first, as tails
     # and negated units, so the tails whose units fall in a range are a
     # slice found by bisection
@@ -115,24 +115,24 @@ def exact_chi_w(
             if not ch:
                 before = load[h].get(c, 0)
                 load[h][c] = after = before + d * units
-                if (before >= scale) != (after >= scale):
+                if (before >= scale[h]) != (after >= scale[h]):
                     mark(h, c, d)
             elif ch == c:
                 # h's same-colored indegree moves between low and high, so
                 # h starts or stops forbidding c to each uncolored
-                # in-neighbor t with low < scale - units(t -> h) <= high
+                # in-neighbor t with low < scale[h] - units(t -> h) <= high
                 low = spent[h]
                 spent[h] = high = low + d * units
                 if d < 0:
                     low, high = high, low
                 keys = in_keys[h]
-                first = bisect_right(keys, low - scale)
-                for t in in_tails[h][first : bisect_right(keys, high - scale)]:
+                first = bisect_right(keys, low - scale[h])
+                for t in in_tails[h][first : bisect_right(keys, high - scale[h])]:
                     if not color[t]:
                         mark(t, c, d)
         # v forbids c to each uncolored in-neighbor t with
-        # spent[v] + units(t -> v) >= scale
-        for t in in_tails[v][: bisect_right(in_keys[v], spent[v] - scale)]:
+        # spent[v] + units(t -> v) >= scale[v]
+        for t in in_tails[v][: bisect_right(in_keys[v], spent[v] - scale[v])]:
             if not color[t]:
                 mark(t, c, d)
 

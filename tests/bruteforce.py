@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from wicolor import (
     DuplicateEdgeError,
@@ -140,6 +141,17 @@ def reference_fixed_point(G: WeightedDigraph, bits: int):
     return next(((t, h, w) for t, h, w in G.arcs if (w * 2**bits).denominator != 1), None)
 
 
+def global_units(G: WeightedDigraph):
+    """The integer view the solvers read before each vertex had its own
+    unit: the lcm of every weight denominator, and for each vertex the
+    (tail, weight times that lcm) pairs of its in-arcs, in arc order."""
+    scale = lcm(1, *{w.denominator for _, _, w in G.arcs})
+    acc: dict[int, list[tuple[int, int]]] = {v: [] for v in G.vertices}
+    for t, h, w in G.arcs:
+        acc[h].append((t, w.numerator * (scale // w.denominator)))
+    return scale, {v: tuple(pairs) for v, pairs in acc.items()}
+
+
 def brute_chi_w(G: WeightedDigraph, k_max: int | None = None):
     """Minimum palette size by direct enumeration of every total coloring."""
     limit = G.n if k_max is None else min(k_max, max(G.n, 1))
@@ -177,12 +189,12 @@ def reference_chi_w(
         k_limit = max(1, G.n)
     if k_limit < 1:
         raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
-    scale = G.weight_scale
+    scale, units_by_head = global_units(G)
     n = G.n
     in_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     out_units: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     neighbors: list[set[int]] = [set() for _ in range(n + 1)]
-    for h, pairs in G.in_units.items():
+    for h, pairs in units_by_head.items():
         for t, units in pairs:
             if units:
                 in_units[h].append((t, units))
@@ -722,12 +734,13 @@ def reference_layout(D: TreeDecomposition, tracked):
 
 def reference_back(G: WeightedDigraph, D: TreeDecomposition, order, position):
     """`IndegreeSolver._back`, each arc placed by `min` and `max` of its
-    endpoints' positions."""
+    endpoints' positions, in the units of `global_units`."""
+    _, units_by_head = global_units(G)
     result = []
     for i, bag in enumerate(D.bags):
         back = [[] for _ in order[i]]
         for h in bag:
-            for t, units in G.in_units[h]:
+            for t, units in units_by_head[h]:
                 if units > 0:
                     a, b = position[i][t], position[i][h]
                     back[max(a, b)].append((min(a, b), b, units))
@@ -735,17 +748,17 @@ def reference_back(G: WeightedDigraph, D: TreeDecomposition, order, position):
     return result
 
 
-def reference_charges(G: WeightedDigraph, D: TreeDecomposition, bits: int, position):
+def reference_charges(G: WeightedDigraph, D: TreeDecomposition, position):
     """`BudgetSolver`'s charge_list and _charges, each bag testing its
-    arcs against its parent's bag."""
-    factor = (1 << bits) // G.weight_scale
+    arcs against its parent's bag, in the units of `global_units`."""
+    _, units_by_head = global_units(G)
     charge_list, positioned = [], []
     for i, bag in enumerate(D.bags):
         parent = D.bags[D.parent[i]] if D.parent[i] is not None else frozenset()
         charges = sorted(
-            (t, h, units * factor)
+            (t, h, units)
             for h in bag
-            for t, units in G.in_units[h]
+            for t, units in units_by_head[h]
             if t in bag and not (t in parent and h in parent)
         )
         charge_list.append(charges)

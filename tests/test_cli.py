@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 import re
 import subprocess
 import sys
@@ -152,12 +153,30 @@ class TestSolve:
         assert code == 2
         assert "cannot read input" in err
 
-    def test_budget_rejects_non_dyadic(self, files, capsys):
-        code, _, err = run(
+    def test_budget_solves_non_dyadic(self, files, capsys):
+        # fifths and tenths: each vertex counts in its own unit
+        code, out, err = run(
             capsys, "solve", str(files / "golden5.wig"), "--method", "fpt-budget"
         )
-        assert code == 3
-        assert "precondition:" in err and "not dyadic" in err
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[-1].startswith("solver=fpt-budget chromatic=2 ")
+
+    def test_distinct_huge_denominators_cost_their_own_size(self, tmp_path, capsys):
+        # a path whose arcs weigh 1/q for distinct odd 300-digit q: each
+        # vertex's unit is its own arc's denominator, never an lcm of all
+        rng = random.Random(44)
+        qs = [rng.randrange(10**299, 10**300) | 1 for _ in range(120)]
+        assert len(set(qs)) == len(qs)
+        lines = [f"p wig {len(qs) + 1} {len(qs)}"]
+        lines += [f"e {v} {v + 1} 1/{q}" for v, q in enumerate(qs, start=1)]
+        path = tmp_path / "path.wig"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        G, _ = cli._load_digraph(str(path))
+        assert G.scale == {1: 1, **{v + 1: q for v, q in enumerate(qs, start=1)}}
+        assert all(pairs == ((v - 1, 1),) for v, pairs in G.in_units.items() if v > 1)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert " chromatic=1 " in out.strip().splitlines()[-1]
 
     @pytest.mark.parametrize(
         ("method", "solver_class"),
@@ -219,12 +238,13 @@ class TestSolve:
         ]
         assert all("chromatic=3" in line for line in lines)
 
-    def test_all_methods_skips_budget_when_not_dyadic(self, files, capsys):
+    def test_all_methods_run_budget_when_not_dyadic(self, files, capsys):
         code, out, _ = run(capsys, "solve", str(files / "golden5.wig"), "--all-methods")
         assert code == 0
         lines = out.strip().splitlines()[1:]
         assert [line.split()[0] for line in lines] == [
             "solver=exact",
+            "solver=fpt-budget",
             "solver=fpt-indegree",
         ]
         assert all("chromatic=2" in line for line in lines)
@@ -403,8 +423,8 @@ class TestSolve:
         assert "gave up after" in err
 
     def test_all_methods_keep_going_when_exact_gives_up(self, files, capsys, oracle_gives_up):
-        # exact refuses the 17-vertex gadget; the indegree DP still answers
-        # on the given decomposition, and the exit code reports the refusal
+        # exact refuses the 17-vertex gadget; both DPs still answer on the
+        # given decomposition, and the exit code reports the refusal
         elements = "3 1 4 1 5 9 2 6 5 3 5 8 9 7 9".split()
         prefix = files / "m15"
         assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
@@ -421,12 +441,13 @@ class TestSolve:
         assert code == 4
         assert err == "guard: exhaustive search gave up after 17 examined vertices (limit 0)\n"
         lines = out.strip().splitlines()
-        assert len(lines) == 2 and " n=17 " in lines[0]
-        assert lines[1].startswith(f"solver=fpt-indegree chromatic=3 witness={files / 'w'}.fpt-indegree ")
+        assert len(lines) == 3 and " n=17 " in lines[0]
         G = parse_digraph((files / "m15.wig").read_text(encoding="utf-8"))
-        witness = parse_coloring((files / "w.fpt-indegree").read_text(encoding="utf-8"))
-        assert is_valid_coloring(G, witness)
-        assert max(witness.values()) == 3
+        for line, method in zip(lines[1:], ("fpt-budget", "fpt-indegree")):
+            assert line.startswith(f"solver={method} chromatic=3 witness={files / 'w'}.{method} ")
+            witness = parse_coloring((files / f"w.{method}").read_text(encoding="utf-8"))
+            assert is_valid_coloring(G, witness)
+            assert max(witness.values()) == 3
         assert not (files / "w.exact").exists()
 
     def test_supplied_decomposition_and_root(self, files, capsys):

@@ -3,11 +3,13 @@
 `TreeDP`'s bag layout, the indegree DP's `_back` lists and coloring
 enumeration, the budget DP's charges, `_minimal` and witness relabel
 were rewritten without closures, generator expressions or per-bag sets.
-`bruteforce` keeps each in the form it had before; here both forms
-must give the same layout, the same colorings in the same order for
-every state a solve visits, the same antichains and the same witness,
-on the acceptance family, on reshaped decompositions and on the
-benchmark's 2 x k ladders.
+`bruteforce` keeps each in the form it had before, in the units it had
+before: every weight times the lcm of all the graph's denominators
+(`bruteforce.global_units`).  Here both forms must give the same layout
+(the reference's units converted to each head's own), the same
+colorings in the same order for every state a solve visits, the same
+antichains and the same witness, on the acceptance family, on reshaped
+decompositions and on the benchmark's 2 x k ladders.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ CASES = [pytest.param(*acceptance_case(i), id=f"acceptance-{i}") for i in range(
 
 
 def check_layout(G, D, bits):
-    """Both solvers' layout and arc tables equal the reference ones."""
+    """Both solvers' layout and arc tables equal the reference ones, with
+    each arc's units converted to its head's own."""
     indegree, budget = IndegreeSolver(G, D), BudgetSolver(G, D, bits)
     for solver, tracked in ((indegree, extended_bags(D, G)), (budget, D.bags)):
         shared, order, position, kids = bruteforce.reference_layout(D, tracked)
@@ -64,11 +67,21 @@ def check_layout(G, D, bits):
         assert solver.order == order
         assert solver.position == position
         assert solver.kids == kids
+    total, _ = bruteforce.global_units(G)
+
+    def own(units, head):
+        return units * G.scale[head] // total
+
     _, order, position, _ = bruteforce.reference_layout(D, extended_bags(D, G))
-    assert indegree._back == bruteforce.reference_back(G, D, order, position)
-    _, _, position, _ = bruteforce.reference_layout(D, D.bags)
-    charge_list, charges = bruteforce.reference_charges(G, D, bits, position)
-    assert budget.charge_list == charge_list
+    back = bruteforce.reference_back(G, D, order, position)
+    assert indegree._back == [
+        [[(q, h, own(u, order[i][h])) for q, h, u in at] for at in lists]
+        for i, lists in enumerate(back)
+    ]
+    _, order, position, _ = bruteforce.reference_layout(D, D.bags)
+    charge_list, charges = bruteforce.reference_charges(G, D, position)
+    assert budget.charge_list == [[(t, h, own(u, h)) for t, h, u in at] for at in charge_list]
+    charges = [[(a, b, own(u, order[i][b])) for a, b, u in at] for i, at in enumerate(charges)]
     assert [Counter(at) for at in budget._charges] == [Counter(at) for at in charges]
 
 
@@ -88,10 +101,11 @@ def check_colorings(G, D):
     assert visited
     _, order, position, _ = bruteforce.reference_layout(D, extended_bags(D, G))
     back = bruteforce.reference_back(G, D, order, position)
+    total, _ = bruteforce.global_units(G)
     for k, bag, key in visited:
         solver.k = k
         got = [tuple(colors) for colors in enumerate_bag(bag, key)]
-        reference = bruteforce.reference_colorings(back[bag], G.weight_scale, k, key)
+        reference = bruteforce.reference_colorings(back[bag], total, k, key)
         assert got == [tuple(colors) for colors in reference], (k, bag, key)
 
 
@@ -138,12 +152,15 @@ def test_colorings_match_the_reference_on_every_key(G, D, bits):
     bag's shared prefix, so an inherited prefix at exactly the scale is
     met whatever the search visits."""
     solver = IndegreeSolver(G, D)
+    _, order, position, _ = bruteforce.reference_layout(D, extended_bags(D, G))
+    backs = bruteforce.reference_back(G, D, order, position)
+    total, _ = bruteforce.global_units(G)
     for k in range(1, solver.palette + 1):
         solver.k = k
-        for bag, back in enumerate(solver._back):
+        for bag, back in enumerate(backs):
             for key in product(range(1, k + 1), repeat=len(solver.shared_set[bag])):
                 got = [tuple(colors) for colors in solver._colorings(bag, key)]
-                reference = bruteforce.reference_colorings(back, G.weight_scale, k, key)
+                reference = bruteforce.reference_colorings(back, total, k, key)
                 assert got == [tuple(colors) for colors in reference], (k, bag, key)
 
 

@@ -18,11 +18,13 @@ from wicolor import (
     WeightedDigraph,
     build_decomposition,
     check_fixed_point,
+    embed_undirected,
     exact_chi_w,
     is_valid_coloring,
     min_precision_bits,
     parse_coloring,
     random_instance,
+    random_subcubic_instance,
     serialize_digraph,
     solve_fpt_budget,
     solve_fpt_indegree,
@@ -182,13 +184,13 @@ class TestSmallExamples:
 
 class TestDistribute:
     def test_budget_cannot_be_spent_twice(self):
-        # 3 units total; each child needs 2 units at vertex 1 to stay
-        # single-colored, so one child always pays with a second color
+        # vertex 1 takes less than 1; each child needs 1/2 at vertex 1 to
+        # stay single-colored, so one child always pays with a second color
         G, D = two_feeders()
         solver = BudgetSolver(G, D, 2)
         assert not solver.decide(1)
-        assert solver.demands(1, {1: 1}) == [{1: 2}]  # each child alone fits
-        assert solver.demands(2, {1: 1}) == [{1: 2}]
+        assert solver.demands(1, {1: 1}) == [{1: F(1, 2)}]  # each child alone fits
+        assert solver.demands(2, {1: 1}) == [{1: F(1, 2)}]
         assert solver.decide(2)
 
     def test_generous_budget_allows_one_color(self):
@@ -210,11 +212,11 @@ class TestDistribute:
         leaf = 1
         # with no children past its own charges, a leaf adds nothing:
         # colored apart from vertex 2 it charges nothing; sharing
-        # a color costs 2 units, which the zero vector dominates
+        # a color costs 1/2, which the zero vector dominates
         assert solver.demands(leaf, {1: 1}) == [{1: 0}]
         assert solver.demands(leaf, {1: 2}) == [{1: 0}]
         solver.decide(1)
-        assert solver.demands(leaf, {1: 1}) == [{1: 2}]
+        assert solver.demands(leaf, {1: 1}) == [{1: F(1, 2)}]
 
     def test_color_count_must_be_positive(self):
         G, D = two_feeders()
@@ -257,15 +259,15 @@ class TestSharedBudget:
                 assert is_valid_coloring(G, result.witness)
 
     def test_star_needs_the_split(self):
-        # four leaves each charge vertex 1 two of its three units: each
-        # leaf alone fits one color, no two leaves together do
+        # four leaves each charge vertex 1 a weight of 1/2: each leaf
+        # alone fits one color, no two leaves together do
         G = WeightedDigraph(9, [(v, 1, F(1, 4)) for v in range(2, 10)])
         D = TreeDecomposition(
             [{1}] + [{1, 2 + 2 * i, 3 + 2 * i} for i in range(4)], [(0, i) for i in range(1, 5)]
         )
         solver = BudgetSolver(G, D, 2)
         assert not solver.decide(1)
-        assert all(solver.demands(leaf, {1: 1}) == [{1: 2}] for leaf in range(1, 5))
+        assert all(solver.demands(leaf, {1: 1}) == [{1: F(1, 2)}] for leaf in range(1, 5))
         assert solver.solve().chromatic == exact_chi_w(G).chromatic == 2
 
 
@@ -387,22 +389,38 @@ class TestPreconditions:
         with pytest.raises(PreconditionError, match="fixed point"):
             BudgetSolver(G, TreeDecomposition([{1, 2}]), 1)
 
-    def test_bits_default_to_the_detected_precision(self, prism_digraph):
-        D = build_decomposition(prism_digraph, "min-fill")
-        detected = BudgetSolver(prism_digraph, D)
-        given = BudgetSolver(prism_digraph, D, min_precision_bits(prism_digraph))
-        assert detected.bits == given.bits
-        assert detected.solve() == given.solve()
-        assert detected.memo_stats() == given.memo_stats()
-
-    def test_solver_rejects_non_dyadic_without_bits(self, golden5):
-        with pytest.raises(PreconditionError, match="not dyadic"):
-            BudgetSolver(golden5, build_decomposition(golden5, "exact-small"))
-
-    def test_non_dyadic_rejected_by_autodetect(self, golden5):
+    def test_coarse_bits_refused_naming_the_arc(self, golden5):
+        # golden5's weights are fifths and tenths: no precision fits them
         D = build_decomposition(golden5, "exact-small")
-        with pytest.raises(PreconditionError, match="not dyadic"):
-            solve_fpt_budget(golden5, D)
+        for bits in (1, 4, 10):
+            arc = next((t, h, w) for t, h, w in golden5.arcs if (1 << bits) % w.denominator)
+            with pytest.raises(PreconditionError) as refused:
+                BudgetSolver(golden5, D, bits)
+            assert refused.value.witness == arc
+            assert str(refused.value).startswith(
+                f"arc ({arc[0]}, {arc[1]}) weight {arc[2]} is not {bits}-bit fixed point"
+            )
+
+    def test_bits_change_nothing(self, prism_digraph):
+        # the units are each vertex's own whether or not bits are given
+        D = build_decomposition(prism_digraph, "min-fill")
+        omitted = BudgetSolver(prism_digraph, D)
+        bits = min_precision_bits(prism_digraph)
+        for given_bits in (bits, bits + 2):
+            given = BudgetSolver(prism_digraph, D, given_bits)
+            assert omitted.solve() == given.solve()
+            assert omitted.memo_stats() == given.memo_stats()
+            assert omitted.tables == given.tables
+
+    def test_solver_takes_non_dyadic_weights_without_bits(self, golden5):
+        solver = BudgetSolver(golden5, build_decomposition(golden5, "exact-small"))
+        result = solver.solve()
+        assert result.chromatic == exact_chi_w(golden5).chromatic == 2
+        assert is_valid_coloring(golden5, result.witness)
+
+    def test_non_dyadic_solved_by_the_function(self, golden5):
+        D = build_decomposition(golden5, "exact-small")
+        assert solve_fpt_budget(golden5, D).chromatic == 2
 
     def test_autodetected_bits(self):
         G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(3, 8))])
@@ -527,6 +545,30 @@ class TestAgainstOracle:
         }
         assert values == {exact_chi_w(G).chromatic}
 
+    def test_uniform_rational_instances(self):
+        # any rational weights, each vertex in its own unit: the same
+        # chi as the oracle and the indegree DP, with a valid witness
+        chis = set()
+        for seed in range(200):
+            n = 3 + seed % 10
+            G = random_instance(n, 0.4, seed=3100 + seed, weight_model="uniform-rational")
+            D = build_decomposition(G, "exact-small")
+            result = BudgetSolver(G, D).solve()
+            assert result.chromatic == exact_chi_w(G).chromatic, seed
+            assert result.chromatic == IndegreeSolver(G, D).solve().chromatic, seed
+            assert is_valid_coloring(G, result.witness)
+            chis.add(result.chromatic)
+        assert chis == {1, 2, 3, 4}
+
+    def test_tenths_subcubic_instances(self):
+        for seed in range(60):
+            G = embed_undirected(random_subcubic_instance(6 + seed % 11, seed=3300 + seed))
+            D = build_decomposition(G, "min-fill")
+            result = BudgetSolver(G, D).solve()
+            assert result.chromatic == exact_chi_w(G).chromatic, seed
+            assert result.chromatic == IndegreeSolver(G, D).solve().chromatic, seed
+            assert is_valid_coloring(G, result.witness)
+
     def test_extra_bits_change_nothing(self):
         for seed in range(8):
             G = random_instance(5, 0.5, seed=2300 + seed, bits=1)
@@ -566,11 +608,12 @@ class TestMemoization:
         G, D = fan_instance()
         solver = BudgetSolver(G, D, 2)
         k = solver.solve().chromatic
-        for table in solver.tables:
+        for bag, table in enumerate(solver.tables):
             for colors, front in table.items():
                 assert all(1 <= c <= k for c in colors)
                 for demand in front:
-                    assert all(0 <= units <= solver.full for units in demand)
+                    for v, units in zip(solver.order[bag], demand):
+                        assert 0 <= units <= G.scale[v] - 1
 
     def test_entries_bounded_by_state_space(self):
         for seed in range(15):

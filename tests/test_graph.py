@@ -199,13 +199,12 @@ class TestWeightedDigraph:
         G = WeightedDigraph(0)
         assert G.arcs == ()
         assert list(G.vertices) == []
-        assert G.weight_scale == 1
+        assert G.scale == {} and G.in_units == {}
 
     def test_in_out_structures(self, golden5):
         assert [(t, w) for t, h, w in golden5.arcs if h == 2] == [(4, F(3, 5)), (5, F(7, 10))]
         assert [(h, w) for t, h, w in golden5.arcs if t == 3] == [(1, F(1, 5)), (4, F(9, 10))]
-        scale = golden5.weight_scale
-        assert golden5.in_units[2] == ((4, 3 * scale // 5), (5, 7 * scale // 10))
+        assert golden5.in_units[2] == ((4, 6), (5, 7))  # in tenths, vertex 2's unit
         assert golden5.in_neighbors[1] == frozenset({2, 3})
         assert golden5.in_neighbors[3] == frozenset({1, 2})
 
@@ -213,10 +212,12 @@ class TestWeightedDigraph:
         G = WeightedDigraph(2, [(1, 2, F(0))])
         assert G.in_neighbors[2] == frozenset({1})
 
-    def test_weight_scale(self, golden5):
-        assert golden5.weight_scale == 10
+    def test_scale_is_per_vertex(self, golden5):
+        # vertex 5's one in-arc weighs 1/2; the others mix fifths and tenths
+        assert golden5.scale == {1: 10, 2: 10, 3: 10, 4: 10, 5: 2}
+        assert golden5.in_units[5] == ((4, 1),)
         G = WeightedDigraph(3, [(1, 2, F(1, 4)), (2, 3, F(1, 6))])
-        assert G.weight_scale == 12
+        assert G.scale == {1: 1, 2: 4, 3: 6}
 
 
 ODD_TRIPLES = [
@@ -449,8 +450,9 @@ class TestAgainstBruteForce:
         assert is_valid_coloring(G, colors) == (not bruteforce.reference_violations(G, colors))
 
 
-# The integer view: every solver and check reads in_units over
-# weight_scale; the Fraction references must agree with it exactly.
+# The integer view: every solver and check reads each vertex's in_units
+# against its own scale; the Fraction references must agree with it
+# exactly.
 
 DENOMINATORS = {
     "dyadic": (8,),
@@ -490,11 +492,11 @@ CASE_IDS = [f"{family}-{i}" for i, (family, _) in enumerate(CASES)]
 @pytest.mark.parametrize("family, G", CASES, ids=CASE_IDS)
 class TestIntegerUnits:
     def test_units_are_weights_times_the_scale(self, family, G):
-        scale = G.weight_scale
-        assert scale == lcm(1, *(w.denominator for _, _, w in G.arcs))
-        assert set(G.in_units) == set(G.vertices)
+        assert set(G.in_units) == set(G.scale) == set(G.vertices)
         for v in G.vertices:
             in_arcs = [(t, w) for t, h, w in G.arcs if h == v]
+            scale = G.scale[v]
+            assert scale == lcm(1, *(w.denominator for _, w in in_arcs))
             assert [t for t, _ in G.in_units[v]] == [t for t, _ in in_arcs]
             for (_, units), (_, w) in zip(G.in_units[v], in_arcs):
                 assert type(units) is int

@@ -8,8 +8,9 @@ the same way on any machine.
   under a constant set by the width and the bits alone, however long
   the ladder.
 - A stored demand coordinate of vertex v is a sum of some of v's
-  in-arc units below the budget 2^bits, so it takes at most
-  min(2^bits, 2^indeg(v)) distinct values.
+  in-arc units, counted in v's own unit 1/scale_v and below scale_v,
+  so it takes at most min(scale_v, 2^indeg(v)) distinct values, for
+  any rational weights.  On b-bit fixed point weights scale_v <= 2^b.
 
 The claims on interval graphs and on the partition gadget need
 instance families that the generators do not build yet.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from test_dp_reference_loops import acceptance_case, ladder_case
-from wicolor import BudgetSolver
+from wicolor import BudgetSolver, build_decomposition, random_instance
 
 
 def first_use_keys(length: int) -> int:
@@ -61,6 +62,10 @@ def test_ladder_entries_per_bag_do_not_grow_with_length(bits):
 def demand_cases():
     yield from (acceptance_case(i) for i in range(200))
     yield from (ladder_case(k, bits) for k in (8, 16, 32, 64) for bits in (1, 2, 3))
+    for seed in range(200):  # denominators 1..10: no common precision
+        n = 3 + seed % 10
+        G = random_instance(n, 0.25, seed=3100 + seed, weight_model="uniform-rational")
+        yield G, build_decomposition(G, "exact-small"), None
 
 
 def test_demand_coordinates_take_few_values():
@@ -72,7 +77,7 @@ def test_demand_coordinates_take_few_values():
             for bag, table in enumerate(solver.tables):
                 for j, v in enumerate(solver.order[bag][: len(solver.shared_set[bag])]):
                     values = {vec[j] for front in table.values() for vec in front}
-                    bound = min(1 << bits, 1 << len(G.in_neighbors[v]))
+                    bound = min(G.scale[v], 1 << len(G.in_neighbors[v]))
                     assert len(values) <= bound, (bag, v)
                     checked += 1
                     reached += len(values) == bound
