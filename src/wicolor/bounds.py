@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 from .decomposition import TreeDecomposition, require_valid, validate_decomposition
 from .errors import PreconditionError
@@ -100,7 +100,25 @@ def upper_bound_degree_weight(G: WeightedDigraph) -> int:
 
 def upper_bound_sum_weights(G: WeightedDigraph) -> int:
     """2*floor(sqrt(2W)) + 1 where W is the total arc weight."""
-    return 2 * isqrt_floor(2 * sum(w for _, _, w in G.arcs)) + 1
+    return 2 * isqrt(_floor_twice_total_weight(G)) + 1
+
+
+def _floor_twice_total_weight(G: WeightedDigraph) -> int:
+    """floor(2W) from each vertex's own units, with no lcm over all arcs:
+    each term 2*units/scale[v], floored at `bits` fraction bits, is less
+    than one step low, so the floored sum and the count of inexact terms
+    bracket 2W*2^bits.  A bracket that reaches the next integer, as when
+    2W is an integer made of inexact terms, takes the exact sum."""
+    terms = [(2 * sum(u for _, u in pairs), G.scale[v]) for v, pairs in G.in_units.items()]
+    bits = G.n.bit_length() + 32  # the bracket is under 2^-32 wide
+    low = inexact = 0
+    for units, scale in terms:
+        term, rest = divmod(units << bits, scale)
+        low += term
+        inexact += rest > 0
+    if (low + max(inexact - 1, 0)) >> bits == low >> bits:
+        return low >> bits
+    return floor(sum(Fraction(units, scale) for units, scale in terms))
 
 
 def upper_bound_indegree(G: WeightedDigraph) -> int:

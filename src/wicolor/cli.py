@@ -28,7 +28,7 @@ from .decomposition import (
     validate_decomposition,
 )
 from .errors import FormatError, InstanceTooLargeError, PreconditionError
-from .fpt_budget import BudgetSolver, min_precision_bits
+from .fpt_budget import BudgetSolver
 from .fpt_indegree import IndegreeSolver
 from .generators import (
     complete_embed,
@@ -55,7 +55,7 @@ EXIT_PRECONDITION = 3
 EXIT_GUARD = 4
 
 # Vertices the oracle may examine under `solve --method auto` before it
-# gives up and a decomposition is built, and under `--method exact` on
+# gives up and the budget DP runs, and under `--method exact` on
 # graphs above the 16-vertex guard before it refuses.  At 0.1-2 us per
 # examined vertex on a shared 2-core x86 host, giving up costs about
 # 60-90 ms (the 22-vertex partition gadget of 20 elements).
@@ -113,32 +113,15 @@ def _write_witness(path: str, G: WeightedDigraph, witness: Coloring) -> None:
     _write(path, formats.serialize_coloring(witness))
 
 
-def _auto_method(G: WeightedDigraph, decomposition_given: bool) -> str | None:
-    """The route `auto` takes once the budgeted oracle has given up, or
-    None where there is none."""
-    bits = min_precision_bits(G)
-    if bits is not None and bits <= 4:
-        return "fpt-budget"
-    max_indegree = max((len(p) for p in G.in_neighbors.values()), default=0)
-    if max_indegree <= 3:
-        return "fpt-indegree"
-    if G.n <= DEFAULT_SEARCH_LIMIT:
-        return "exact"
-    # exact would repeat the search that gave up; the indegree DP takes
-    # any rational weights, but only on a given decomposition
-    return "fpt-indegree" if decomposition_given else None
-
-
 def _solve(
     G: WeightedDigraph,
     method: str,
     decomposition: Callable[[], TreeDecomposition],
-    decomposition_given: bool,
 ) -> tuple[str, SolveResult, tuple[tuple[str, int], ...]]:
     """Run one method; return the method that answered, its result and
     its statistics.  `auto` runs the oracle under ORACLE_WORK_BUDGET and
-    only when that runs out takes the route `_auto_method` picks, or
-    refuses where it picks none.  `exact` searches without limit up to
+    only when that runs out the budget DP, on the given decomposition or
+    a built one.  `exact` searches without limit up to
     DEFAULT_SEARCH_LIMIT vertices and under ORACLE_WORK_BUDGET above it.
     A DP's statistics are its memo_stats() fields, in order."""
     oracle_pairs = ()
@@ -148,9 +131,7 @@ def _solve(
             result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
             return "exact", result, (("oracle_work", result.examined),)
         except InstanceTooLargeError as exc:
-            method = _auto_method(G, decomposition_given)
-            if method is None:
-                raise
+            method = "fpt-budget"
             oracle_pairs = (("oracle_work", exc.size), ("oracle_gave_up", 1))
     if method == "exact":
         if G.n <= DEFAULT_SEARCH_LIMIT:
@@ -180,7 +161,7 @@ def cmd_solve(args) -> int:
     for method in methods:
         start = time.perf_counter()
         try:
-            solver, result, stat_pairs = _solve(G, method, decomposition, bool(args.decomposition))
+            solver, result, stat_pairs = _solve(G, method, decomposition)
         except InstanceTooLargeError as exc:
             if not args.all_methods:
                 raise

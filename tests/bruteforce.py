@@ -22,6 +22,7 @@ from wicolor import (
     TreeDecomposition,
     UndirectedWeightedGraph,
     WeightedDigraph,
+    isqrt_floor,
 )
 
 
@@ -139,6 +140,13 @@ def reference_parse_graph(text: str):
 def reference_fixed_point(G: WeightedDigraph, bits: int):
     """The first arc whose weight times 2^bits is not an integer, or None."""
     return next(((t, h, w) for t, h, w in G.arcs if (w * 2**bits).denominator != 1), None)
+
+
+def reference_upper_bound_sum_weights(G: WeightedDigraph) -> int:
+    """`bounds.upper_bound_sum_weights` as it was before it read each
+    vertex's units: one exact sum over every arc, whose denominator is
+    the lcm of all of them."""
+    return 2 * isqrt_floor(2 * sum(w for _, _, w in G.arcs)) + 1
 
 
 def global_units(G: WeightedDigraph):

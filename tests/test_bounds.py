@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 import bruteforce
+from test_dp_reference_loops import acceptance_case
+from wicolor import bounds
 from wicolor import (
     BoundReport,
     PreconditionError,
@@ -129,6 +133,51 @@ class TestUpperSumWeights:
             4, [(1, 2, F(1, 2)), (2, 3, F(1, 2)), (3, 4, F(1, 2)), (4, 1, F(1, 2))]
         )
         assert upper_bound_sum_weights(cycle) == 5
+
+
+def integer_total_graph(seed: int) -> WeightedDigraph:
+    """A cycle whose last arc makes the total weight an integer, with
+    denominators 2..50, so each vertex's term is inexact in binary."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 12)
+    weights = [F(rng.randint(0, q), q) for q in (rng.randint(2, 50) for _ in range(n - 1))]
+    weights.append(-sum(weights) % 1)
+    return WeightedDigraph(n, [(v, v % n + 1, w) for v, w in enumerate(weights, start=1)])
+
+
+def huge_denominator_path(digits: int, count: int, seed: int) -> WeightedDigraph:
+    """A path whose arcs weigh 1/q for odd q of `digits` digits."""
+    rng = random.Random(seed)
+    qs = [rng.randrange(10 ** (digits - 1), 10**digits) | 1 for _ in range(count)]
+    return WeightedDigraph(len(qs) + 1, [(v, v + 1, F(1, q)) for v, q in enumerate(qs, start=1)])
+
+
+def sum_weight_cases():
+    yield from (acceptance_case(i)[0] for i in range(200))
+    for seed in range(200):
+        yield random_instance(3 + seed % 10, 0.3, seed=3100 + seed, weight_model="uniform-rational")
+    yield huge_denominator_path(300, 120, seed=44)  # the path of test_cli.py
+    yield from (integer_total_graph(seed) for seed in range(100))
+    q = random.Random(7).randrange(10**299, 10**300) | 1
+    # 1/q + (q-1)/q into two vertices, and a half: 2W is 3 exactly
+    yield WeightedDigraph(4, [(1, 2, F(1, q)), (2, 3, F(q - 1, q)), (3, 4, F(1, 2))])
+
+
+class TestUpperSumWeightsAgainstTheExactSum:
+    def test_matches_the_reference(self):
+        integer_totals = 0
+        for G in sum_weight_cases():
+            exact = 2 * sum(w for _, _, w in G.arcs)
+            assert bounds._floor_twice_total_weight(G) == floor(exact)
+            assert upper_bound_sum_weights(G) == bruteforce.reference_upper_bound_sum_weights(G)
+            integer_totals += exact.denominator == 1
+        assert integer_totals >= 101
+
+    def test_inexact_terms_with_an_integer_total(self):
+        # thirds on two vertices: each term is inexact, 2W = 2 exactly
+        G = WeightedDigraph(3, [(1, 2, F(1, 3)), (2, 3, F(2, 3))])
+        assert bounds._floor_twice_total_weight(G) == 2
+        assert upper_bound_sum_weights(G) == 3
 
 
 class TestUpperIndegree:

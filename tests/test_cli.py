@@ -142,7 +142,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_missing_decomposition_file(self, tmp_path, capsys, method):
-        # thirds on a complete digraph of five: auto picks exact
+        # thirds on a complete digraph of five, which the oracle answers:
+        # a named decomposition file is still read
         graph = tmp_path / "k5.wig"
         arcs = [f"e {a} {b} 1/3" for a in range(1, 6) for b in range(1, 6) if a != b]
         graph.write_text("\n".join(["p wig 5 20", *arcs, ""]), encoding="utf-8")
@@ -291,26 +292,27 @@ class TestSolve:
 
     @pytest.fixture()
     def oracle_gives_up(self, monkeypatch):
-        # with no oracle work allowed, auto falls back to the dispatch rule
+        # with no oracle work allowed, auto falls back to the budget DP
         monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 0)
 
-    def test_auto_picks_budget_for_dyadic(self, files, capsys, oracle_gives_up):
-        (files / "dyadic.wig").write_text("p wig 2 1\ne 1 2 1/2\n", encoding="utf-8")
-        code, out, _ = run(capsys, "solve", str(files / "dyadic.wig"))
+    @pytest.mark.parametrize(
+        ("name", "text", "chromatic"),
+        [
+            ("dyadic.wig", "p wig 2 1\ne 1 2 1/2\n", 1),
+            ("golden5.wig", None, 2),
+            ("dense.wig", "\n".join(["p wig 5 4"] + [f"e {j} 1 7/10" for j in (2, 3, 4, 5)]), 2),
+        ],
+        ids=["dyadic", "sparse-rational", "dense-rational"],
+    )
+    def test_auto_falls_back_to_the_budget_dp(
+        self, files, capsys, oracle_gives_up, name, text, chromatic
+    ):
+        # whatever the weights or the in-degrees, the one fallback
+        if text is not None:
+            (files / name).write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "solve", str(files / name))
         assert code == 0
-        assert "solver=fpt-budget" in out
-
-    def test_auto_picks_indegree_for_sparse_rationals(self, files, capsys, oracle_gives_up):
-        code, out, _ = run(capsys, "solve", str(files / "golden5.wig"))
-        assert code == 0
-        assert "solver=fpt-indegree" in out
-
-    def test_auto_falls_back_to_exact(self, files, capsys, oracle_gives_up):
-        lines = ["p wig 5 4"] + [f"e {j} 1 7/10" for j in (2, 3, 4, 5)]
-        (files / "dense.wig").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, out, _ = run(capsys, "solve", str(files / "dense.wig"))
-        assert code == 0
-        assert "solver=exact" in out
+        assert out.splitlines()[-1].startswith(f"solver=fpt-budget chromatic={chromatic} ")
 
     def test_auto_answers_from_the_oracle_within_its_budget(self, files, capsys):
         (files / "dyadic.wig").write_text("p wig 2 1\ne 1 2 1/2\n", encoding="utf-8")
@@ -332,7 +334,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(files / "golden5.wig"), "--stats")
         assert code == 0
         line = out.strip().splitlines()[-1]
-        assert line.startswith("solver=fpt-indegree chromatic=2 ")
+        assert line.startswith("solver=fpt-budget chromatic=2 ")
         assert "memo_entries=" in line
         # the first choice already examines all five vertices
         assert line.endswith("oracle_work=5 oracle_gave_up=1")
@@ -361,8 +363,9 @@ class TestSolve:
         monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 3)
         assert lines(golden, "--stats") == [
             golden_header,
-            "solver=fpt-indegree chromatic=2 witness=- time_ms=* memo_entries=3 memo_hits=0"
-            " memo_max_key_width=5 oracle_work=5 oracle_gave_up=1",
+            "solver=fpt-budget chromatic=2 witness=- time_ms=* memo_entries=12"
+            " memo_color_entries=5 memo_distribute_entries=7 memo_hits=7"
+            " memo_max_key_width=3 oracle_work=5 oracle_gave_up=1",
         ]
 
     def test_auto_answers_a_wide_dyadic_graph_from_the_oracle(self, files, capsys):
@@ -378,7 +381,7 @@ class TestSolve:
         assert is_valid_coloring(G, witness)
         assert max(witness.values()) == 4
 
-    def test_auto_refuses_partition_m20_after_the_budget(self, files, capsys, monkeypatch):
+    def test_auto_answers_partition_m20_after_the_budget(self, files, capsys, monkeypatch):
         refusals = []
 
         def recording(G, **kwargs):
@@ -393,41 +396,53 @@ class TestSolve:
         elements = "5 9 4 11 19 6 1 14 14 3 4 5 11 16 19 15 14 7 7 11".split()
         prefix = files / "m20"
         assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
-        code, _, err = run(capsys, "solve", f"{prefix}.wig", "--stats")
-        assert code == 4
-        assert "gave up after" in err
-        # the budgeted oracle gave up; the rule picked exact, which above
-        # the vertex guard would repeat that very search, so auto refused
+        witness = files / "m20.col"
+        code, out, err = run(capsys, "solve", f"{prefix}.wig", "--stats", "--out", str(witness))
+        assert (code, err) == (0, "")
+        # the budgeted oracle gave up once; the budget DP answered on the
+        # built decomposition, and its witness is valid
+        line = out.strip().splitlines()[-1]
+        assert line.startswith(f"solver=fpt-budget chromatic=3 witness={witness} ")
+        assert line.endswith("oracle_work=50001 oracle_gave_up=1")
         budget = cli.ORACLE_WORK_BUDGET
         assert len(refusals) == 1
         assert refusals[0][0] == budget == refusals[0][2] < refusals[0][1]
+        G = parse_digraph((files / "m20.wig").read_text(encoding="utf-8"))
+        coloring = parse_coloring(witness.read_text(encoding="utf-8"))
+        assert is_valid_coloring(G, coloring) and max(coloring.values()) == 3
 
-    def test_auto_falls_back_to_indegree_on_a_given_decomposition(
-        self, files, capsys, oracle_gives_up
-    ):
-        # rational weights and in-degree 15: the rule picks exact, which
-        # above 16 vertices only a given decomposition can replace
+    @pytest.fixture()
+    def m15(self, files, capsys):
+        # the 17-vertex partition gadget of 15 elements, with its width-2 .td
         elements = "3 1 4 1 5 9 2 6 5 3 5 8 9 7 9".split()
         prefix = files / "m15"
         assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
-        code, out, _ = run(
-            capsys, "solve", f"{prefix}.wig", "--decomposition", f"{prefix}.td", "--stats"
-        )
+        return prefix
+
+    def test_auto_fallback_reads_the_given_decomposition(
+        self, files, capsys, oracle_gives_up, m15
+    ):
+        code, out, _ = run(capsys, "solve", f"{m15}.wig", "--decomposition", f"{m15}.td", "--stats")
         assert code == 0
         assert " n=17 " in out
         line = out.strip().splitlines()[-1]
-        assert line.startswith("solver=fpt-indegree chromatic=3 ")
-        assert line.endswith("oracle_gave_up=1")
-        code, _, err = run(capsys, "solve", f"{prefix}.wig", "--stats")
-        assert code == 4
-        assert "gave up after" in err
+        assert line.startswith("solver=fpt-budget chromatic=3 ")
+        assert line.endswith("oracle_work=17 oracle_gave_up=1")
+        G = parse_digraph((files / "m15.wig").read_text(encoding="utf-8"))
+        D = parse_decomposition((files / "m15.td").read_text(encoding="utf-8"), n=G.n)
+        # the built exact-small decomposition gives other tokens (memo_entries=71)
+        solver = cli.BudgetSolver(G, D)
+        solver.solve()
+        expected = {f"memo_{key}": value for key, value in dataclasses.asdict(solver.memo_stats()).items()}
+        tokens = dict(token.split("=", 1) for token in line.split())
+        assert {key: int(value) for key, value in tokens.items() if key.startswith("memo_")} == expected
 
-    def test_all_methods_keep_going_when_exact_gives_up(self, files, capsys, oracle_gives_up):
+    def test_all_methods_keep_going_when_exact_gives_up(
+        self, files, capsys, oracle_gives_up, m15
+    ):
         # exact refuses the 17-vertex gadget; both DPs still answer on the
         # given decomposition, and the exit code reports the refusal
-        elements = "3 1 4 1 5 9 2 6 5 3 5 8 9 7 9".split()
-        prefix = files / "m15"
-        assert run(capsys, "gen", "partition", *elements, "--out", str(prefix))[0] == 0
+        prefix = m15
         code, out, err = run(
             capsys,
             "solve",

@@ -301,14 +301,14 @@ class TestLongChains:
         assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
 
     def test_auto_solves_a_rational_chain(self, tmp_path, capsys, monkeypatch):
-        # once the oracle gives up: tenths are not dyadic, so auto picks
-        # the indegree DP
+        # once the oracle gives up, auto runs the budget DP, which counts
+        # tenths in each vertex's own unit
         monkeypatch.setattr(cli, "ORACLE_WORK_BUDGET", 0)
         G = ladder(128, 10, seed=1280)
         graph, out = tmp_path / "ladder.wig", tmp_path / "ladder.col"
         graph.write_text(serialize_digraph(G), encoding="utf-8")
         assert main(["solve", str(graph), "--out", str(out)]) == 0
-        assert "solver=fpt-indegree" in capsys.readouterr().out
+        assert "solver=fpt-budget chromatic=2 " in capsys.readouterr().out
         assert is_valid_coloring(G, parse_coloring(out.read_text(encoding="utf-8")))
         assert not is_valid_coloring(G, {v: 1 for v in G.vertices})
 

@@ -11,17 +11,22 @@ the same way on any machine.
   in-arc units, counted in v's own unit 1/scale_v and below scale_v,
   so it takes at most min(scale_v, 2^indeg(v)) distinct values, for
   any rational weights.  On b-bit fixed point weights scale_v <= 2^b.
+- Pathwidth alone is not the parameter: the partition gadget has a
+  width-2 path decomposition, yet its largest bag table grows with the
+  number of elements, whose precision grows with their total.
 
-The claims on interval graphs and on the partition gadget need
-instance families that the generators do not build yet.
+The claim on interval graphs needs an instance family that the
+generators do not build yet.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from test_dp_reference_loops import acceptance_case, ladder_case
-from wicolor import BudgetSolver, build_decomposition, random_instance
+from wicolor import BudgetSolver, build_decomposition, partition_instance, random_instance
 
 
 def first_use_keys(length: int) -> int:
@@ -57,6 +62,26 @@ def test_ladder_entries_per_bag_do_not_grow_with_length(bits):
         per_bag[k] = solver.memo_stats().color_entries / len(D.bags)
     # the bound above is the constant: width 2 shares at most 2 vertices
     assert max(per_bag.values()) <= bag_entry_bound(2, bits), per_bag
+
+
+def largest_table(G, D, bits=None) -> int:
+    """The most entries one bag stores under decide(2)."""
+    solver = BudgetSolver(G, D, bits)
+    solver.decide(2)
+    return max(sum(len(front) for front in table.values()) for table in solver.tables)
+
+
+def test_width_two_gadget_tables_grow_with_the_elements():
+    gadget = []
+    for m in range(4, 17, 2):
+        rng = random.Random(5)
+        G, D = partition_instance([rng.randint(1, 20) for _ in range(m)])
+        assert D.width == 2
+        gadget.append(largest_table(G, D))
+    assert all(a < b for a, b in zip(gadget, gadget[1:])), gadget
+    # the dyadic ladders have width 2 too, and their tables stay bounded
+    ladders = [largest_table(*ladder_case(k, 1)) for k in (8, 16, 32, 64)]
+    assert max(ladders) <= bag_entry_bound(2, 1) < gadget[-1], (ladders, gadget)
 
 
 def demand_cases():
