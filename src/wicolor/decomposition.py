@@ -16,7 +16,6 @@ loop both share.  Bag indices are 0-based internally (the text format is
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -35,7 +34,10 @@ class TreeDecomposition:
     index pairs forming a tree over all bags; `root` selects the bag
     the dynamic programs start from.  Structural validity against a
     concrete graph is a separate check (`validate_decomposition`); the
-    constructor only enforces the tree shape.
+    constructor only enforces the tree shape.  It also walks the tree
+    once from the root, setting `parent` (None at the root), `children`
+    (ascending; the order fixes child ordinals) and `preorder`, in time
+    linear in the bag count once the edges are sorted.
     """
 
     bags: tuple[frozenset[int], ...]
@@ -72,9 +74,26 @@ class TreeDecomposition:
         object.__setattr__(self, "bags", bag_tuple)
         object.__setattr__(self, "tree_edges", tuple(canon))
         object.__setattr__(self, "root", root)
-        # with count-1 edges, a parent for every bag but the root proves a tree
-        if self.parent.count(None) != 1:
+        # one walk from the root, children ascending as the adjacency is;
+        # with count-1 edges, reaching every bag exactly once proves a
+        # tree, and a cycle would revisit bags past the count
+        parent: list[int | None] = [None] * count
+        children: list[tuple[int, ...]] = [()] * count
+        preorder: list[int] = []
+        adjacency, stack = self.adjacency, [root]
+        while stack and len(preorder) <= count:
+            cur = stack.pop()
+            preorder.append(cur)
+            up = parent[cur]
+            kids = children[cur] = tuple([b for b in adjacency[cur] if b != up])
+            for b in kids:
+                parent[b] = cur
+            stack += reversed(kids)
+        if len(preorder) != count:
             raise ValueError("tree edges do not connect all bags")
+        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "preorder", tuple(preorder))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -83,41 +102,6 @@ class TreeDecomposition:
             adj[a].append(b)
             adj[b].append(a)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
-
-    @cached_property
-    def parent(self) -> tuple[int | None, ...]:
-        """Parent bag index of each bag under the current root (None at the root)."""
-        par: list[int | None] = [None] * len(self.bags)
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    par[nxt] = cur
-                    queue.append(nxt)
-        return tuple(par)
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Child bag indices of each bag, ascending; the order fixes child ordinals."""
-        kids: list[list[int]] = [[] for _ in self.bags]
-        for i, p in enumerate(self.parent):
-            if p is not None:
-                kids[p].append(i)
-        return tuple(tuple(sorted(k)) for k in kids)
-
-    @cached_property
-    def preorder(self) -> tuple[int, ...]:
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            cur = stack.pop()
-            out.append(cur)
-            for kid in reversed(self.children[cur]):
-                stack.append(kid)
-        return tuple(out)
 
     @property
     def width(self) -> int:
@@ -152,6 +136,11 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
     in (property, witness) order so reports are reproducible.  A single
     flaw can break several properties at once; every broken one is
     reported.
+
+    No pair of bag vertices is formed: an arc's endpoints share a bag
+    unless their sets of holding bags are disjoint, which scans the
+    smaller set.  The cost is linear in sum |X_i| + n, plus for each arc
+    the fewer of its endpoints' holding bags.
     """
     violations: list[DecompositionViolation] = []
     membership: dict[int, set[int]] = {v: set() for v in G.vertices}
@@ -174,15 +163,9 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
                 DecompositionViolation(1, v, f"vertex {v} appears in no bag")
             )
 
-    covered_pairs = set()
-    for bag in D.bags:
-        for u in bag:
-            for v in bag:
-                if u < v:
-                    covered_pairs.add((u, v))
     for t, h, _ in G.arcs:
-        pair = (t, h) if t < h else (h, t)
-        if pair not in covered_pairs:
+        if membership[t].isdisjoint(membership[h]):
+            pair = (t, h) if t < h else (h, t)
             violations.append(
                 DecompositionViolation(
                     2, pair, f"arc ({t}, {h}) endpoints never share a bag"

@@ -230,14 +230,14 @@ def parse_decomposition(
                 raise FormatError(f"bag id {bag_id} outside 1..{count}", line_no)
             if bag_id in bags:
                 raise FormatError(f"bag {bag_id} declared twice", line_no)
-            members = []
+            members: set[int] = set()
             for token in tokens[2:]:
                 v = _parse_int(token, line_no, "vertex", minimum=1)
                 if v > n:
                     raise FormatError(f"vertex {v} outside 1..{n}", line_no)
                 if v in members:
                     raise FormatError(f"vertex {v} repeated in bag {bag_id}", line_no)
-                members.append(v)
+                members.add(v)
             bags[bag_id] = frozenset(members)
         else:
             if len(tokens) != 2:

@@ -9,11 +9,13 @@ code before a comparison test could pass by accident.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 from wicolor import (
+    DecompositionViolation,
     DuplicateEdgeError,
     FormatError,
     InstanceTooLargeError,
@@ -858,3 +860,107 @@ def reference_budget_witness(solver):
         for (child, pos), pick in zip(solver.kids[bag], picks):
             stack.append((child, tuple([real_colors[p] for p in pos]), pick))
     return witness, counts
+
+
+# -- decomposition set-up as it was first written ---------------------------
+#
+# validate_decomposition formed every pair of vertices in every bag, and
+# TreeDecomposition derived parent, children and preorder in three passes.
+# Both are kept here to compare the one-pass, pair-free forms with.
+
+
+def reference_validate_decomposition(
+    G: WeightedDigraph, D: TreeDecomposition
+) -> list[DecompositionViolation]:
+    """All violations of the three decomposition properties, empty iff valid.
+
+    Bags must name only vertices of G (reported as property 0).  Listed
+    in (property, witness) order so reports are reproducible.  A single
+    flaw can break several properties at once; every broken one is
+    reported.
+    """
+    violations: list[DecompositionViolation] = []
+    membership: dict[int, set[int]] = {v: set() for v in G.vertices}
+    foreign: set[int] = set()
+    for i, bag in enumerate(D.bags):
+        for v in bag:
+            if v in membership:
+                membership[v].add(i)
+            else:
+                foreign.add(v)
+
+    for v in foreign:
+        violations.append(
+            DecompositionViolation(0, v, f"vertex {v} in a bag is outside 1..{G.n}")
+        )
+
+    for v in G.vertices:
+        if not membership[v]:
+            violations.append(
+                DecompositionViolation(1, v, f"vertex {v} appears in no bag")
+            )
+
+    covered_pairs = set()
+    for bag in D.bags:
+        for u in bag:
+            for v in bag:
+                if u < v:
+                    covered_pairs.add((u, v))
+    for t, h, _ in G.arcs:
+        pair = (t, h) if t < h else (h, t)
+        if pair not in covered_pairs:
+            violations.append(
+                DecompositionViolation(
+                    2, pair, f"arc ({t}, {h}) endpoints never share a bag"
+                )
+            )
+
+    # the holders of v are connected iff exactly one of them has its
+    # parent outside the holders: each connected part has one such top
+    for v in G.vertices:
+        holders = membership[v]
+        if sum(1 for i in holders if D.parent[i] not in holders) > 1:
+            violations.append(
+                DecompositionViolation(
+                    3, v, f"bags containing vertex {v} are disconnected in the tree"
+                )
+            )
+
+    violations.sort(key=lambda viol: (viol.property_index, _witness_key(viol.witness)))
+    return violations
+
+
+def _witness_key(witness: int | tuple[int, int]) -> tuple[int, int]:
+    if isinstance(witness, tuple):
+        return witness
+    return (witness, 0)
+
+
+def reference_tree_walk(count: int, tree_edges, root: int):
+    """parent (BFS from the root), children (sorted from parent) and
+    preorder (a DFS taking children ascending) of a tree on `count` bags."""
+    adj = [[] for _ in range(count)]
+    for a, b in tree_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    adj = [sorted(nbrs) for nbrs in adj]
+    parent = [None] * count
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                parent[nxt] = cur
+                queue.append(nxt)
+    children = tuple(
+        tuple(sorted(i for i in range(count) if parent[i] == p)) for p in range(count)
+    )
+    preorder = []
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        preorder.append(cur)
+        stack.extend(reversed(children[cur]))
+    return tuple(parent), children, tuple(preorder)
