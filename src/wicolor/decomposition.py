@@ -37,7 +37,8 @@ class TreeDecomposition:
     constructor only enforces the tree shape.  It also walks the tree
     once from the root, setting `parent` (None at the root), `children`
     (ascending; the order fixes child ordinals) and `preorder`, in time
-    linear in the bag count once the edges are sorted.
+    linear in the bag count once the edges are sorted, on any edge set:
+    it refuses at the first bag it reaches twice.
     """
 
     bags: tuple[frozenset[int], ...]
@@ -76,17 +77,23 @@ class TreeDecomposition:
         object.__setattr__(self, "root", root)
         # one walk from the root, children ascending as the adjacency is;
         # with count-1 edges, reaching every bag exactly once proves a
-        # tree, and a cycle would revisit bags past the count
+        # tree, and the walk stops at the first bag reached twice (a
+        # cycle), so each bag is pushed at most once
         parent: list[int | None] = [None] * count
         children: list[tuple[int, ...]] = [()] * count
         preorder: list[int] = []
+        reached = bytearray(count)
+        reached[root] = 1
         adjacency, stack = self.adjacency, [root]
-        while stack and len(preorder) <= count:
+        while stack:
             cur = stack.pop()
             preorder.append(cur)
             up = parent[cur]
             kids = children[cur] = tuple([b for b in adjacency[cur] if b != up])
             for b in kids:
+                if reached[b]:
+                    raise ValueError("tree edges do not connect all bags")
+                reached[b] = 1
                 parent[b] = cur
             stack += reversed(kids)
         if len(preorder) != count:

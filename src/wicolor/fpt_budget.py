@@ -145,9 +145,11 @@ class BudgetSolver(TreeDP):
         The bags holding v form a subtree whose top bag, top[v], has v
         in its free part; the bags holding both endpoints form a subtree
         too, topped by the deeper of the two top bags: the one holding
-        the other endpoint.  So set-up takes time linear in
-        sum |X_i| + m past validation, with no arc sorted: the arcs come
-        in order, and each charge_list comes out sorted.
+        the other endpoint.  Holding both endpoints there is the whole
+        check: a top bag's parent lacks its free vertex, so no bag above
+        holds both.  Set-up takes time linear in sum |X_i| + m past
+        validation, with no arc sorted: the arcs come in order, and
+        each charge_list comes out sorted.
         """
         require_valid(validate_decomposition(G, D))
         offending = None if bits is None else check_fixed_point(G, bits)
@@ -167,8 +169,7 @@ class BudgetSolver(TreeDP):
         charge_list: list[list[tuple[int, int, int]]] = [[] for _ in bags]
         for t, h, _ in G.arcs:
             i = top[t] if h in bags[top[t]] else top[h]
-            shared = shared_set[i]
-            if t not in bags[i] or (t in shared and h in shared):
+            if t not in bags[i]:
                 raise AssertionError("every arc must be charged at exactly one bag")
             charge_list[i].append((t, h, next(units_of[h])[1]))
         self.charge_list = charge_list

@@ -124,6 +124,19 @@ def test_disconnected_tree_edges_are_refused(edges, root):
         TreeDecomposition(bags, edges, root)
 
 
+def test_a_cycle_through_a_hub_is_refused_at_the_first_revisit():
+    # hub 0 joined to bags 1..k, an edge between two of its neighbours
+    # and one separate bag: count-1 edges; a walk that did not stop at
+    # the first revisit would go round 0-1-2 about k/3 times, each pass
+    # pushing k-1 bags
+    k = 10_000
+    edges = [(0, b) for b in range(1, k + 1)] + [(1, 2)]
+    bags = [{1}] * (k + 2)
+    for root in (0, 2, k + 1):
+        with pytest.raises(ValueError, match=r"^tree edges do not connect all bags$"):
+            TreeDecomposition(bags, edges, root)
+
+
 def test_wrong_edge_count_and_bad_root_keep_their_messages():
     with pytest.raises(ValueError, match=r"^3 tree edges cannot form a tree on 3 bags$"):
         TreeDecomposition([{1}, {2}, {3}], [(0, 1), (1, 2), (0, 2)])
