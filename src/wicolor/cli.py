@@ -99,9 +99,9 @@ def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
 
 
 def _obtain_decomposition(args, G: WeightedDigraph) -> TreeDecomposition:
-    if getattr(args, "decomposition", None):
+    if args.decomposition:
         return formats.parse_decomposition(
-            _read(args.decomposition), root_bag_id=getattr(args, "root", 1), n=G.n
+            _read(args.decomposition), root_bag_id=args.root, n=G.n
         )
     strategy = "exact-small" if G.n <= EXACT_SMALL_LIMIT else "min-fill"
     return build_decomposition(G, strategy)

@@ -8,8 +8,8 @@ minus one.
 
 Decompositions here are rooted: the dynamic programs in this package key
 each bag's table by the colors it shares with its parent, and read their
-witnesses from the root down; `TreeDP` holds that layout and the decision
-loop both share.  Bag indices are 0-based internally (the text format is
+witnesses from the root down; `TreeDP` holds that layout, the decision
+loop and the witness read both share.  Bag indices are 0-based internally (the text format is
 1-based, see `formats`).
 """
 
@@ -116,8 +116,6 @@ class TreeDecomposition:
 
     def root_at(self, i: int) -> TreeDecomposition:
         """Same bags and tree, re-rooted at bag i."""
-        if not 0 <= i < len(self.bags):
-            raise ValueError(f"root index {i} out of range")
         return replace(self, root=i)
 
 
@@ -532,8 +530,11 @@ class TreeDP:
     index in order[i]; kids[i] pairs each child with the positions in
     order[i] of that child's shared vertices, in the child's order.
     A subclass provides _decide(k), which fills its tables for k colors
-    and says whether the graph is k-colorable, and _witness(), the
-    coloring those tables hold when it is.
+    and says whether the graph is k-colorable; _bag_colors(bag,
+    inherited, pick), the colors of order[bag] its tables store for the
+    colors the bag inherits and the pick its parent read, with the pick
+    each child reads in turn; and _valid(witness), its check of the
+    coloring read.
     """
 
     def __init__(
@@ -583,10 +584,36 @@ class TreeDP:
 
     def witness(self) -> Coloring:
         """A k-coloring read from the tables of the last decide(k), which
-        must have returned True."""
+        must have returned True.
+
+        The tables are read root first.  Each bag looks up the colors
+        stored for the colors it inherits, which they must start with,
+        colors its free vertices and hands each child the colors of that
+        child's shared vertices.  So each vertex is colored at the
+        rootmost bag tracking it and inherited below; the checks pin that
+        down.
+        """
         if not self.accepted:
             raise PreconditionError("witness() needs a decide(k) that returned True")
-        return self._witness()
+        witness: Coloring = {}
+        stack: list[tuple[int, tuple[int, ...], object]] = [(self.decomposition.root, (), ())]
+        while stack:
+            bag, inherited, pick = stack.pop()
+            colors, picks = self._bag_colors(bag, inherited, pick)
+            ns = len(inherited)
+            if colors[:ns] != inherited:
+                raise AssertionError(f"bag {bag} does not keep its inherited colors")
+            for v, c in zip(self.order[bag][ns:], colors[ns:]):
+                if v in witness:
+                    raise AssertionError(f"vertex {v} colored twice")
+                witness[v] = c
+            for (child, pos), pick in zip(self.kids[bag], picks):
+                stack.append((child, tuple([colors[p] for p in pos]), pick))
+        if set(witness) != set(self.graph.vertices):
+            raise AssertionError("witness not total")
+        if not self._valid(witness):
+            raise AssertionError("witness read from the tables is not a valid coloring")
+        return witness
 
     def solve(self) -> SolveResult:
         """The least k that decide(k) accepts, with its witness.  k = 1 is

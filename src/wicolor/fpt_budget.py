@@ -182,7 +182,6 @@ class BudgetSolver(TreeDP):
 
         self.tables: list[dict[tuple[int, ...], dict[Vector, Entry]]] = [{} for _ in D.bags]
         self._canonical: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.considered_counts: dict[tuple[int, int], int] = {}
         self._stats = BudgetMemoStats(0, 0, 0, 0, 0)
 
     # -- decision DP ---------------------------------------------------
@@ -281,50 +280,27 @@ class BudgetSolver(TreeDP):
 
     # -- public API --------------------------------------------------
 
-    def _witness(self) -> Coloring:
-        """Read one k-coloring from the tables of the last decide(k),
-        root first.
+    def _bag_colors(
+        self, bag: int, inherited: tuple[int, ...], demand: Vector
+    ) -> tuple[tuple[int, ...], tuple[Vector, ...]]:
+        """The coloring of X_bag stored with `demand` for the colors the
+        bag inherits, and the vector each child was summed with.
 
-        A bag renames its inherited colors in order of first use and
-        reads the entry stored for them and its demand: the canonical
-        coloring and child vectors that gave that demand.  It maps the
-        coloring back, canonical color i to the i-th inherited color
-        first used and each new color to the next real color not
-        inherited, ascending, and hands each child the vector it was
-        summed with.  Every bag is visited once, so the per-arc
-        considered_counts, reset here, end up exactly 1.
+        The inherited colors are renamed in order of first use to find
+        the entry; its canonical coloring is mapped back, canonical color
+        i to the i-th inherited color first used and each new color to
+        the next real color not inherited, ascending.
         """
-        k = self.k
-        witness: Coloring = {}
-        counts = self.considered_counts = {}
-        stack: list[tuple[int, tuple[int, ...], Vector]] = [(self.decomposition.root, (), ())]
-        while stack:
-            bag, inherited, demand = stack.pop()
-            ns = len(inherited)
-            first: dict[int, int] = {}  # inherited color -> canonical color
-            canon = tuple([first.setdefault(c, len(first) + 1) for c in inherited])
-            front = self.tables[bag].get(canon)
-            entry = None if front is None else front.get(demand)
-            if entry is None:
-                raise AssertionError(f"no stored entry for an accepted state of bag {bag}")
-            colors, picks = entry
-            # real[c] for canonical c: the inherited colors in order of
-            # first use, then the colors not inherited, ascending
-            real = [0, *first, *[c for c in range(1, k + 1) if c not in first]]
-            real_colors = [real[c] for c in colors]
-            for v, c in zip(self.order[bag][ns:], real_colors[ns:]):
-                if v in witness:
-                    raise AssertionError(f"vertex {v} colored twice")
-                witness[v] = c
-            for t, h, _ in self.charge_list[bag]:
-                counts[(t, h)] = counts.get((t, h), 0) + 1
-            for (child, pos), pick in zip(self.kids[bag], picks):
-                stack.append((child, tuple([real_colors[p] for p in pos]), pick))
-        if set(witness) != set(self.graph.vertices):
-            raise AssertionError("witness not total")
-        if not is_valid_coloring(self.graph, witness):
-            raise AssertionError("replayed witness is not a valid coloring")
-        return witness
+        entry = self.tables[bag].get(_first_use(inherited), {}).get(demand)
+        if entry is None:
+            raise AssertionError(f"no stored entry for an accepted state of bag {bag}")
+        colors, picks = entry
+        first = dict.fromkeys(inherited)
+        real = [0, *first, *[c for c in range(1, self.k + 1) if c not in first]]
+        return tuple([real[c] for c in colors]), picks
+
+    def _valid(self, witness: Coloring) -> bool:
+        return is_valid_coloring(self.graph, witness)
 
     def memo_stats(self) -> BudgetMemoStats:
         return self._stats

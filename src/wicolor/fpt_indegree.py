@@ -25,7 +25,8 @@ small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from itertools import repeat
+from typing import Generator, Iterable
 
 from .decomposition import (
     TreeDecomposition,
@@ -185,34 +186,16 @@ class IndegreeSolver(TreeDP):
 
     # -- public API --------------------------------------------------
 
-    def _witness(self) -> Coloring:
-        """Join the stored bag colorings of the last decide(k), root first.
+    def _bag_colors(self, bag: int, inherited: Colors, pick: object) -> tuple[Colors, Iterable]:
+        """The coloring of V_bag the memo stores for the state `inherited`;
+        the memo holds one per state, so no child needs a pick."""
+        colors = self.memo.get((bag, inherited))
+        if colors is None:
+            raise AssertionError(f"no stored coloring for an accepted state of bag {bag}")
+        return colors, repeat(None)
 
-        Each vertex is colored at the rootmost bag whose V_i holds it and
-        inherited below; the checks pin that down.
-        """
-        witness: Coloring = {}
-        stack: list[MemoKey] = [(self.decomposition.root, ())]
-        while stack:
-            bag, key = stack.pop()
-            colors = self.memo.get((bag, key))
-            if colors is None:
-                raise AssertionError(f"no stored coloring for an accepted state of bag {bag}")
-            order, ns = self.order[bag], len(key)  # the shared vertices come first
-            for v, c in zip(order[:ns], colors):
-                if witness.get(v) != c:
-                    raise AssertionError(f"inherited color of {v} drifted")
-            for v, c in zip(order[ns:], colors[ns:]):
-                if v in witness:
-                    raise AssertionError(f"vertex {v} colored twice")
-                witness[v] = c
-            for child, pos in self.kids[bag]:
-                stack.append((child, tuple([colors[p] for p in pos])))
-        if set(witness) != set(self.graph.vertices):
-            raise AssertionError("witness not total")
-        if not is_valid_coloring(self.graph, witness):
-            raise AssertionError("witness read from the memo is not a valid coloring")
-        return witness
+    def _valid(self, witness: Coloring) -> bool:
+        return is_valid_coloring(self.graph, witness)
 
     def memo_stats(self) -> MemoStats:
         width = max((len(key[1]) for key in self.memo), default=0)

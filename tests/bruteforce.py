@@ -831,11 +831,9 @@ def _reference_first_use(colors):
 
 def reference_budget_witness(solver):
     """`BudgetSolver._witness` on the solver's tables, mapping each bag's
-    canonical colors back through two sets and a sorted list; returns
-    the witness and the per-arc considered counts."""
+    canonical colors back through two sets and a sorted list."""
     k = solver.k
     witness = {}
-    counts = {}
     stack = [(solver.decomposition.root, (), ())]
     while stack:
         bag, inherited, demand = stack.pop()
@@ -855,11 +853,9 @@ def reference_budget_witness(solver):
             if v in witness:
                 raise AssertionError(f"vertex {v} colored twice")
             witness[v] = c
-        for t, h, _ in solver.charge_list[bag]:
-            counts[(t, h)] = counts.get((t, h), 0) + 1
         for (child, pos), pick in zip(solver.kids[bag], picks):
             stack.append((child, tuple([real_colors[p] for p in pos]), pick))
-    return witness, counts
+    return witness
 
 
 # -- decomposition set-up as it was first written ---------------------------

@@ -8,14 +8,15 @@ shared vertices, carrying a vertex along a tree path, hanging a copy of
 a bag or an empty bag as a leaf, and re-rooting.  Whatever the shape,
 the oracle and both DPs must agree on the chromatic value, in the
 library and through `wicolor solve --decomposition`, and every witness
-must be valid.
+must be valid.  A witness read looks up each bag once, and each of its
+checks fires on a corrupted memo, table or bag order.
 """
 
 from __future__ import annotations
 
 import io
 import tempfile
-from collections import deque
+from collections import Counter, deque
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -227,3 +228,93 @@ def test_witness_needs_an_accepted_decision(solver_class):
         solver.witness()
     assert solver.decide(chi)
     assert is_valid_coloring(G, solver.witness())
+
+
+def witness_reads(solver):
+    """One witness() of the solver, and the (inherited colors, pick) each
+    bag's lookup was asked for, per bag."""
+    reads: dict[int, list] = {}
+    look_up = solver._bag_colors
+
+    def recording(bag, inherited, pick):
+        reads.setdefault(bag, []).append((inherited, pick))
+        return look_up(bag, inherited, pick)
+
+    solver._bag_colors = recording
+    try:
+        return solver.witness(), reads
+    finally:
+        del solver._bag_colors
+
+
+def reads_every_bag_once(solver, reads) -> bool:
+    return Counter({bag: len(asked) for bag, asked in reads.items()}) == Counter(
+        range(len(solver.decomposition.bags))
+    )
+
+
+def stored_slot(solver, bag, inherited, pick):
+    """The dict and key holding what witness() reads for bag."""
+    if isinstance(solver, IndegreeSolver):
+        return solver.memo, (bag, inherited)
+    return solver.tables[bag][fpt_budget._first_use(inherited)], pick
+
+
+def drop_entry(solver, bag, inherited, pick):
+    table, key = stored_slot(solver, bag, inherited, pick)
+    del table[key]
+
+
+def change_first_color(solver, bag, inherited, pick):
+    # another color in 1..k for the first shared vertex: a real one in
+    # the memo, a canonical one (always 1 there) in the budget tables
+    table, key = stored_slot(solver, bag, inherited, pick)
+    k = solver.k
+    if isinstance(solver, IndegreeSolver):
+        colors = table[key]
+        table[key] = (1 + colors[0] % k, *colors[1:])
+    else:
+        colors, picks = table[key]
+        table[key] = ((1 + colors[0] % k, *colors[1:]), picks)
+
+
+def free_an_ancestor_vertex(solver, bag, inherited, pick):
+    # the bag's first free vertex becomes one the root colors
+    order, ns = solver.order[bag], len(inherited)
+    solver.order[bag] = (*order[:ns], solver.order[solver.decomposition.root][0], *order[ns + 1 :])
+
+
+def drop_a_free_vertex(solver, bag, inherited, pick):
+    solver.order[bag] = solver.order[bag][:-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (drop_entry, r"no stored \w+ for an accepted state of bag {bag}$"),
+        (change_first_color, r"^bag {bag} does not keep its inherited colors$"),
+        (free_an_ancestor_vertex, r"^vertex \d+ colored twice$"),
+        (drop_a_free_vertex, r"^witness not total$"),
+    ],
+    ids=lambda arg: arg.__name__ if callable(arg) else "",
+)
+@pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)
+def test_witness_refuses_corrupted_tables(solver_class, corrupt, message):
+    """Each check of the root-first read fires on a corruption of what
+    an accepted decide(k) stored: a missing entry, stored colors that do
+    not start with the inherited ones, a vertex both inherited and free,
+    and a vertex no bag colors."""
+    G = random_instance(8, 0.3, seed=0, bits=2)
+    solver = solver_class(G, build_decomposition(G, "min-fill"))
+    assert len(solver.decomposition.bags) >= 3
+    assert solver.decide(solver.palette) and solver.k >= 2
+    _, reads = witness_reads(solver)
+    # a bag below the root that inherits colors and colors a vertex itself
+    bag = next(
+        bag
+        for bag in solver.decomposition.preorder[1:]
+        if 0 < len(solver.shared_set[bag]) < len(solver.order[bag])
+    )
+    corrupt(solver, bag, *reads[bag][0])
+    with pytest.raises(AssertionError, match=message.format(bag=bag)):
+        solver.witness()

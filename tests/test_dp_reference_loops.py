@@ -9,7 +9,8 @@ before: every weight times the lcm of all the graph's denominators
 (the reference's units converted to each head's own), the same
 colorings in the same order for every state a solve visits, the same
 antichains and the same witness, on the acceptance family, on reshaped
-decompositions and on the benchmark's 2 x k ladders.
+decompositions and on the benchmark's 2 x k ladders.  There, too, each
+witness of either DP looks up every bag exactly once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from test_dp_any_decomposition import reshaped_decompositions
+from test_dp_any_decomposition import reads_every_bag_once, reshaped_decompositions, witness_reads
 from wicolor import (
     BudgetSolver,
     IndegreeSolver,
@@ -111,14 +112,15 @@ def check_colorings(G, D):
 
 def check_witness(G, D, bits):
     """The budget witness of every accepted decide(k) equals the
-    reference relabel's, with the same per-arc counts."""
+    reference relabel's, and is read with one lookup per bag."""
     solver = BudgetSolver(G, D, bits)
     chi = solver.solve().chromatic
     for k in range(chi, solver.palette + 1):
         assert solver.decide(k)
-        witness = solver.witness()
+        witness, reads = witness_reads(solver)
         assert is_valid_coloring(G, witness)
-        assert (witness, solver.considered_counts) == bruteforce.reference_budget_witness(solver)
+        assert reads_every_bag_once(solver, reads)
+        assert witness == bruteforce.reference_budget_witness(solver)
 
 
 @pytest.mark.parametrize("G, D, bits", CASES)
@@ -134,6 +136,17 @@ def test_colorings_match_the_reference_on_every_visited_state(G, D, bits):
 @pytest.mark.parametrize("G, D, bits", CASES)
 def test_budget_witness_matches_the_reference(G, D, bits):
     check_witness(G, D, bits)
+
+
+@pytest.mark.parametrize("G, D, bits", CASES)
+def test_indegree_witness_reads_every_bag_once(G, D, bits):
+    solver = IndegreeSolver(G, D)
+    chi = solver.solve().chromatic
+    for k in range(chi, solver.palette + 1):
+        assert solver.decide(k)
+        witness, reads = witness_reads(solver)
+        assert is_valid_coloring(G, witness)
+        assert reads_every_bag_once(solver, reads)
 
 
 @given(reshaped_decompositions())

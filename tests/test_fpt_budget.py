@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from test_dp_any_decomposition import reads_every_bag_once, witness_reads
 from wicolor import (
     BudgetSolver,
     IndegreeSolver,
@@ -337,9 +338,33 @@ from wicolor import TreeDecomposition, WeightedDigraph, cli, fpt_budget, fpt_ind
 assert False, "assert statements must be stripped"
 G = WeightedDigraph(2, [(1, 2, Fraction(1, 2))])
 D = TreeDecomposition([{1, 2}])
+# the child bag {2} inherits vertex 2's color; its stored color is changed
+D2 = TreeDecomposition([{1, 2}, {2}], [(0, 1)])
+
+
+def corrupted_memo():
+    solver = fpt_indegree.IndegreeSolver(G, D2)
+    solver.decide(2)
+    for (bag, key), colors in solver.memo.items():
+        if bag == 1 and colors is not None:
+            solver.memo[bag, key] = (3 - colors[0], *colors[1:])
+    return solver.witness()
+
+
+def corrupted_tables():
+    solver = fpt_budget.BudgetSolver(G, D2, 1)
+    solver.decide(2)
+    for front in solver.tables[1].values():
+        for demand, (colors, picks) in front.items():
+            front[demand] = ((2, *colors[1:]), picks)
+    return solver.witness()
+
+
 fpt_indegree.is_valid_coloring = fpt_budget.is_valid_coloring = lambda G, c: False
 cli.exact_chi_w = lambda G: None
 runs = {
+    "fpt-indegree-memo": corrupted_memo,
+    "fpt-budget-tables": corrupted_tables,
     "fpt-indegree": lambda: fpt_indegree.IndegreeSolver(G, D).solve(),
     "fpt-budget": lambda: fpt_budget.BudgetSolver(G, D, 1).solve(),
     "cli-exact": lambda: cli.main(["solve", sys.argv[1], "--method", "exact"]),
@@ -367,10 +392,13 @@ def test_witness_checks_survive_optimized_mode(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if not line.startswith("instance=")]
     assert [line.split()[:2] for line in lines] == [
+        ["fpt-indegree-memo", "raised"],
+        ["fpt-budget-tables", "raised"],
         ["fpt-indegree", "raised"],
         ["fpt-budget", "raised"],
         ["cli-exact", "raised"],
     ], proc.stdout
+    assert all(line.endswith("does not keep its inherited colors") for line in lines[:2])
 
 
 class TestPreconditions:
@@ -478,25 +506,23 @@ class TestBenchLadders:
         result = solver.solve()
         assert result.chromatic == solve_fpt_indegree(G, D).chromatic
         assert is_valid_coloring(G, result.witness)
-        assert solver.considered_counts == {(t, h): 1 for t, h, _ in G.arcs}
+        assert reads_every_bag_once(solver, witness_reads(solver)[1])
 
 
 class TestChargingDiscipline:
-    def test_every_arc_charged_once_during_replay(self, prism_digraph):
+    def test_every_bag_read_once_during_replay(self, prism_digraph):
         D = build_decomposition(prism_digraph, "exact-small")
         solver = BudgetSolver(prism_digraph, D, 1)
         solver.solve()
-        assert solver.considered_counts == {
-            (t, h): 1 for t, h, _ in prism_digraph.arcs
-        }
+        assert reads_every_bag_once(solver, witness_reads(solver)[1])
 
-    def test_counts_are_per_witness(self, prism_digraph):
+    def test_reads_are_per_witness(self, prism_digraph):
         D = build_decomposition(prism_digraph, "exact-small")
         solver = BudgetSolver(prism_digraph, D, 1)
         solver.solve()
-        first = solver.witness()
-        assert solver.witness() == first
-        assert solver.considered_counts == {(t, h): 1 for t, h, _ in prism_digraph.arcs}
+        first = witness_reads(solver)
+        assert witness_reads(solver) == first
+        assert reads_every_bag_once(solver, first[1])
 
     def test_charge_lists_partition_the_arcs(self):
         for seed in range(15):
@@ -738,5 +764,5 @@ class TestColorSymmetry:
         assert result.chromatic == exact_chi_w(G).chromatic
         assert is_valid_coloring(G, result.witness)
         assert max(result.witness.values()) == result.chromatic
-        assert solver.considered_counts == {(t, h): 1 for t, h, _ in G.arcs}
+        assert reads_every_bag_once(solver, witness_reads(solver)[1])
         assert 4 * solver.memo_stats().color_entries <= all_entries

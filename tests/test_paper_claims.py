@@ -14,6 +14,9 @@ the same way on any machine.
 - Pathwidth alone is not the parameter: the partition gadget has a
   width-2 path decomposition, yet its largest bag table grows with the
   number of elements, whose precision grows with their total.
+- The bounds sandwich the optimum beyond the oracle's reach: on the
+  ladders and the gadgets, the budget DP's chi lies between
+  `bound_report`'s lower bound and each of its upper bounds.
 
 The claim on interval graphs needs an instance family that the
 generators do not build yet.
@@ -26,7 +29,13 @@ import random
 import pytest
 
 from test_dp_reference_loops import acceptance_case, ladder_case
-from wicolor import BudgetSolver, build_decomposition, partition_instance, random_instance
+from wicolor import (
+    BudgetSolver,
+    bound_report,
+    build_decomposition,
+    partition_instance,
+    random_instance,
+)
 
 
 def first_use_keys(length: int) -> int:
@@ -82,6 +91,29 @@ def test_width_two_gadget_tables_grow_with_the_elements():
     # the dyadic ladders have width 2 too, and their tables stay bounded
     ladders = [largest_table(*ladder_case(k, 1)) for k in (8, 16, 32, 64)]
     assert max(ladders) <= bag_entry_bound(2, 1) < gadget[-1], (ladders, gadget)
+
+
+def test_bounds_sandwich_the_budget_optimum():
+    cases = [ladder_case(k, bits)[:2] for k in (8, 16, 32, 64) for bits in (1, 2, 3)]
+    for m in range(4, 17, 2):
+        rng = random.Random(5)
+        cases.append(partition_instance([rng.randint(1, 20) for _ in range(m)]))
+    chis = []
+    for G, D in cases:
+        chi = BudgetSolver(G, D).solve().chromatic
+        report = bound_report(G, D)
+        assert report.lower_chromatic <= chi, (G.n, report)
+        uppers = (
+            report.upper_degree_weight,
+            report.upper_sum_weights,
+            report.upper_indegree,
+            report.treewidth_cap,
+        )
+        assert chi <= min(uppers), (G.n, chi, report)
+        chis.append((chi, report.treewidth_cap))
+    # at m = 14 and 16 the elements' total is odd, so no equal split
+    # exists and chi meets the width cap
+    assert chis[12:] == [(2, 3)] * 5 + [(3, 3)] * 2, chis
 
 
 def demand_cases():
