@@ -8,7 +8,7 @@ graphs of maximum degree three with all weights below one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import floor, isqrt
 
@@ -41,15 +41,7 @@ class BoundReport:
     treewidth_cap: int | None = None
 
     def as_lines(self) -> list[str]:
-        pairs = [
-            ("lower_chromatic", self.lower_chromatic),
-            ("upper_degree_weight", self.upper_degree_weight),
-            ("upper_sum_weights", self.upper_sum_weights),
-            ("upper_indegree", self.upper_indegree),
-        ]
-        if self.treewidth_cap is not None:
-            pairs.append(("treewidth_cap", self.treewidth_cap))
-        return [f"{key}={value}" for key, value in pairs]
+        return [f"{key}={value}" for key, value in asdict(self).items() if value is not None]
 
 
 def isqrt_floor(value: Fraction | int) -> int:
@@ -64,23 +56,22 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def lower_bound_chromatic(
-    H: UndirectedWeightedGraph, *, max_n: int = DEFAULT_CHROMATIC_LIMIT
-) -> int:
+def lower_bound_chromatic(H: UndirectedWeightedGraph) -> int:
     """ceil(chi / (cap(w_min)+1)) where chi is the chromatic number of the
     positive-weight part of H and w_min its smallest positive weight.
 
     Any single color class of a valid coloring can be refined into at
     most cap(w_min)+1 proper classes, which is what makes this a lower
     bound.  A graph with no positive-weight edge needs one color.  Above
-    max_n vertices chi is not searched for; its trivial lower value 2
-    takes its place, which keeps the result a lower bound.
+    DEFAULT_CHROMATIC_LIMIT (20) vertices chi is not searched for; its
+    trivial lower value 2 takes its place, which keeps the result a
+    lower bound.
     """
     positive = [w for _, _, w in H.edges if w > 0]
     if not positive:
         return 1
     w_min = min(positive)
-    chi = exact_chromatic_underlying(H, max_n=max_n) if H.n <= max_n else 2
+    chi = exact_chromatic_underlying(H) if H.n <= DEFAULT_CHROMATIC_LIMIT else 2
     return _ceil_div(chi, cap(w_min) + 1)
 
 
@@ -126,17 +117,12 @@ def upper_bound_indegree(G: WeightedDigraph) -> int:
     return int(2 * max_weighted_indegree(G) + 1)
 
 
-def bound_report(
-    G: WeightedDigraph,
-    decomposition: TreeDecomposition | None = None,
-    *,
-    max_n: int = DEFAULT_CHROMATIC_LIMIT,
-) -> BoundReport:
+def bound_report(G: WeightedDigraph, decomposition: TreeDecomposition | None = None) -> BoundReport:
     """Every bound for G; the width cap needs a valid decomposition."""
     if decomposition is not None:
         require_valid(validate_decomposition(G, decomposition))
     return BoundReport(
-        lower_chromatic=lower_bound_chromatic(underlying_graph(G), max_n=max_n),
+        lower_chromatic=lower_bound_chromatic(underlying_graph(G)),
         upper_degree_weight=upper_bound_degree_weight(G),
         upper_sum_weights=upper_bound_sum_weights(G),
         upper_indegree=upper_bound_indegree(G),
@@ -146,17 +132,6 @@ def bound_report(
 
 def _round_robin(n: int, k: int) -> Coloring:
     return {v: (v - 1) % k + 1 for v in range(1, n + 1)}
-
-
-def _monochromatic_count(
-    adjacency: dict[int, list[int]], coloring: Coloring
-) -> int:
-    return sum(
-        1
-        for v, nbrs in adjacency.items()
-        for u in nbrs
-        if u < v and coloring[u] == coloring[v]
-    )
 
 
 def _recolor(
@@ -171,30 +146,28 @@ def _recolor(
         return sum(1 for u in adjacency[v] if coloring[u] == c)
 
     steps = 0
-    mono = _monochromatic_count(adjacency, coloring)
     while True:
         offender = next(
             (v for v in adjacency if same_color_count(v, coloring[v]) > limit), None
         )
         if offender is None:
             return steps
+        before = same_color_count(offender, coloring[offender])
         coloring[offender] = next(
             c for c in range(1, k + 1) if same_color_count(offender, c) <= limit
         )
         steps += 1
-        new_mono = _monochromatic_count(adjacency, coloring)
-        if new_mono >= mono:
+        # the move changes the monochromatic edge count by the mover's
+        # same-colored neighbors after it minus those before
+        if same_color_count(offender, coloring[offender]) >= before:
             raise AssertionError("recolor step failed to reduce monochromatic edges")
-        mono = new_mono
 
 
 def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:
     """greedy_recolor plus the number of recolor steps performed."""
-    if k < upper_bound_degree_weight(G):
-        raise PreconditionError(
-            f"k={k} below the degree/weight bound {upper_bound_degree_weight(G)}",
-            witness=k,
-        )
+    bound = upper_bound_degree_weight(G)
+    if k < bound:
+        raise PreconditionError(f"k={k} below the degree/weight bound {bound}", witness=k)
     coloring = _round_robin(G.n, k)
     positive = [w for _, _, w in G.arcs if w > 0]
     if not positive:

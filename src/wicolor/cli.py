@@ -4,7 +4,7 @@ Subcommands: solve, bounds, gen, decomp, validate, experiment.  Reports
 are key=value tokens so runs stay easy to script against.  Exit codes:
 0 success, 1 usage, 2 unreadable/unparseable input or unwritable output
 file, 3 violated precondition (also: validation subcommands reporting an
-invalid input), 4 refused resource guard.
+invalid input), 4 refused resource guard or memory ran out.
 """
 
 from __future__ import annotations
@@ -415,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except InstanceTooLargeError as exc:
         print(f"guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError:
+        print("guard: out of memory", file=sys.stderr)
         return EXIT_GUARD
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, InstanceTooLargeError, PreconditionError
@@ -75,7 +74,12 @@ class TreeDecomposition:
         object.__setattr__(self, "bags", bag_tuple)
         object.__setattr__(self, "tree_edges", tuple(canon))
         object.__setattr__(self, "root", root)
-        # one walk from the root, children ascending as the adjacency is;
+        # each bag's neighbors, ascending since the edges are sorted
+        adjacency: list[list[int]] = [[] for _ in range(count)]
+        for a, b in canon:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        # one walk from the root, children ascending as the neighbors are;
         # with count-1 edges, reaching every bag exactly once proves a
         # tree, and the walk stops at the first bag reached twice (a
         # cycle), so each bag is pushed at most once
@@ -84,7 +88,7 @@ class TreeDecomposition:
         preorder: list[int] = []
         reached = bytearray(count)
         reached[root] = 1
-        adjacency, stack = self.adjacency, [root]
+        stack = [root]
         while stack:
             cur = stack.pop()
             preorder.append(cur)
@@ -101,14 +105,6 @@ class TreeDecomposition:
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "preorder", tuple(preorder))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
     @property
     def width(self) -> int:

@@ -29,7 +29,13 @@ from fractions import Fraction
 
 from .decomposition import TreeDecomposition
 from .errors import DuplicateEdgeError, FormatError
-from .graph import Coloring, UndirectedWeightedGraph, WeightedDigraph
+from .graph import (
+    MAX_EXPONENT,
+    Coloring,
+    UndirectedWeightedGraph,
+    WeightedDigraph,
+    parse_rational,
+)
 
 
 # The largest vertex count a graph header may declare.  `wicolor solve`
@@ -38,12 +44,6 @@ from .graph import Coloring, UndirectedWeightedGraph, WeightedDigraph
 # 5 s; at ten times it the decomposition build runs out of a 1 GB
 # address space.
 MAX_VERTICES = 100_000
-
-# The largest decimal exponent, in magnitude, a weight spelling may
-# carry: Fraction builds 10**exponent, so `1e-10000000` would take
-# seconds.  It is the digit limit `int` already applies to every
-# integer token.
-MAX_EXPONENT = 4300
 
 
 def _content_lines(text: str, extra_comment: str = "") -> list[tuple[int, list[str]]]:
@@ -66,28 +66,9 @@ def _parse_int(token: str, line_no: int, what: str, minimum: int = 0) -> int:
     return value
 
 
-def _rational(token: str) -> Fraction:
-    """`Fraction(token)`, with a plain ASCII `p/q` read from its two
-    integers, and OverflowError for a decimal exponent above
-    MAX_EXPONENT in magnitude instead of building 10**exponent."""
-    num, slash, den = token.partition("/")
-    if slash:
-        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-            return Fraction(int(num), int(den))
-        return Fraction(token)
-    at = next((i for i, ch in enumerate(token) if ch in "eE"), None)
-    if at is not None:
-        digits = token[at + 1 :]
-        # zeroing each exponent digit keeps the spelling valid exactly when it was
-        Fraction(token[:at] + "e" + "".join("0" if ch.isdecimal() else ch for ch in digits))
-        if abs(int(digits)) > MAX_EXPONENT:
-            raise OverflowError
-    return Fraction(token)
-
-
 def _parse_weight(token: str, line_no: int) -> Fraction:
     try:
-        w = _rational(token)
+        w = parse_rational(token)
     except OverflowError:
         raise FormatError(
             f"weight {token!r} has an exponent above {MAX_EXPONENT} in magnitude", line_no

@@ -29,13 +29,41 @@ from .errors import DuplicateEdgeError, PreconditionError
 Weight = Fraction
 
 
+# The largest decimal exponent, in magnitude, a weight spelling may
+# carry: Fraction builds 10**exponent, so `1e-10000000` would take
+# seconds.  It is the digit limit `int` already applies to every
+# integer token.
+MAX_EXPONENT = 4300
+
+
+def parse_rational(token: str) -> Fraction:
+    """`Fraction(token)`, with a plain ASCII `p/q` read from its two
+    integers, and OverflowError for a decimal exponent above
+    MAX_EXPONENT in magnitude instead of building 10**exponent."""
+    num, slash, den = token.partition("/")
+    if slash:
+        if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+            return Fraction(int(num), int(den))
+        return Fraction(token)
+    at = next((i for i, ch in enumerate(token) if ch in "eE"), None)
+    if at is not None:
+        digits = token[at + 1 :]
+        # zeroing each exponent digit keeps the spelling valid exactly when it was
+        Fraction(token[:at] + "e" + "".join("0" if ch.isdecimal() else ch for ch in digits))
+        if abs(int(digits)) > MAX_EXPONENT:
+            raise OverflowError
+    return Fraction(token)
+
+
 def as_weight(value: Fraction | int | str) -> Fraction:
     """Coerce `value` to an exact weight in [0, 1].
 
     Accepts Fraction, int, and strings Fraction understands ("7/10",
-    "0.7", "1").  Floats are refused: they carry binary rounding error
-    and would silently change strict comparisons against 1.  Booleans
-    are refused too, as vertices are: True is an int equal to 1.
+    "0.7", "1") whose decimal exponent is at most MAX_EXPONENT in
+    magnitude, as the file parser does.  Floats are refused: they carry
+    binary rounding error and would silently change strict comparisons
+    against 1.  Booleans are refused too, as vertices are: True is an
+    int equal to 1.
     """
     if isinstance(value, Fraction):
         w = value
@@ -47,7 +75,11 @@ def as_weight(value: Fraction | int | str) -> Fraction:
         w = Fraction(value)
     elif isinstance(value, str):
         try:
-            w = Fraction(value)
+            w = parse_rational(value)
+        except OverflowError:
+            raise ValueError(
+                f"weight {value!r} has an exponent above {MAX_EXPONENT} in magnitude"
+            ) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse weight {value!r}") from exc
     else:

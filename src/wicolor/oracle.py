@@ -213,25 +213,21 @@ def is_defective_coloring(H: UndirectedWeightedGraph, coloring: Coloring, d: int
 
 
 def exact_defective_number(
-    H: UndirectedWeightedGraph,
-    d: int,
-    k_limit: int | None = None,
-    *,
-    max_n: int = DEFAULT_SEARCH_LIMIT,
+    H: UndirectedWeightedGraph, d: int, k_limit: int | None = None
 ) -> SolveResult | None:
     """Minimum k admitting a coloring where each vertex has <= d same-colored
-    neighbors, solved as `exact_chi_w` on the reduction `reduce_defective`."""
-    return exact_chi_w(reduce_defective(H, d), k_limit, max_n=max_n)
+    neighbors, solved as `exact_chi_w` on the reduction `reduce_defective`
+    under that search's 16-vertex guard."""
+    return exact_chi_w(reduce_defective(H, d), k_limit)
 
 
-def exact_chromatic_underlying(
-    H: UndirectedWeightedGraph, *, max_n: int = DEFAULT_CHROMATIC_LIMIT
-) -> int:
+def exact_chromatic_underlying(H: UndirectedWeightedGraph) -> int:
     """Exact chromatic number of H restricted to its positive-weight edges.
 
     That is `exact_chi_w` with every positive edge at weight 1 in both
     directions, since one same-colored neighbor already reaches
-    indegree 1; zero-weight edges never constrain a coloring.
+    indegree 1; zero-weight edges never constrain a coloring.  Refuses
+    above DEFAULT_CHROMATIC_LIMIT (20) vertices.
     """
     hard = UndirectedWeightedGraph(H.n, [(u, v, 1) for u, v, w in H.edges if w > 0])
-    return exact_chi_w(embed_undirected(hard), max_n=max_n).chromatic
+    return exact_chi_w(embed_undirected(hard), max_n=DEFAULT_CHROMATIC_LIMIT).chromatic

@@ -670,7 +670,10 @@ def reference_compact(D: TreeDecomposition) -> TreeDecomposition:
     other kept bags follow in their old order.
     """
     bags = dict(enumerate(D.bags))
-    adj = {i: set(nbrs) for i, nbrs in enumerate(D.adjacency)}
+    adj: dict[int, set[int]] = {i: set() for i in range(len(D.bags))}
+    for a, b in D.tree_edges:
+        adj[a].add(b)
+        adj[b].add(a)
     root = D.root
     while True:
         merge = None

@@ -86,10 +86,9 @@ class TestLowerBound:
     def test_above_the_guard_chi_is_taken_as_two(self):
         path = UndirectedWeightedGraph(21, [(i, i + 1, F(1)) for i in range(1, 21)])
         assert lower_bound_chromatic(path) == 2
-        assert lower_bound_chromatic(path, max_n=5) == 2
-        triangle = UndirectedWeightedGraph(6, [(1, 2, F(1)), (2, 3, F(1)), (3, 1, F(1))])
-        assert lower_bound_chromatic(triangle) == 3
-        assert lower_bound_chromatic(triangle, max_n=5) == 2
+        triangle = [(1, 2, F(1)), (2, 3, F(1)), (3, 1, F(1))]
+        assert lower_bound_chromatic(UndirectedWeightedGraph(20, triangle)) == 3
+        assert lower_bound_chromatic(UndirectedWeightedGraph(21, triangle)) == 2
         light = UndirectedWeightedGraph(21, [(1, 2, F(1, 2))])
         assert lower_bound_chromatic(light) == 1
 

@@ -548,6 +548,15 @@ class TestSolve:
             assert "solver=fpt-budget chromatic=2 " in out
             assert "solver=fpt-indegree chromatic=2 " in out
 
+    def test_running_out_of_memory_is_a_guard_refusal(self, files, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "BudgetSolver", exhausted)
+        code, _, err = run(capsys, "solve", str(files / "golden5.wig"), "--method", "fpt-budget")
+        assert code == 4
+        assert err == "guard: out of memory\n"
+
     def test_unknown_method_is_usage_error(self, files, capsys):
         code, _, _ = run(
             capsys, "solve", str(files / "golden5.wig"), "--method", "sat"

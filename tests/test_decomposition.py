@@ -99,7 +99,6 @@ class TestConstructor:
     def test_tree_shape(self):
         D = TreeDecomposition([{1, 2}, {2, 3}, {3}], [(1, 0), (1, 2)])
         assert D.tree_edges == ((0, 1), (1, 2))
-        assert D.adjacency == ((1,), (0, 2), (1,))
         assert D.parent == (None, 0, 1)
         assert D.children == ((1,), (2,), ())
         assert D.preorder == (0, 1, 2)

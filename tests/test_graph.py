@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -26,7 +27,7 @@ from wicolor import (
     underlying_graph,
     weighted_indegree,
 )
-from wicolor.graph import _check_vertex
+from wicolor.graph import MAX_EXPONENT, _check_vertex
 
 F = Fraction
 
@@ -72,6 +73,15 @@ class TestAsWeight:
             as_weight(None)
 
     @pytest.mark.parametrize(
+        "build", [as_weight, lambda token: WeightedDigraph(2, [(1, 2, token)])]
+    )
+    def test_huge_exponent_refused_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exponent above {MAX_EXPONENT} in magnitude"):
+            build("1e-10000000")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
         "value",
         [
             F(0),
@@ -87,6 +97,9 @@ class TestAsWeight:
             "1/2",
             "3/2",
             "1/0",
+            "5e-1",
+            "1e-4300",
+            "1e",
             True,
             False,
             0.5,

@@ -284,6 +284,11 @@ class TestDefective:
         values = [exact_defective_number(H, d).chromatic for d in range(5)]
         assert values == sorted(values, reverse=True)
 
+    def test_guard_is_fixed_at_16_vertices(self):
+        assert exact_defective_number(UndirectedWeightedGraph(16), 0).chromatic == 1
+        with pytest.raises(InstanceTooLargeError):
+            exact_defective_number(UndirectedWeightedGraph(17), 0)
+
 
 class TestChromaticUnderlying:
     def test_edgeless(self):
@@ -311,6 +316,12 @@ class TestChromaticUnderlying:
     def test_guard(self):
         with pytest.raises(InstanceTooLargeError):
             exact_chromatic_underlying(UndirectedWeightedGraph(21))
+
+    def test_guard_is_fixed_at_20_vertices(self):
+        triangle = [(1, 2, F(1)), (2, 3, F(1)), (3, 1, F(1))]
+        assert exact_chromatic_underlying(UndirectedWeightedGraph(20, triangle)) == 3
+        with pytest.raises(InstanceTooLargeError):
+            exact_chromatic_underlying(UndirectedWeightedGraph(21, triangle))
 
     def test_matches_direct_enumeration(self):
         for seed in range(25):
