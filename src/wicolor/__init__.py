@@ -60,7 +60,6 @@ from .generators import (
 from .graph import (
     Coloring,
     UndirectedWeightedGraph,
-    Weight,
     WeightedDigraph,
     as_weight,
     cap,
@@ -98,7 +97,6 @@ __all__ = [
     "SolveResult",
     "TreeDecomposition",
     "UndirectedWeightedGraph",
-    "Weight",
     "WeightedDigraph",
     "as_weight",
     "bound_report",

@@ -8,6 +8,7 @@ graphs of maximum degree three with all weights below one.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import floor, isqrt
@@ -145,22 +146,27 @@ def _recolor(
     def same_color_count(v: int, c: int) -> int:
         return sum(1 for u in adjacency[v] if coloring[u] == c)
 
+    # the offenders, smallest first; a move raises the count only of the
+    # mover's neighbors in its new class, so only those are pushed
+    heap = [v for v in adjacency if same_color_count(v, coloring[v]) > limit]
+    heapq.heapify(heap)
     steps = 0
-    while True:
-        offender = next(
-            (v for v in adjacency if same_color_count(v, coloring[v]) > limit), None
-        )
-        if offender is None:
-            return steps
+    while heap:
+        offender = heapq.heappop(heap)
         before = same_color_count(offender, coloring[offender])
-        coloring[offender] = next(
-            c for c in range(1, k + 1) if same_color_count(offender, c) <= limit
-        )
+        if before <= limit:
+            continue  # no longer offends
+        c = next(c for c in range(1, k + 1) if same_color_count(offender, c) <= limit)
+        coloring[offender] = c
         steps += 1
         # the move changes the monochromatic edge count by the mover's
         # same-colored neighbors after it minus those before
-        if same_color_count(offender, coloring[offender]) >= before:
+        if same_color_count(offender, c) >= before:
             raise AssertionError("recolor step failed to reduce monochromatic edges")
+        for u in adjacency[offender]:
+            if coloring[u] == c and same_color_count(u, c) > limit:
+                heapq.heappush(heap, u)
+    return steps
 
 
 def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:

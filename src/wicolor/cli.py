@@ -22,6 +22,7 @@ from . import formats
 from .bounds import bound_report
 from .decomposition import (
     EXACT_SMALL_LIMIT,
+    STRATEGIES,
     TreeDecomposition,
     build_decomposition,
     require_valid,
@@ -328,7 +329,7 @@ def _build_parser() -> _Parser:
     width_cap.add_argument("--decomposition", help="decomposition file for the width cap")
     width_cap.add_argument(
         "--build",
-        choices=["min-degree", "min-fill", "exact-small"],
+        choices=STRATEGIES,
         help="build a decomposition for the width cap",
     )
     bounds.set_defaults(func=cmd_bounds)
@@ -371,7 +372,7 @@ def _build_parser() -> _Parser:
     d_build.add_argument("graph")
     d_build.add_argument(
         "--strategy",
-        choices=["min-degree", "min-fill", "exact-small"],
+        choices=STRATEGIES,
         default="min-fill",
     )
     d_build.add_argument("--out")

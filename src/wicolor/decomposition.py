@@ -19,10 +19,11 @@ import heapq
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .errors import DuplicateEdgeError, InstanceTooLargeError, PreconditionError
+from .errors import DuplicateEdgeError, PreconditionError, guard_vertices
 from .graph import Coloring, SolveResult, UndirectedWeightedGraph, WeightedDigraph
 
 EXACT_SMALL_LIMIT = 20
+STRATEGIES = ("min-degree", "min-fill", "exact-small")
 
 
 @dataclass(frozen=True, init=False)
@@ -69,7 +70,7 @@ class TreeDecomposition:
         canon.sort()
         if len(canon) != count - 1:
             raise ValueError(f"{len(canon)} tree edges cannot form a tree on {count} bags")
-        if not isinstance(root, int) or not 0 <= root < count:
+        if not isinstance(root, int) or isinstance(root, bool) or not 0 <= root < count:
             raise ValueError(f"root index {root!r} out of range")
         object.__setattr__(self, "bags", bag_tuple)
         object.__setattr__(self, "tree_edges", tuple(canon))
@@ -158,10 +159,18 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
             DecompositionViolation(0, v, f"vertex {v} in a bag is outside 1..{G.n}")
         )
 
-    for v in G.vertices:
-        if not membership[v]:
+    # the holders of v are connected iff exactly one of them has its
+    # parent outside the holders: each connected part has one such top
+    for v, holders in membership.items():
+        if not holders:
             violations.append(
                 DecompositionViolation(1, v, f"vertex {v} appears in no bag")
+            )
+        elif sum(1 for i in holders if D.parent[i] not in holders) > 1:
+            violations.append(
+                DecompositionViolation(
+                    3, v, f"bags containing vertex {v} are disconnected in the tree"
+                )
             )
 
     for t, h, _ in G.arcs:
@@ -170,17 +179,6 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
             violations.append(
                 DecompositionViolation(
                     2, pair, f"arc ({t}, {h}) endpoints never share a bag"
-                )
-            )
-
-    # the holders of v are connected iff exactly one of them has its
-    # parent outside the holders: each connected part has one such top
-    for v in G.vertices:
-        holders = membership[v]
-        if sum(1 for i in holders if D.parent[i] not in holders) > 1:
-            violations.append(
-                DecompositionViolation(
-                    3, v, f"bags containing vertex {v} are disconnected in the tree"
                 )
             )
 
@@ -487,19 +485,14 @@ def build_decomposition(
     than EXACT_SMALL_LIMIT vertices.  Ties always break toward the
     smallest vertex index, so results are reproducible.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     adj = _underlying_sets(graph)
-    if strategy in ("min-degree", "min-fill"):
-        eliminations = _order_greedy(adj, strategy == "min-fill")
-    elif strategy == "exact-small":
-        if graph.n > EXACT_SMALL_LIMIT:
-            raise InstanceTooLargeError(
-                f"exact-small is limited to {EXACT_SMALL_LIMIT} vertices, got {graph.n}",
-                size=graph.n,
-                limit=EXACT_SMALL_LIMIT,
-            )
+    if strategy == "exact-small":
+        guard_vertices(strategy, graph.n, EXACT_SMALL_LIMIT)
         eliminations = _order_exact(adj)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        eliminations = _order_greedy(adj, strategy == "min-fill")
     return _decomposition_from_order(eliminations)
 
 

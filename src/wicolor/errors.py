@@ -57,3 +57,11 @@ class InstanceTooLargeError(RuntimeError):
         self.size = size
         self.limit = limit
         super().__init__(message)
+
+
+def guard_vertices(what: str, n: int, limit: int) -> None:
+    """Refuse an instance of n vertices when `what` allows at most `limit`."""
+    if n > limit:
+        raise InstanceTooLargeError(
+            f"{what} is limited to {limit} vertices, got {n}", size=n, limit=limit
+        )

@@ -251,18 +251,12 @@ def parse_decomposition(
         raise FormatError(str(exc)) from None
 
 
-def serialize_decomposition(D: TreeDecomposition, n: int | None = None) -> str:
-    """Serialize with the root as bag 1 (bags re-indexed if needed).
-
-    `n` is the graph's vertex count for the header; by default the
-    largest vertex mentioned in any bag, which matches for any
-    decomposition covering all vertices.
-    """
+def serialize_decomposition(D: TreeDecomposition, n: int) -> str:
+    """Serialize with the root as bag 1 (bags re-indexed if needed); `n`
+    is the graph's vertex count for the header."""
     count = len(D.bags)
     perm = [D.root] + [i for i in range(count) if i != D.root]
     new_index = {old: new for new, old in enumerate(perm)}
-    if n is None:
-        n = max((v for bag in D.bags for v in bag), default=0)
     max_size = max(len(bag) for bag in D.bags)
     lines = [f"s td {count} {max_size} {n}"]
     for new, old in enumerate(perm, start=1):

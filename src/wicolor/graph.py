@@ -26,8 +26,6 @@ from typing import Iterable
 
 from .errors import DuplicateEdgeError, PreconditionError
 
-Weight = Fraction
-
 
 # The largest decimal exponent, in magnitude, a weight spelling may
 # carry: Fraction builds 10**exponent, so `1e-10000000` would take
@@ -278,14 +276,10 @@ def check_total_coloring(n: int, coloring: Coloring) -> None:
             raise PreconditionError(f"vertex {v} has invalid color {c!r}", witness=v)
 
 
-def weighted_indegree(G: WeightedDigraph, v: int, among: Iterable[int] | None = None) -> Fraction:
-    """Sum of weights of arcs into v, optionally restricted to tails in `among`."""
+def weighted_indegree(G: WeightedDigraph, v: int) -> Fraction:
+    """Sum of weights of arcs into v."""
     _check_vertex(G.n, v, "vertex")
-    pairs = G.in_units[v]
-    if among is None:
-        return Fraction(sum(units for _, units in pairs), G.scale[v])
-    allowed = set(among)
-    return Fraction(sum(units for t, units in pairs if t in allowed), G.scale[v])
+    return Fraction(sum(units for _, units in G.in_units[v]), G.scale[v])
 
 
 def max_weighted_indegree(G: WeightedDigraph) -> Fraction:

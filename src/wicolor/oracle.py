@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import InstanceTooLargeError, PreconditionError
+from .errors import InstanceTooLargeError, PreconditionError, guard_vertices
 from .generators import reduce_defective
 from .graph import (
     Coloring,
@@ -40,13 +40,6 @@ from .graph import (
 
 DEFAULT_SEARCH_LIMIT = 16
 DEFAULT_CHROMATIC_LIMIT = 20
-
-
-def _guard(n: int, max_n: int, what: str) -> None:
-    if n > max_n:
-        raise InstanceTooLargeError(
-            f"{what} is limited to {max_n} vertices, got {n}", size=n, limit=max_n
-        )
 
 
 def exact_chi_w(
@@ -66,7 +59,7 @@ def exact_chi_w(
     by the choice rule, summed over every k, exceed `work_limit` (no
     limit by default).
     """
-    _guard(G.n, max_n, "exhaustive search")
+    guard_vertices("exhaustive search", G.n, max_n)
     if k_limit is None:
         k_limit = max(1, G.n)
     if k_limit < 1:
@@ -212,13 +205,11 @@ def is_defective_coloring(H: UndirectedWeightedGraph, coloring: Coloring, d: int
     return True
 
 
-def exact_defective_number(
-    H: UndirectedWeightedGraph, d: int, k_limit: int | None = None
-) -> SolveResult | None:
+def exact_defective_number(H: UndirectedWeightedGraph, d: int) -> SolveResult:
     """Minimum k admitting a coloring where each vertex has <= d same-colored
     neighbors, solved as `exact_chi_w` on the reduction `reduce_defective`
     under that search's 16-vertex guard."""
-    return exact_chi_w(reduce_defective(H, d), k_limit)
+    return exact_chi_w(reduce_defective(H, d))
 
 
 def exact_chromatic_underlying(H: UndirectedWeightedGraph) -> int:

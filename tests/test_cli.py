@@ -24,6 +24,7 @@ from wicolor import (
 )
 from wicolor import cli
 from wicolor.cli import main
+from wicolor.decomposition import STRATEGIES
 from wicolor.data import load_text
 
 F = Fraction
@@ -797,6 +798,33 @@ class TestDecomp:
         # one bag per vertex less the four that lie inside a tree neighbor's
         assert len(D.bags) == 6
         assert err == "width=4 bags=6\n"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_build_and_bounds_accept_every_strategy(self, files, capsys, strategy):
+        graph = str(files / "prism10.wug")
+        code, out, _ = run(capsys, "decomp", "build", graph, "--strategy", strategy)
+        assert code == 0
+        width = parse_decomposition(out).width
+        code, out, _ = run(capsys, "bounds", graph, "--build", strategy)
+        assert code == 0
+        assert out.splitlines()[-1] == f"treewidth_cap={width + 1}"
+
+    @pytest.mark.parametrize(
+        "command, flag", [(("decomp", "build"), "--strategy"), (("bounds",), "--build")]
+    )
+    def test_unknown_strategy_is_a_usage_error(self, files, capsys, command, flag):
+        code, out, err = run(capsys, *command, str(files / "prism10.wug"), flag, "metis")
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'metis'" in err
+
+    def test_exact_small_refuses_21_vertices(self, tmp_path, capsys):
+        path = tmp_path / "arc21.wig"
+        path.write_text("p wig 21 1\ne 1 2 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "decomp", "build", str(path), "--strategy", "exact-small")
+        assert code == 4
+        assert out == ""
+        assert err == "guard: exact-small is limited to 20 vertices, got 21\n"
 
     def test_build_to_file_reports_on_stdout(self, files, capsys):
         td = files / "prism.td"

@@ -122,6 +122,8 @@ class TestConstructor:
             ([{1}, {2}, {3}], [(0, 1), (1, 2), (0, 2)], 0, "cannot form a tree"),
             ([{1}, {2}, {3}, {4}], [(0, 1), (1, 2), (0, 2)], 0, "connect"),
             ([{1}, {2}], [(0, 1)], 5, "out of range"),
+            # vertices, counts and weights refuse bools too; True is not bag 1
+            ([{1}, {2}], [(0, 1)], True, "^root index True out of range$"),
         ],
     )
     def test_rejects_bad_shapes(self, bags, edges, root, message):
@@ -299,12 +301,16 @@ class TestBuild:
         G = WeightedDigraph(21)
         with pytest.raises(InstanceTooLargeError) as info:
             build_decomposition(G, "exact-small")
+        assert str(info.value) == "exact-small is limited to 20 vertices, got 21"
         assert info.value.size == 21
         assert info.value.limit == 20
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             build_decomposition(path4(), "metis")
+
+    def test_strategy_names(self):
+        assert decomposition.STRATEGIES == STRATEGIES
 
 
 class TestExactSmallReference:

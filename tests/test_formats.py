@@ -403,7 +403,7 @@ class TestDecompositionFormat:
 
     def test_header_counts(self, golden5):
         D = build_decomposition(golden5, "min-fill")
-        text = serialize_decomposition(D)
+        text = serialize_decomposition(D, n=golden5.n)
         header = text.splitlines()[0].split()
         assert header[:2] == ["s", "td"]
         assert int(header[2]) == len(D.bags)

@@ -144,6 +144,8 @@ def test_wrong_edge_count_and_bad_root_keep_their_messages():
         TreeDecomposition([{1}, {2}], [(0, 1)], 2)
     with pytest.raises(ValueError, match=r"^root index 2 out of range$"):
         TreeDecomposition([{1}, {2}], [(0, 1)]).root_at(2)
+    with pytest.raises(ValueError, match=r"^root index True out of range$"):
+        TreeDecomposition([{1}, {2}], [(0, 1)]).root_at(True)
 
 
 def test_an_arc_in_no_common_bag_is_never_charged(monkeypatch):

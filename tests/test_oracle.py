@@ -96,6 +96,7 @@ class TestExactChiW:
     def test_size_guard(self):
         with pytest.raises(InstanceTooLargeError) as info:
             exact_chi_w(WeightedDigraph(17))
+        assert str(info.value) == "exhaustive search is limited to 16 vertices, got 17"
         assert info.value.size == 17
         with pytest.raises(InstanceTooLargeError):
             exact_chi_w(WeightedDigraph(6), max_n=5)
@@ -265,9 +266,6 @@ class TestDefective:
         result = exact_defective_number(k4_undirected(), 1)
         assert is_defective_coloring(k4_undirected(), result.witness, 1)
         assert not is_defective_coloring(k4_undirected(), result.witness, 0)
-
-    def test_k_limit(self):
-        assert exact_defective_number(k4_undirected(), 0, k_limit=3) is None
 
     def test_matches_direct_enumeration(self):
         for seed in range(20):
