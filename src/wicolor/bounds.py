@@ -82,12 +82,22 @@ def upper_bound_degree_weight(G: WeightedDigraph) -> int:
     Realized constructively by greedy_recolor.  All-zero weights (or no
     arcs at all) need one color.
     """
-    positive = [w for _, _, w in G.arcs if w > 0]
-    if not positive:
+    und = underlying_graph(G)
+    return _degree_weight_bound(und, _max_weight(und))
+
+
+def _max_weight(H: UndirectedWeightedGraph) -> Fraction | int:
+    """The largest edge weight of H, 0 without edges; an underlying
+    edge carries the larger weight of its arcs, so this is G's too."""
+    return max((w for _, _, w in H.edges), default=0)
+
+
+def _degree_weight_bound(H: UndirectedWeightedGraph, w_max: Fraction | int) -> int:
+    """upper_bound_degree_weight from the underlying graph H and its
+    largest weight w_max."""
+    if not w_max:
         return 1
-    w_max = max(positive)
-    degree = underlying_graph(G).max_degree
-    return _ceil_div(degree, cap(w_max) + 1) + 1
+    return _ceil_div(H.max_degree, cap(w_max) + 1) + 1
 
 
 def upper_bound_sum_weights(G: WeightedDigraph) -> int:
@@ -122,9 +132,10 @@ def bound_report(G: WeightedDigraph, decomposition: TreeDecomposition | None = N
     """Every bound for G; the width cap needs a valid decomposition."""
     if decomposition is not None:
         require_valid(validate_decomposition(G, decomposition))
+    und = underlying_graph(G)
     return BoundReport(
-        lower_chromatic=lower_bound_chromatic(underlying_graph(G)),
-        upper_degree_weight=upper_bound_degree_weight(G),
+        lower_chromatic=lower_bound_chromatic(und),
+        upper_degree_weight=_degree_weight_bound(und, _max_weight(und)),
         upper_sum_weights=upper_bound_sum_weights(G),
         upper_indegree=upper_bound_indegree(G),
         treewidth_cap=None if decomposition is None else max(1, decomposition.width + 1),
@@ -171,16 +182,16 @@ def _recolor(
 
 def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:
     """greedy_recolor plus the number of recolor steps performed."""
-    bound = upper_bound_degree_weight(G)
+    und = underlying_graph(G)
+    w_max = _max_weight(und)
+    bound = _degree_weight_bound(und, w_max)
     if k < bound:
         raise PreconditionError(f"k={k} below the degree/weight bound {bound}", witness=k)
     coloring = _round_robin(G.n, k)
-    positive = [w for _, _, w in G.arcs if w > 0]
-    if not positive:
+    if not w_max:
         return coloring, 0
-    und = underlying_graph(G)
     adjacency = {v: [u for u, _ in und.adjacency[v]] for v in und.vertices}
-    return coloring, _recolor(adjacency, coloring, k, cap(max(positive)))
+    return coloring, _recolor(adjacency, coloring, k, cap(w_max))
 
 
 def greedy_recolor(G: WeightedDigraph, k: int) -> Coloring:

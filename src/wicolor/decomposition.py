@@ -221,6 +221,21 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
     return (d * (d - 1) - sum([len(adj[u] & nbrs) for u in nbrs])) // 2
 
 
+def _fill_counts(adj: dict[int, set[int]]) -> dict[int, int]:
+    """Every vertex's fill count: C(d, 2) minus the triangles through it.
+    An edge {u, w} lies in |N(u) ∩ N(w)| triangles, and a triangle
+    through v has two edges at v, so one intersection per edge, added at
+    both ends, gives each vertex twice its triangle count."""
+    twice = dict.fromkeys(adj, 0)
+    for u, adj_u in adj.items():
+        for w in adj_u:
+            if u < w:
+                c = len(adj_u & adj[w])
+                twice[u] += c
+                twice[w] += c
+    return {v: (len(nbrs) * (len(nbrs) - 1) - twice[v]) // 2 for v, nbrs in adj.items()}
+
+
 Eliminations = list[tuple[int, set[int]]]
 
 
@@ -232,16 +247,22 @@ def _order_greedy(adj: dict[int, set[int]], min_fill: bool) -> Eliminations:
     with its neighbors at that moment, consuming `adj`.
 
     Scores are kept in a table, and an elimination rescores only what it
-    can change.  Eliminating v changes the neighborhoods only of N(v)
-    (they lose v and gain fill edges among themselves), so only N(v) is
-    rescored.  A vertex x outside N(v) keeps its neighborhood, and each
-    new fill edge between two of its neighbors lowers its fill count by
-    exactly one, so x's fill count is lowered by that many.  The next
-    vertex is the least (score, vertex) entry of a heap; an entry whose
-    score no longer matches the table is stale and skipped.
+    can change.  The first fill counts come from one triangle count per
+    edge (`_fill_counts`).  Eliminating v changes the neighborhoods only
+    of N(v) (they lose v and gain fill edges among themselves), so only
+    N(v) is rescored.  A vertex x outside N(v) keeps its neighborhood,
+    and each new fill edge between two of its neighbors lowers its fill
+    count by exactly one, so x's fill count is lowered by that many.
+    When v is simplicial (fill count 0) no edge is added, so nothing
+    outside N(v) changes, and u in N(v) loses only v and with it the
+    open pairs {v, w}: one for each of u's |N(u)| - |N(v)| neighbors w
+    outside N[v].  So a simplicial step, the only kind min-fill takes on
+    a chordal graph, costs O(|N(v)|) with no fill count recomputed.  The
+    next vertex is the least (score, vertex) entry of a heap; an entry
+    whose score no longer matches the table is stale and skipped.
     """
+    scores = _fill_counts(adj) if min_fill else {v: _degree(adj, v) for v in adj}
     score = _fill_count if min_fill else _degree
-    scores = {v: score(adj, v) for v in adj}
     heap = [(s, v) for v, s in scores.items()]
     heapq.heapify(heap)
     eliminations = []
@@ -252,13 +273,23 @@ def _order_greedy(adj: dict[int, set[int]], min_fill: bool) -> Eliminations:
         del scores[v]
         nbrs = adj.pop(v)
         eliminations.append((v, nbrs))
+        if min_fill and not s:
+            # v is simplicial: each u in N(v) loses the |N(u)| - |N(v)|
+            # open pairs through v, counted before v leaves N(u)
+            d = len(nbrs)
+            for u in nbrs:
+                adj_u = adj[u]
+                drop = len(adj_u) - d
+                adj_u.discard(v)
+                if drop:
+                    scores[u] -= drop
+                    heapq.heappush(heap, (scores[u], u))
+            continue
         lowered = set()
         for u in nbrs:
             adj_u = adj[u]
             adj_u.discard(v)
             if min_fill:
-                if not s:
-                    continue  # v is simplicial: no fill edge
                 for w in nbrs - adj_u:
                     if u < w:
                         for x in adj_u & adj[w]:

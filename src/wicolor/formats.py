@@ -12,12 +12,17 @@ Tree decomposition:  header `s td <bags> <max-bag-size> <n>`, bag lines
 
 Weights may be written as a fraction `7/10`, an integer, or a decimal
 `0.7`; they are parsed exactly and serialized in lowest terms.  Each
-graph line is split once and each arc checked once: endpoints are read
-by `int`, a plain ASCII `p/q` weight as `Fraction(int(p), int(q))` and
-any other spelling by `Fraction(token)`, so values and errors are
-theirs.  Each distinct weight spelling is parsed once per file and
-reused for its later lines.  Two limits guard the parse: a graph header
-may declare at most MAX_VERTICES (100 000) vertices, and a weight's
+graph line is split once and each arc checked once, in the parse loop:
+endpoints are read by `int`, a plain ASCII `p/q` weight as
+`Fraction(int(p), int(q))` and any other spelling by `Fraction(token)`,
+so values and errors are theirs, and a repeated pair is looked up in
+one set.  The graph then takes the checked arcs as they are, without
+its constructor's second check.  Each distinct weight spelling is
+parsed once per file and reused for its later lines.  Errors come in
+line order, except that the first duplicate is raised only once every
+line and the edge count have passed: a bad token on a later line, or a
+short count, is reported instead.  Two limits guard the parse: a graph
+header may declare at most MAX_VERTICES (100 000) vertices, and a weight's
 decimal exponent may be at most MAX_EXPONENT (4300) in magnitude.
 Parse failures raise FormatError carrying the 1-based line number; for
 a duplicate arc, edge or bag-tree edge, that of the line repeating it.
@@ -34,6 +39,8 @@ from .graph import (
     Coloring,
     UndirectedWeightedGraph,
     WeightedDigraph,
+    _store_arcs,
+    _store_edges,
     parse_rational,
 )
 
@@ -94,7 +101,12 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
     m = _parse_int(head[3], head_no, "edge count")
     if n > MAX_VERTICES:
         raise FormatError(f"vertex count {n} above the limit {MAX_VERTICES}", head_no)
+    digraph = header_kind == "wig"
     triples: list[tuple[int, int, Fraction]] = []
+    # the first repeated pair, raised once the lines and the count pass,
+    # so that a bad token on a later line still raises first
+    seen: set[tuple[int, int]] = set()
+    duplicate: FormatError | None = None
     # each distinct spelling is parsed and range-checked once per file; a
     # bad token raises before it is stored, so it raises at its first line
     weights: dict[str, Fraction] = {}
@@ -118,17 +130,25 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
             raise FormatError(f"endpoint outside 1..{n}", line_no)
         if a == b:
             raise FormatError(f"self-loop at vertex {a}", line_no)
+        if not digraph and a > b:
+            a, b = b, a
+        if (a, b) not in seen:
+            seen.add((a, b))
+        elif duplicate is None:
+            what = f"arc ({a}, {b})" if digraph else f"edge {{{a}, {b}}}"
+            duplicate = FormatError(f"duplicate {what}", line_no)
         w = weights.get(tw)
         if w is None:
             w = weights[tw] = _parse_weight(tw, line_no)
         triples.append((a, b, w))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")
-    graph_type = WeightedDigraph if header_kind == "wig" else UndirectedWeightedGraph
-    try:
-        return graph_type(n, triples)
-    except DuplicateEdgeError as exc:
-        raise FormatError(str(exc), lines[1 + exc.index][0]) from None
+    if duplicate is not None:
+        raise duplicate
+    # every triple is checked above, so the graph takes them as they are
+    if digraph:
+        return _store_arcs(object.__new__(WeightedDigraph), n, triples)
+    return _store_edges(object.__new__(UndirectedWeightedGraph), n, triples)
 
 
 def parse_digraph(text: str) -> WeightedDigraph:

@@ -80,10 +80,14 @@ class BudgetMemoStats:
 
 def check_fixed_point(G: WeightedDigraph, bits: int) -> tuple[int, int, object] | None:
     """None when every weight is a multiple of 2^-bits, else the first
-    offending arc in canonical order."""
+    offending arc in canonical order.  A vertex's in-arc denominators all
+    divide 2^bits exactly when their lcm, `G.scale`, does, so the arcs
+    are scanned only when some vertex fails."""
     if bits < 1:
         raise PreconditionError(f"bits must be >= 1, got {bits}")
     unit = 1 << bits
+    if not any(unit % scale for scale in G.scale.values()):
+        return None
     return next(((t, h, w) for t, h, w in G.arcs if unit % w.denominator), None)
 
 

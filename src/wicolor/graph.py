@@ -109,12 +109,24 @@ def _check_vertex(n: int, v: object, role: str) -> int:
     return v
 
 
-def _store_arcs(G: "WeightedDigraph", n: int, arcs: list[tuple[int, int, Fraction]]) -> None:
-    """Give G the vertex count n and the arcs, sorted; the arcs are
-    already checked."""
+def _store_arcs(G: "WeightedDigraph", n: int, arcs: list[tuple[int, int, Fraction]]) -> "WeightedDigraph":
+    """Give G the vertex count n and the arcs, sorted, and return it; the
+    arcs are already checked."""
     arcs.sort()
     object.__setattr__(G, "n", n)
     object.__setattr__(G, "arcs", tuple(arcs))
+    return G
+
+
+def _store_edges(
+    H: "UndirectedWeightedGraph", n: int, edges: list[tuple[int, int, Fraction]]
+) -> "UndirectedWeightedGraph":
+    """Give H the vertex count n and the edges, sorted, and return it; the
+    edges are already checked, each with its smaller endpoint first."""
+    edges.sort()
+    object.__setattr__(H, "n", n)
+    object.__setattr__(H, "edges", tuple(edges))
+    return H
 
 
 @dataclass(frozen=True, init=False)
@@ -215,9 +227,7 @@ class UndirectedWeightedGraph:
             if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
                 weight = as_weight(weight)
             canon.append((u, v, weight))
-        canon.sort()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
+        _store_edges(self, n, canon)
 
     @property
     def vertices(self) -> range:
@@ -320,7 +330,9 @@ def underlying_graph(G: WeightedDigraph) -> UndirectedWeightedGraph:
         key = (t, h) if t < h else (h, t)
         if key not in best or w > best[key]:
             best[key] = w
-    return UndirectedWeightedGraph(G.n, [(u, v, w) for (u, v), w in best.items()])
+    # G's arcs were checked when G was built, so the edges are valid
+    edges = [(u, v, w) for (u, v), w in best.items()]
+    return _store_edges(object.__new__(UndirectedWeightedGraph), G.n, edges)
 
 
 def embed_undirected(H: UndirectedWeightedGraph) -> WeightedDigraph:
@@ -335,6 +347,4 @@ def embed_undirected(H: UndirectedWeightedGraph) -> WeightedDigraph:
         arcs.append((u, v, w))
         arcs.append((v, u, w))
     # H's edges were checked when H was built, so the arcs are valid
-    G = object.__new__(WeightedDigraph)
-    _store_arcs(G, H.n, arcs)
-    return G
+    return _store_arcs(object.__new__(WeightedDigraph), H.n, arcs)

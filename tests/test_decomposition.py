@@ -512,14 +512,33 @@ class TestGreedyReference:
             if graph.n <= decomposition.EXACT_SMALL_LIMIT:
                 assert build_decomposition(graph, "exact-small") == search_reference_decomposition(graph)
 
+    @pytest.mark.parametrize("strategy", ["min-degree", "min-fill"])
+    def test_orders_on_chordal_and_dense_graphs(self, strategy):
+        for graph in [*chordal_cases(), *(random_instance(40, 0.3, seed=s) for s in range(4))]:
+            adj = bruteforce._adjacency(graph)
+            eliminations = decomposition._order_greedy(
+                bruteforce._adjacency(graph), strategy == "min-fill"
+            )
+            assert [v for v, _ in eliminations] == bruteforce.reference_greedy_order(adj, strategy)
+
+    def test_min_fill_recounts_no_fill_on_chordal_graphs(self, monkeypatch):
+        # every step eliminates a simplicial vertex, which only lowers its
+        # neighbors' counts; the ladders below show the counter counts
+        calls = counting(monkeypatch, "_fill_count")
+        for graph in chordal_cases():
+            build_decomposition(graph, "min-fill")
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("k", [100, 400, 800])
     def test_min_fill_work_is_linear_on_ladders(self, k, monkeypatch):
         calls = counting(monkeypatch, "_fill_count")
         D = build_decomposition(ladder(k), "min-fill")
-        # one score per vertex, then one per neighbor of each eliminated
-        # vertex: 3n - 3 here, where rescoring two hops made about 5n and
-        # a full rescan per step n(n+1)/2
-        assert calls[0] <= 3 * 2 * k
+        # the first scores come from one triangle count per edge, and
+        # the steps alternate: eliminating a corner adds one fill edge
+        # and rescores its two neighbors, which leaves a simplicial
+        # vertex whose step recounts nothing; so n - 2 fill counts, where
+        # rescoring every neighbor made 3n - 3 and a full rescan n(n+1)/2
+        assert calls[0] == 2 * k - 2
         assert D.width == 2
 
     @pytest.mark.parametrize("k", [100, 400, 800])
@@ -591,6 +610,15 @@ def random_interval_graph(n: int, seed: int) -> UndirectedWeightedGraph:
         if spans[a][0] <= spans[b][1] and spans[b][0] <= spans[a][1]
     ]
     return relabeled(n, pairs, seed)
+
+
+def chordal_cases():
+    """Relabelled chordal graphs: random interval graphs and k-trees."""
+    for seed in range(4):
+        for n in (12, 30, 60):
+            yield random_interval_graph(n, seed)
+        for k in (1, 2, 3, 5):
+            yield random_k_tree(10 + 9 * seed, k, seed)
 
 
 class TestCompaction:

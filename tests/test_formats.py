@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from test_decomposition import benchmark_cases
 from wicolor import (
     FormatError,
     TreeDecomposition,
@@ -22,7 +23,9 @@ from wicolor import (
     parse_digraph,
     parse_graph_auto,
     parse_undirected,
+    partition_instance,
     random_instance,
+    random_subcubic_instance,
     serialize_coloring,
     serialize_decomposition,
     serialize_digraph,
@@ -215,6 +218,87 @@ class TestMatchesReference:
         assert (str(info.value), info.value.line) == _outcome(
             bruteforce.reference_parse_graph, text
         )
+
+
+def _shuffled_text(graph, rng: random.Random) -> str:
+    """The graph's file with its edge lines in random order and, for a
+    `wug`, each edge's endpoints swapped at random."""
+    if isinstance(graph, WeightedDigraph):
+        header, *body = serialize_digraph(graph).splitlines()
+    else:
+        header, *body = serialize_undirected(graph).splitlines()
+        flipped = []
+        for line in body:
+            tag, a, b, w = line.split()
+            flipped.append(f"{tag} {b} {a} {w}" if rng.random() < 0.5 else line)
+        body = flipped
+    rng.shuffle(body)
+    return "\n".join([header, *body]) + "\n"
+
+
+def bench_family_graphs():
+    """The benchmark's library families and the graph kinds of its CLI
+    files, each built by the checked constructors."""
+    yield from benchmark_cases()
+    for elements in ([3, 1, 1, 2, 2, 1], [5, 9, 4, 11, 19, 6, 1, 14]):
+        yield partition_instance(elements)[0]
+    for p, bits in ((0.4, 1), (0.4, 2), (0.5, 1)):
+        yield random_instance(10, p, seed=0, bits=bits)
+    yield random_instance(14, 0.3, seed=11, weight_model="uniform-rational")
+    for n in (12, 18, 24):
+        yield random_subcubic_instance(n, seed=0)
+
+
+class TestCheckedOnce:
+    """The parser checks each arc once and builds the graph without the
+    constructors' second check; it must still give the graph, and the
+    hash, that the checked constructors give, and raise the errors in
+    the order they raised them."""
+
+    def test_bench_families(self):
+        rng = random.Random(28)
+        for graph in bench_family_graphs():
+            got = parse_graph_auto(_shuffled_text(graph, rng))
+            assert type(got) is type(graph)
+            assert got == graph
+            assert hash(got) == hash(graph)
+
+    def test_random_texts(self):
+        rng = random.Random(28)
+        graphs = 0
+        for _ in range(400):
+            text = _random_graph_text(rng)
+            got = _outcome(parse_graph_auto, text)
+            expected = _outcome(bruteforce.reference_parse_graph, text)
+            assert got == expected, text
+            if not isinstance(got, tuple):
+                graphs += 1
+                assert type(got) is type(expected)
+                assert hash(got) == hash(expected)
+        assert graphs >= 100
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            # a bad token on a later line is reported before a duplicate
+            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\ne 2 3 x\n", 4, "weight 'x' is not a rational"),
+            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\ne 2 9 1/2\n", 4, "endpoint outside 1..3"),
+            ("p wig 3 2\ne 1 2 1/2\ne 1 2 1/4\ne 2 3 1/2\n", 4, "more than the declared 2 edge lines"),
+            # so is a short edge count
+            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\n", None, "declared 3 edges but found 2"),
+            # of two duplicates, the first to repeat
+            ("p wig 3 4\ne 1 2 1/2\ne 2 3 1/2\ne 2 3 1/4\ne 1 2 1/4\n", 4, "duplicate arc (2, 3)"),
+            # a reversed edge repeats it, at the repeating line
+            ("p wug 3 2\ne 1 2 1/2\n# c\ne 2 1 1/4\n", 4, "duplicate edge {1, 2}"),
+            # a reversed arc does not
+            ("p wig 3 3\ne 1 2 1/2\ne 2 1 1/2\ne 2 1 1/4\n", 4, "duplicate arc (2, 1)"),
+        ],
+    )
+    def test_error_order(self, text, line, message):
+        with pytest.raises(FormatError) as info:
+            parse_graph_auto(text)
+        assert (info.value.line, info.value.bare_message) == (line, message)
+        assert (str(info.value), info.value.line) == _outcome(bruteforce.reference_parse_graph, text)
 
 
 BUNDLED_GRAPHS = (load_text("golden5.wig"), load_text("prism10.wug"))

@@ -100,6 +100,12 @@ class TestFixedPointChecks:
         assert check_fixed_point(G, 5) == (1, 2, F(1, 3))
         assert check_fixed_point(G, 10) == (1, 2, F(1, 3))
 
+    def test_first_offending_arc_in_arc_order(self):
+        # vertex 1 fails first, but arc (1, 3) comes before its in-arc (2, 1)
+        G = WeightedDigraph(3, [(2, 1, F(1, 4)), (1, 3, F(1, 3)), (1, 2, F(1, 2))])
+        assert check_fixed_point(G, 1) == (1, 3, F(1, 3))
+        assert check_fixed_point(G, 2) == (1, 3, F(1, 3))
+
     def test_bits_must_be_positive(self):
         with pytest.raises(PreconditionError):
             check_fixed_point(WeightedDigraph(1), 0)
