@@ -14,7 +14,6 @@ from .bounds import (
     bound_report,
     greedy_recolor,
     greedy_recolor_trace,
-    isqrt_floor,
     lower_bound_chromatic,
     subcubic_two_coloring,
     subcubic_two_coloring_trace,
@@ -115,7 +114,6 @@ __all__ = [
     "greedy_recolor_trace",
     "is_defective_coloring",
     "is_valid_coloring",
-    "isqrt_floor",
     "lower_bound_chromatic",
     "max_weighted_indegree",
     "min_precision_bits",

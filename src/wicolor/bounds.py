@@ -45,14 +45,6 @@ class BoundReport:
         return [f"{key}={value}" for key, value in asdict(self).items() if value is not None]
 
 
-def isqrt_floor(value: Fraction | int) -> int:
-    """Largest integer s with s*s <= value, exactly (s²·q ≤ p for p/q)."""
-    value = Fraction(value)
-    if value < 0:
-        raise PreconditionError(f"isqrt_floor needs a nonnegative value, got {value}")
-    return isqrt(value.numerator // value.denominator)
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 

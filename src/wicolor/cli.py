@@ -100,10 +100,8 @@ def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
 
 
 def _obtain_decomposition(args, G: WeightedDigraph) -> TreeDecomposition:
-    if args.decomposition:
-        return formats.parse_decomposition(
-            _read(args.decomposition), root_bag_id=args.root, n=G.n
-        )
+    if args.decomposition is not None:
+        return formats.parse_decomposition(_read(args.decomposition), G.n, root_bag_id=args.root)
     strategy = "exact-small" if G.n <= EXACT_SMALL_LIMIT else "min-fill"
     return build_decomposition(G, strategy)
 
@@ -126,22 +124,19 @@ def _solve(
     DEFAULT_SEARCH_LIMIT vertices and under ORACLE_WORK_BUDGET above it.
     A DP's statistics are its memo_stats() fields, in order."""
     oracle_pairs = ()
-    if method == "auto":
+    if method in ("exact", "auto"):
+        unlimited = method == "exact" and G.n <= DEFAULT_SEARCH_LIMIT
         try:
-            # the work budget, not the vertex guard, bounds this search
-            result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
-            return "exact", result, (("oracle_work", result.examined),)
+            result = exact_chi_w(G, max_n=G.n, work_limit=None if unlimited else ORACLE_WORK_BUDGET)
         except InstanceTooLargeError as exc:
+            if method == "exact":
+                raise
             method = "fpt-budget"
             oracle_pairs = (("oracle_work", exc.size), ("oracle_gave_up", 1))
-    if method == "exact":
-        if G.n <= DEFAULT_SEARCH_LIMIT:
-            result = exact_chi_w(G)
-        else:  # above the vertex guard, the work budget bounds the search
-            result = exact_chi_w(G, max_n=G.n, work_limit=ORACLE_WORK_BUDGET)
-        if result is None:
-            raise AssertionError("search up to n colors cannot fail")
-        return method, result, oracle_pairs
+        else:
+            if result is None:
+                raise AssertionError("search up to n colors cannot fail")
+            return "exact", result, (("oracle_work", result.examined),) if method == "auto" else ()
     solver = (IndegreeSolver if method == "fpt-indegree" else BudgetSolver)(G, decomposition())
     result = solver.solve()
     stats = [(f"memo_{name}", value) for name, value in asdict(solver.memo_stats()).items()]
@@ -153,7 +148,7 @@ def cmd_solve(args) -> int:
     print(f"instance={args.graph} digest={digest} n={G.n} arcs={len(G.arcs)}")
     # read or built on first use and shared by both DPs under --all-methods
     decomposition = functools.cache(lambda: _obtain_decomposition(args, G))
-    if args.decomposition:  # a given file is checked even when no DP reads it
+    if args.decomposition is not None:  # a given file is checked even when no DP reads it
         require_valid(validate_decomposition(G, decomposition()))
     methods = [args.method]
     if args.all_methods:
@@ -172,7 +167,7 @@ def cmd_solve(args) -> int:
             continue
         wall_ms = (time.perf_counter() - start) * 1000
         witness = "-"
-        if args.out:
+        if args.out is not None:
             witness = f"{args.out}.{method}" if args.all_methods else args.out
             _write_witness(witness, G, result.witness)
         tokens = [f"solver={solver}", f"chromatic={result.chromatic}", f"witness={witness}"]
@@ -186,7 +181,7 @@ def cmd_solve(args) -> int:
 def cmd_bounds(args) -> int:
     G, _ = _load_digraph(args.graph)
     decomposition = None
-    if args.decomposition:
+    if args.decomposition is not None:
         decomposition = _obtain_decomposition(args, G)
     elif args.build:
         decomposition = build_decomposition(G, args.build)
@@ -196,7 +191,7 @@ def cmd_bounds(args) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         _write(out, text)
     else:
         print(text, end="")
@@ -220,7 +215,7 @@ def cmd_gen_partition(args) -> int:
     G, D = partition_instance(args.elements)
     graph_text = formats.serialize_digraph(G)
     decomposition_text = formats.serialize_decomposition(D, n=G.n)
-    if args.out:
+    if args.out is not None:
         _write(f"{args.out}.wig", graph_text)
         _write(f"{args.out}.td", decomposition_text)
         print(f"graph={args.out}.wig decomposition={args.out}.td width={D.width}")
@@ -248,13 +243,14 @@ def cmd_decomp_build(args) -> int:
     D = build_decomposition(graph, args.strategy)
     _emit(formats.serialize_decomposition(D, n=graph.n), args.out)
     # a decomposition on stdout keeps stdout a .td file
-    print(f"width={D.width} bags={len(D.bags)}", file=sys.stdout if args.out else sys.stderr)
+    report = sys.stdout if args.out is not None else sys.stderr
+    print(f"width={D.width} bags={len(D.bags)}", file=report)
     return EXIT_OK
 
 
 def cmd_decomp_validate(args) -> int:
     G, _ = _load_digraph(args.graph)
-    D = formats.parse_decomposition(_read(args.decomposition), root_bag_id=args.root, n=G.n)
+    D = _obtain_decomposition(args, G)
     violations = validate_decomposition(G, D)
     if not violations:
         print(f"valid=true width={D.width}")

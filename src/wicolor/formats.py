@@ -16,10 +16,10 @@ graph line is split once and each arc checked once, in the parse loop:
 endpoints are read by `int`, a plain ASCII `p/q` weight as
 `Fraction(int(p), int(q))` and any other spelling by `Fraction(token)`,
 so values and errors are theirs, and a repeated pair is looked up in
-one set.  The graph then takes the checked arcs as they are, without
-its constructor's second check.  Each distinct weight spelling is
-parsed once per file and reused for its later lines.  Errors come in
-line order, except that the first duplicate is raised only once every
+one set.  The graph then stores the checked arcs through the helper
+both constructors use, without their second check.  Each distinct
+weight spelling is parsed once per file and reused for its later
+lines.  Errors come in line order, except that the first duplicate is raised only once every
 line and the edge count have passed: a bad token on a later line, or a
 short count, is reported instead.  Two limits guard the parse: a graph
 header may declare at most MAX_VERTICES (100 000) vertices, and a weight's
@@ -39,8 +39,7 @@ from .graph import (
     Coloring,
     UndirectedWeightedGraph,
     WeightedDigraph,
-    _store_arcs,
-    _store_edges,
+    _store,
     parse_rational,
 )
 
@@ -146,9 +145,7 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
     if duplicate is not None:
         raise duplicate
     # every triple is checked above, so the graph takes them as they are
-    if digraph:
-        return _store_arcs(object.__new__(WeightedDigraph), n, triples)
-    return _store_edges(object.__new__(UndirectedWeightedGraph), n, triples)
+    return _store(object.__new__(WeightedDigraph if digraph else UndirectedWeightedGraph), n, triples)
 
 
 def parse_digraph(text: str) -> WeightedDigraph:
@@ -170,16 +167,18 @@ def parse_graph_auto(text: str) -> WeightedDigraph | UndirectedWeightedGraph:
     return _parse_graph(lines, head[1])
 
 
-def serialize_digraph(G: WeightedDigraph) -> str:
-    lines = [f"p wig {G.n} {len(G.arcs)}"]
-    lines.extend(f"e {t} {h} {w}" for t, h, w in G.arcs)
+def _serialize_graph(kind: str, n: int, triples: tuple) -> str:
+    lines = [f"p {kind} {n} {len(triples)}"]
+    lines.extend(f"e {a} {b} {w}" for a, b, w in triples)
     return "\n".join(lines) + "\n"
+
+
+def serialize_digraph(G: WeightedDigraph) -> str:
+    return _serialize_graph("wig", G.n, G.arcs)
 
 
 def serialize_undirected(H: UndirectedWeightedGraph) -> str:
-    lines = [f"p wug {H.n} {len(H.edges)}"]
-    lines.extend(f"e {u} {v} {w}" for u, v, w in H.edges)
-    return "\n".join(lines) + "\n"
+    return _serialize_graph("wug", H.n, H.edges)
 
 
 def parse_coloring(text: str) -> Coloring:
@@ -199,12 +198,10 @@ def serialize_coloring(coloring: Coloring) -> str:
     return "".join(f"{v} {coloring[v]}\n" for v in sorted(coloring))
 
 
-def parse_decomposition(
-    text: str, root_bag_id: int = 1, n: int | None = None
-) -> TreeDecomposition:
-    """Parse a decomposition file; `root_bag_id` picks the root (1-based,
-    default bag 1).  Given `n`, the vertex count of the graph the file
-    decomposes, a header that declares another count is refused."""
+def parse_decomposition(text: str, n: int, root_bag_id: int = 1) -> TreeDecomposition:
+    """Parse a decomposition file of a graph on n vertices; a header that
+    declares another vertex count is refused.  `root_bag_id` picks the
+    root (1-based, default bag 1)."""
     lines = _content_lines(text, extra_comment="c")
     if not lines:
         raise FormatError("missing header line")
@@ -214,9 +211,8 @@ def parse_decomposition(
     count = _parse_int(head[2], head_no, "bag count", minimum=1)
     declared_max = _parse_int(head[3], head_no, "max bag size")
     declared_n = _parse_int(head[4], head_no, "vertex count")
-    if n is not None and declared_n != n:
+    if declared_n != n:
         raise FormatError(f"header vertex count {declared_n} is not the graph's {n}", head_no)
-    n = declared_n
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []

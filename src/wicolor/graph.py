@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .errors import DuplicateEdgeError, PreconditionError
+
+_Graph = TypeVar("_Graph", "WeightedDigraph", "UndirectedWeightedGraph")
 
 
 # The largest decimal exponent, in magnitude, a weight spelling may
@@ -109,24 +111,42 @@ def _check_vertex(n: int, v: object, role: str) -> int:
     return v
 
 
-def _store_arcs(G: "WeightedDigraph", n: int, arcs: list[tuple[int, int, Fraction]]) -> "WeightedDigraph":
-    """Give G the vertex count n and the arcs, sorted, and return it; the
-    arcs are already checked."""
-    arcs.sort()
-    object.__setattr__(G, "n", n)
-    object.__setattr__(G, "arcs", tuple(arcs))
-    return G
+def _checked(n: int, triples: Iterable[tuple], directed: bool) -> list[tuple[int, int, Fraction]]:
+    """The triples of a graph on 1..n as (a, b, weight), checked in the
+    words of its kind (arcs when `directed`, else edges, each turned
+    smaller endpoint first); `_store` takes the list as it is.  An int
+    endpoint in 1..n and a Fraction weight in [0, 1] pass at once, and
+    anything else gets what `_check_vertex` and `as_weight` give."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
+    roles = ("arc tail", "arc head") if directed else ("edge endpoint", "edge endpoint")
+    canon: list[tuple[int, int, Fraction]] = []
+    seen: set[tuple[int, int]] = set()
+    for a, b, weight in triples:
+        if not (type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n):
+            _check_vertex(n, a, roles[0])
+            _check_vertex(n, b, roles[1])
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        if not directed and a > b:
+            a, b = b, a
+        if (a, b) in seen:
+            what = f"arc ({a}, {b})" if directed else f"edge {{{a}, {b}}}"
+            raise DuplicateEdgeError(f"duplicate {what}", len(canon))
+        seen.add((a, b))
+        if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
+            weight = as_weight(weight)
+        canon.append((a, b, weight))
+    return canon
 
 
-def _store_edges(
-    H: "UndirectedWeightedGraph", n: int, edges: list[tuple[int, int, Fraction]]
-) -> "UndirectedWeightedGraph":
-    """Give H the vertex count n and the edges, sorted, and return it; the
-    edges are already checked, each with its smaller endpoint first."""
-    edges.sort()
-    object.__setattr__(H, "n", n)
-    object.__setattr__(H, "edges", tuple(edges))
-    return H
+def _store(graph: _Graph, n: int, triples: list[tuple[int, int, Fraction]]) -> _Graph:
+    """Give `graph` the vertex count n and the triples, sorted, as its arcs
+    or edges, and return it; the triples are already checked."""
+    triples.sort()
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "arcs" if isinstance(graph, WeightedDigraph) else "edges", tuple(triples))
+    return graph
 
 
 @dataclass(frozen=True, init=False)
@@ -143,23 +163,7 @@ class WeightedDigraph:
     arcs: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, Fraction | int | str]] = ()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
-        canon: list[tuple[int, int, Fraction]] = []
-        seen: set[tuple[int, int]] = set()
-        for tail, head, weight in arcs:
-            if not (type(tail) is int and type(head) is int and 0 < tail <= n and 0 < head <= n):
-                _check_vertex(n, tail, "arc tail")
-                _check_vertex(n, head, "arc head")
-            if tail == head:
-                raise ValueError(f"self-loop at vertex {tail}")
-            if (tail, head) in seen:
-                raise DuplicateEdgeError(f"duplicate arc ({tail}, {head})", len(canon))
-            seen.add((tail, head))
-            if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
-                weight = as_weight(weight)
-            canon.append((tail, head, weight))
-        _store_arcs(self, n, canon)
+        _store(self, n, _checked(n, arcs, directed=True))
 
     @property
     def vertices(self) -> range:
@@ -210,24 +214,7 @@ class UndirectedWeightedGraph:
     edges: tuple[tuple[int, int, Fraction], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Fraction | int | str]] = ()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
-        canon: list[tuple[int, int, Fraction]] = []
-        seen: set[tuple[int, int]] = set()
-        for a, b, weight in edges:
-            if not (type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n):
-                _check_vertex(n, a, "edge endpoint")
-                _check_vertex(n, b, "edge endpoint")
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            u, v = (a, b) if a < b else (b, a)
-            if (u, v) in seen:
-                raise DuplicateEdgeError(f"duplicate edge {{{u}, {v}}}", len(canon))
-            seen.add((u, v))
-            if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
-                weight = as_weight(weight)
-            canon.append((u, v, weight))
-        _store_edges(self, n, canon)
+        _store(self, n, _checked(n, edges, directed=False))
 
     @property
     def vertices(self) -> range:
@@ -332,7 +319,7 @@ def underlying_graph(G: WeightedDigraph) -> UndirectedWeightedGraph:
             best[key] = w
     # G's arcs were checked when G was built, so the edges are valid
     edges = [(u, v, w) for (u, v), w in best.items()]
-    return _store_edges(object.__new__(UndirectedWeightedGraph), G.n, edges)
+    return _store(object.__new__(UndirectedWeightedGraph), G.n, edges)
 
 
 def embed_undirected(H: UndirectedWeightedGraph) -> WeightedDigraph:
@@ -347,4 +334,4 @@ def embed_undirected(H: UndirectedWeightedGraph) -> WeightedDigraph:
         arcs.append((u, v, w))
         arcs.append((v, u, w))
     # H's edges were checked when H was built, so the arcs are valid
-    return _store_arcs(object.__new__(WeightedDigraph), H.n, arcs)
+    return _store(object.__new__(WeightedDigraph), H.n, arcs)

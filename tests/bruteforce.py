@@ -12,7 +12,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import floor, isqrt, lcm
 
 from wicolor import (
     DecompositionViolation,
@@ -24,7 +24,6 @@ from wicolor import (
     TreeDecomposition,
     UndirectedWeightedGraph,
     WeightedDigraph,
-    isqrt_floor,
 )
 
 
@@ -148,7 +147,7 @@ def reference_upper_bound_sum_weights(G: WeightedDigraph) -> int:
     """`bounds.upper_bound_sum_weights` as it was before it read each
     vertex's units: one exact sum over every arc, whose denominator is
     the lcm of all of them."""
-    return 2 * isqrt_floor(2 * sum(w for _, _, w in G.arcs)) + 1
+    return 2 * isqrt(floor(2 * sum(w for _, _, w in G.arcs))) + 1
 
 
 def global_units(G: WeightedDigraph):

@@ -22,7 +22,6 @@ from wicolor import (
     greedy_recolor,
     greedy_recolor_trace,
     is_valid_coloring,
-    isqrt_floor,
     lower_bound_chromatic,
     random_instance,
     random_subcubic_instance,
@@ -35,35 +34,6 @@ from wicolor import (
 )
 
 F = Fraction
-
-
-class TestIsqrtFloor:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (0, 0),
-            (1, 1),
-            (3, 1),
-            (4, 2),
-            (F(96, 10), 3),
-            (F(99, 100), 0),
-            (F(5, 2), 1),
-            (F(49), 7),
-            (10**12, 10**6),
-        ],
-    )
-    def test_examples(self, value, expected):
-        assert isqrt_floor(value) == expected
-
-    def test_rejects_negative(self):
-        with pytest.raises(PreconditionError):
-            isqrt_floor(-1)
-
-    def test_exact_on_large_fractions(self):
-        # a float sqrt would misround this near-square value
-        big = (10**8 + 1) ** 2
-        assert isqrt_floor(F(big, 1)) == 10**8 + 1
-        assert isqrt_floor(F(big - 1, 1)) == 10**8
 
 
 class TestLowerBound:

@@ -37,6 +37,16 @@ def files(tmp_path):
     return tmp_path
 
 
+def ladder32(directory):
+    """The 2 x 32 ladder with weight 1/2 on both arcs of each edge, as a
+    .wig file in `directory`: 64 vertices and chi = 2."""
+    pairs = [(2 * j + 1, 2 * j + 2) for j in range(32)] + [(v, v + 2) for v in range(1, 63)]
+    arcs = [f"e {a} {b} 1/2" for u, v in pairs for a, b in ((u, v), (v, u))]
+    graph = directory / "ladder.wig"
+    graph.write_text("\n".join([f"p wig 64 {len(arcs)}", *arcs]) + "\n", encoding="utf-8")
+    return graph
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -193,7 +203,7 @@ class TestSolve:
         assert code == 0
         tokens = [token.split("=", 1) for token in out.strip().splitlines()[-1].split()]
         G, _ = cli._load_digraph(str(graph))
-        solver = solver_class(G, parse_decomposition(td.read_text(encoding="utf-8")))
+        solver = solver_class(G, parse_decomposition(td.read_text(encoding="utf-8"), G.n))
         solver.solve()
         stats = solver.memo_stats()
         expected = [("memo_" + f.name, getattr(stats, f.name)) for f in dataclasses.fields(stats)]
@@ -536,18 +546,36 @@ class TestSolve:
 
     @pytest.mark.parametrize("flags", [("--method", "exact"), ("--all-methods",)])
     def test_exact_answers_above_the_vertex_guard(self, files, capsys, flags):
-        # the 2 x 32 ladder: 64 vertices, answered within the work budget
-        pairs = [(2 * j + 1, 2 * j + 2) for j in range(32)]
-        pairs += [(v, v + 2) for v in range(1, 63)]
-        arcs = [f"e {a} {b} 1/2" for u, v in pairs for a, b in ((u, v), (v, u))]
-        graph = files / "ladder.wig"
-        graph.write_text("\n".join([f"p wig 64 {len(arcs)}", *arcs]) + "\n", encoding="utf-8")
-        code, out, _ = run(capsys, "solve", str(graph), *flags)
+        # 64 vertices, answered within the work budget
+        code, out, _ = run(capsys, "solve", str(ladder32(files)), *flags)
         assert code == 0
         assert "solver=exact chromatic=2 " in out
         if flags == ("--all-methods",):
             assert "solver=fpt-budget chromatic=2 " in out
             assert "solver=fpt-indegree chromatic=2 " in out
+
+    @pytest.mark.parametrize(
+        ("method", "n", "limited"),
+        [("exact", 5, False), ("auto", 5, True), ("exact", 64, True), ("auto", 64, True)],
+    )
+    def test_one_oracle_call_per_method(self, files, capsys, monkeypatch, method, n, limited):
+        # only exact on at most 16 vertices searches without the work budget
+        calls = []
+
+        def recording(G, **limits):
+            calls.append(limits)
+            return real(G, **limits)
+
+        real = cli.exact_chi_w
+        monkeypatch.setattr(cli, "exact_chi_w", recording)
+        graph = ladder32(files) if n == 64 else files / "golden5.wig"
+        code, out, _ = run(capsys, "solve", str(graph), "--method", method, "--stats")
+        assert code == 0
+        assert calls == [{"max_n": n, "work_limit": cli.ORACLE_WORK_BUDGET if limited else None}]
+        line = out.strip().splitlines()[-1]
+        assert line.startswith("solver=exact chromatic=2 ")
+        # exact reports no statistics; auto reports the oracle's work
+        assert re.search(r"time_ms=[\d.]+$" if method == "exact" else r" oracle_work=\d+$", line)
 
     def test_running_out_of_memory_is_a_guard_refusal(self, files, capsys, monkeypatch):
         def exhausted(*args):
@@ -713,7 +741,7 @@ class TestGen:
         assert code == 0
         graph_text, td_text = out.split("s td", 1)
         G = parse_digraph(graph_text)
-        D = parse_decomposition("s td" + td_text)
+        D = parse_decomposition("s td" + td_text, G.n)
         assert G.n == 5
         assert D.width == 2
 
@@ -793,7 +821,7 @@ class TestDecomp:
         assert code == 0
         # stdout is the .td alone, so `decomp build g > g.td` gives a file
         # that `decomp validate` and `solve --decomposition` read
-        D = parse_decomposition(out)
+        D = parse_decomposition(out, 10)
         assert D.width == 4
         # one bag per vertex less the four that lie inside a tree neighbor's
         assert len(D.bags) == 6
@@ -804,7 +832,7 @@ class TestDecomp:
         graph = str(files / "prism10.wug")
         code, out, _ = run(capsys, "decomp", "build", graph, "--strategy", strategy)
         assert code == 0
-        width = parse_decomposition(out).width
+        width = parse_decomposition(out, 10).width
         code, out, _ = run(capsys, "bounds", graph, "--build", strategy)
         assert code == 0
         assert out.splitlines()[-1] == f"treewidth_cap={width + 1}"
@@ -832,7 +860,7 @@ class TestDecomp:
             capsys, "decomp", "build", str(files / "prism10.wug"), "--out", str(td)
         )
         assert code == 0
-        D = parse_decomposition(td.read_text(encoding="utf-8"))
+        D = parse_decomposition(td.read_text(encoding="utf-8"), 10)
         assert out == f"width={D.width} bags=6\n"
         assert err == ""
 
@@ -961,6 +989,54 @@ def test_non_utf8_input_is_a_parse_error(files, capsys, argv):
     assert code == 2
     assert err.startswith(f"parse error: {bad}: 'utf-8' codec can't decode byte 0xe9")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "{dir}/golden5.wig", "--decomposition", ""), "cannot read input"),
+        (("bounds", "{dir}/golden5.wig", "--decomposition", ""), "cannot read input"),
+        (("decomp", "validate", "{dir}/golden5.wig", ""), "cannot read input"),
+        (("solve", "{dir}/golden5.wig", "--out", ""), "cannot write output"),
+        (("decomp", "build", "{dir}/golden5.wig", "--out", ""), "cannot write output"),
+        (("gen", "complete-embed", "{dir}/golden5.wig", "--out", ""), "cannot write output"),
+        (("gen", "defective", "{dir}/prism10.wug", "--d", "1", "--out", ""), "cannot write output"),
+        (("gen", "random", "--n", "4", "--p", "0.5", "--seed", "1", "--out", ""), "cannot write output"),
+    ],
+    ids=[
+        "solve-decomposition",
+        "bounds-decomposition",
+        "decomp-validate",
+        "solve-out",
+        "decomp-build-out",
+        "complete-embed-out",
+        "defective-out",
+        "random-out",
+    ],
+)
+def test_an_empty_path_is_read_or_written(files, capsys, argv, message):
+    # "" names the current directory, which is neither read nor written
+    # as a file: exit 2 with one line, never "no path given"
+    code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
+    assert code == 2
+    assert err.startswith(f"{message}: ")
+    assert err.count("\n") == 1
+    assert "solver=" not in out and "treewidth_cap" not in out
+
+
+def test_an_empty_prefix_names_files_in_the_current_directory(files, capsys, monkeypatch):
+    monkeypatch.chdir(files)
+    code, out, _ = run(capsys, "gen", "partition", "1", "2", "3", "--out", "")
+    assert code == 0
+    assert out == "graph=.wig decomposition=.td width=2\n"
+    G = parse_digraph((files / ".wig").read_text(encoding="utf-8"))
+    assert parse_decomposition((files / ".td").read_text(encoding="utf-8"), G.n).width == 2
+    code, out, _ = run(capsys, "solve", "golden5.wig", "--all-methods", "--out", "")
+    assert code == 0
+    G = parse_digraph(load_text("golden5.wig"))
+    for method in ("exact", "fpt-budget", "fpt-indegree"):
+        assert f" witness=.{method} " in out
+        assert is_valid_coloring(G, parse_coloring((files / f".{method}").read_text(encoding="utf-8")))
 
 
 class TestExperiment:

@@ -367,7 +367,7 @@ def corrupted_tables():
 
 
 fpt_indegree.is_valid_coloring = fpt_budget.is_valid_coloring = lambda G, c: False
-cli.exact_chi_w = lambda G: None
+cli.exact_chi_w = lambda G, **limits: None
 runs = {
     "fpt-indegree-memo": corrupted_memo,
     "fpt-budget-tables": corrupted_tables,

@@ -170,5 +170,5 @@ def test_a_charge_sits_at_the_deeper_top_bag():
 def test_first_repeated_bag_vertex_names_its_line():
     members = " ".join(map(str, [*range(1, 3001), 2999, 7, 3000]))
     with pytest.raises(FormatError) as info:
-        parse_decomposition(f"s td 1 3003 3000\nb 1 {members}\n")
+        parse_decomposition(f"s td 1 3003 3000\nb 1 {members}\n", 3000)
     assert (info.value.line, info.value.bare_message) == (2, "vertex 2999 repeated in bag 1")
