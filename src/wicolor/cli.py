@@ -99,9 +99,11 @@ def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
     return graph, digest
 
 
-def _obtain_decomposition(args, G: WeightedDigraph) -> TreeDecomposition:
-    if args.decomposition is not None:
-        return formats.parse_decomposition(_read(args.decomposition), G.n, root_bag_id=args.root)
+def _obtain_decomposition(path: str | None, G: WeightedDigraph, root: int = 1) -> TreeDecomposition:
+    """The decomposition in the file at `path`, rooted at its bag `root`,
+    or with no path one built for G."""
+    if path is not None:
+        return formats.parse_decomposition(_read(path), G.n, root_bag_id=root)
     strategy = "exact-small" if G.n <= EXACT_SMALL_LIMIT else "min-fill"
     return build_decomposition(G, strategy)
 
@@ -144,10 +146,14 @@ def _solve(
 
 
 def cmd_solve(args) -> int:
+    if args.root is not None and args.decomposition is None:  # a built one has its own root
+        print("wicolor solve: error: argument --root: needs --decomposition", file=sys.stderr)
+        return EXIT_USAGE
+    root = 1 if args.root is None else args.root
     G, digest = _load_digraph(args.graph)
     print(f"instance={args.graph} digest={digest} n={G.n} arcs={len(G.arcs)}")
     # read or built on first use and shared by both DPs under --all-methods
-    decomposition = functools.cache(lambda: _obtain_decomposition(args, G))
+    decomposition = functools.cache(lambda: _obtain_decomposition(args.decomposition, G, root))
     if args.decomposition is not None:  # a given file is checked even when no DP reads it
         require_valid(validate_decomposition(G, decomposition()))
     methods = [args.method]
@@ -182,7 +188,7 @@ def cmd_bounds(args) -> int:
     G, _ = _load_digraph(args.graph)
     decomposition = None
     if args.decomposition is not None:
-        decomposition = _obtain_decomposition(args, G)
+        decomposition = _obtain_decomposition(args.decomposition, G)
     elif args.build:
         decomposition = build_decomposition(G, args.build)
     for line in bound_report(G, decomposition).as_lines():
@@ -250,7 +256,7 @@ def cmd_decomp_build(args) -> int:
 
 def cmd_decomp_validate(args) -> int:
     G, _ = _load_digraph(args.graph)
-    D = _obtain_decomposition(args, G)
+    D = _obtain_decomposition(args.decomposition, G)
     violations = validate_decomposition(G, D)
     if not violations:
         print(f"valid=true width={D.width}")
@@ -311,7 +317,7 @@ def _build_parser() -> _Parser:
     )
     solve.add_argument("--all-methods", action="store_true", help="run every method")
     solve.add_argument("--decomposition", help="decomposition file (built when omitted)")
-    solve.add_argument("--root", type=int, default=1, help="root bag id in the file")
+    solve.add_argument("--root", type=int, help="root bag id in the --decomposition file (default 1)")
     solve.add_argument("--out", help="write the witness coloring here")
     solve.add_argument(
         "--stats", action="store_true", help="report memo statistics and the oracle's work"
@@ -320,7 +326,6 @@ def _build_parser() -> _Parser:
 
     bounds = sub.add_parser("bounds", help="print all bound values")
     bounds.add_argument("graph")
-    bounds.add_argument("--root", type=int, default=1)
     width_cap = bounds.add_mutually_exclusive_group()
     width_cap.add_argument("--decomposition", help="decomposition file for the width cap")
     width_cap.add_argument(
@@ -377,7 +382,6 @@ def _build_parser() -> _Parser:
     d_val = decomp_sub.add_parser("validate")
     d_val.add_argument("graph")
     d_val.add_argument("decomposition")
-    d_val.add_argument("--root", type=int, default=1)
     d_val.set_defaults(func=cmd_decomp_validate)
 
     validate = sub.add_parser("validate", help="check a coloring against a graph")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, PreconditionError, guard_vertices
-from .graph import Coloring, SolveResult, UndirectedWeightedGraph, WeightedDigraph
+from .graph import Coloring, SolveResult, UndirectedWeightedGraph, WeightedDigraph, _check_int
 
 EXACT_SMALL_LIMIT = 20
 STRATEGIES = ("min-degree", "min-fill", "exact-small")
@@ -34,11 +34,13 @@ class TreeDecomposition:
     index pairs forming a tree over all bags; `root` selects the bag
     the dynamic programs start from.  Structural validity against a
     concrete graph is a separate check (`validate_decomposition`); the
-    constructor only enforces the tree shape.  It also walks the tree
-    once from the root, setting `parent` (None at the root), `children`
-    (ascending; the order fixes child ordinals) and `preorder`, in time
-    linear in the bag count once the edges are sorted, on any edge set:
-    it refuses at the first bag it reaches twice.
+    constructor only enforces the tree shape, and that each bag vertex
+    and edge endpoint is an int (TypeError otherwise, as for a graph's
+    vertices).  It also walks the tree once from the root, setting
+    `parent` (None at the root), `children` (ascending; the order fixes
+    child ordinals) and `preorder`, in time linear in the bag count once
+    the edges are sorted, on any edge set: it refuses at the first bag
+    it reaches twice.
     """
 
     bags: tuple[frozenset[int], ...]
@@ -51,13 +53,24 @@ class TreeDecomposition:
         tree_edges: Iterable[tuple[int, int]] = (),
         root: int = 0,
     ):
-        bag_tuple = tuple(frozenset(b) for b in bags)
+        bag_list = []
+        for given in bags:
+            # checked as given: a frozenset would merge 2.0 into 2, True into 1
+            members = given if type(given) is frozenset else tuple(given)
+            if not {int}.issuperset(map(type, members)):
+                for v in members:
+                    _check_int(v, "bag vertex")
+            bag_list.append(frozenset(members))
+        bag_tuple = tuple(bag_list)
         if not bag_tuple:
             raise ValueError("a decomposition needs at least one bag")
         count = len(bag_tuple)
         canon: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
         for a, b in tree_edges:
+            if type(a) is not int or type(b) is not int:
+                _check_int(a, "tree edge endpoint")
+                _check_int(b, "tree edge endpoint")
             if not (0 <= a < count and 0 <= b < count):
                 raise ValueError(f"tree edge ({a}, {b}) references a missing bag")
             if a == b:
@@ -239,12 +252,14 @@ def _fill_counts(adj: dict[int, set[int]]) -> dict[int, int]:
 Eliminations = list[tuple[int, set[int]]]
 
 
-def _order_greedy(adj: dict[int, set[int]], min_fill: bool) -> Eliminations:
+def _order_greedy(adj: dict[int, set[int]], min_fill: bool, simplicial_only: bool = False) -> Eliminations:
     """Repeatedly eliminate the vertex of least score, ties to the smallest.
 
     The score is the degree, or with `min_fill` the number of fill edges
     the elimination would add.  Returns each vertex in elimination order
-    with its neighbors at that moment, consuming `adj`.
+    with its neighbors at that moment, consuming `adj`.  With
+    `simplicial_only` (and `min_fill`) it stops before the first vertex
+    of positive fill count, leaving the rest of the graph in `adj`.
 
     Scores are kept in a table, and an elimination rescores only what it
     can change.  The first fill counts come from one triangle count per
@@ -270,6 +285,8 @@ def _order_greedy(adj: dict[int, set[int]], min_fill: bool) -> Eliminations:
         s, v = heapq.heappop(heap)
         if scores.get(v) != s:
             continue
+        if s and simplicial_only:
+            break
         del scores[v]
         nbrs = adj.pop(v)
         eliminations.append((v, nbrs))
@@ -314,13 +331,12 @@ def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
     Returns each vertex in elimination order with its neighbors at that
     moment, consuming `adj`.  Simplicial vertices are peeled first
     (always safe: eliminating one adds no fill and its degree
-    lower-bounds the width anyway), lowest index first.  A heap holds the
-    simplicial vertices: peeling one adds no edge, so fill counts only
-    fall, and only among its neighbors, which alone are rescored.  On the
-    remainder, widths t are tried upward from its minimum degree (a lower
-    bound): feasible(S) asks whether the elimination graph H_S, what is
-    left once the set S is eliminated, has an order of width <= t.  It
-    holds once at most t + 1 vertices remain.
+    lower-bounds the width anyway) by min-fill's own simplicial steps,
+    lowest index first, stopped at the first positive fill count.  On
+    the remainder, widths t are tried upward from its minimum degree (a
+    lower bound): feasible(S) asks whether the elimination graph H_S,
+    what is left once the set S is eliminated, has an order of width
+    <= t.  It holds once at most t + 1 vertices remain.
 
     The search runs on H_S itself: a state maps each remaining vertex to
     its neighbors in H_S as bitmasks, and a child state eliminates one
@@ -340,19 +356,7 @@ def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
     feasible(S) depends on S alone, so the forced eliminations change the
     search time, not the order.
     """
-    eliminations = []
-    simplicial = [v for v in adj if not _fill_count(adj, v)]
-    heapq.heapify(simplicial)
-    queued = set(simplicial)
-    while simplicial:
-        v = heapq.heappop(simplicial)
-        nbrs = adj.pop(v)
-        eliminations.append((v, nbrs))
-        for u in nbrs:
-            adj[u].discard(v)
-            if u not in queued and not _fill_count(adj, u):
-                queued.add(u)
-                heapq.heappush(simplicial, u)
+    eliminations = _order_greedy(adj, True, simplicial_only=True)
     if not adj:
         return eliminations
 

@@ -103,9 +103,13 @@ def cap(w: Fraction) -> int:
     return (w.denominator - 1) // w.numerator
 
 
-def _check_vertex(n: int, v: object, role: str) -> int:
+def _check_int(v: object, role: str) -> None:
     if not isinstance(v, int) or isinstance(v, bool):
         raise TypeError(f"{role} must be an int, got {v!r}")
+
+
+def _check_vertex(n: int, v: object, role: str) -> int:
+    _check_int(v, role)
     if not 1 <= v <= n:
         raise ValueError(f"{role} {v} outside 1..{n}")
     return v

@@ -502,6 +502,13 @@ class TestSolve:
         assert code == 0
         assert "chromatic=3" in out
 
+    def test_root_without_decomposition_is_usage_error(self, files, capsys):
+        # a built decomposition has its own root, so --root would be ignored
+        code, out, err = run(capsys, "solve", str(files / "golden5.wig"), "--root", "99")
+        assert code == 1
+        assert out == ""
+        assert err == "wicolor solve: error: argument --root: needs --decomposition\n"
+
     def test_missing_file(self, files, capsys):
         code, _, err = run(capsys, "solve", str(files / "absent.wig"))
         assert code == 2
@@ -637,6 +644,13 @@ class TestBounds:
         assert code == 1
         assert out == ""
         assert "not allowed with argument" in err
+
+    def test_root_is_not_an_option(self, files, capsys):
+        # no bound depends on the root
+        code, out, err = run(capsys, "bounds", str(files / "golden5.wig"), "--root", "99")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --root 99" in err
 
     def test_empty_graph_cap_is_one(self, tmp_path, capsys):
         path = tmp_path / "empty.wig"
@@ -917,6 +931,16 @@ class TestDecomp:
         assert lines[0] == "valid=false"
         assert any(line.startswith("violation property=1") for line in lines[1:])
 
+    def test_validate_takes_no_root(self, files, capsys):
+        # validity does not depend on the root
+        td = files / "golden.td"
+        run(capsys, "decomp", "build", str(files / "golden5.wig"), "--out", str(td))
+        code, out, err = run(
+            capsys, "decomp", "validate", str(files / "golden5.wig"), str(td), "--root", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --root 2" in err
 
     def test_validate_foreign_vertex(self, tmp_path, capsys):
         # its header declares 5 vertices, so it is refused before any bag is read

@@ -135,6 +135,22 @@ class TestConstructor:
             TreeDecomposition([{1}, {2}, {3}], [(1, 2), (0, 1), (2, 1)])
         assert info.value.index == 2
 
+    @pytest.mark.parametrize(
+        "bags, edges, message",
+        [
+            # stored, a str would crash the violation sort against the ints
+            ([{1, 2, "a", 9}], [], "^bag vertex must be an int, got 'a'$"),
+            # a witness naming vertex 2.0 would serialize to a line no parser
+            # reads; checked as given, before a frozenset merges 2.0 into 2
+            ([{1, 2.0}], [], "^bag vertex must be an int, got 2.0$"),
+            ([[1, 2, 2.0]], [], "^bag vertex must be an int, got 2.0$"),
+            ([{1}, {2}], [(True, 0)], "^tree edge endpoint must be an int, got True$"),
+        ],
+    )
+    def test_rejects_non_int_vertices(self, bags, edges, message):
+        with pytest.raises(TypeError, match=message):
+            TreeDecomposition(bags, edges)
+
     def test_root_at(self):
         D = path4_decomposition()
         D2 = D.root_at(2)
@@ -523,11 +539,18 @@ class TestGreedyReference:
 
     def test_min_fill_recounts_no_fill_on_chordal_graphs(self, monkeypatch):
         # every step eliminates a simplicial vertex, which only lowers its
-        # neighbors' counts; the ladders below show the counter counts
+        # neighbors' counts; the ladders below show the counter counts.
+        # exact-small peels by the same steps, so it builds the same
+        # decomposition wherever it runs
         calls = counting(monkeypatch, "_fill_count")
+        small = 0
         for graph in chordal_cases():
-            build_decomposition(graph, "min-fill")
+            D = build_decomposition(graph, "min-fill")
+            if graph.n <= decomposition.EXACT_SMALL_LIMIT:
+                assert build_decomposition(graph, "exact-small") == D
+                small += 1
         assert calls[0] == 0
+        assert small == 12
 
     @pytest.mark.parametrize("k", [100, 400, 800])
     def test_min_fill_work_is_linear_on_ladders(self, k, monkeypatch):
@@ -558,8 +581,9 @@ class TestGreedyReference:
         order = [n - 1, *inner, n]
         calls = counting(monkeypatch, "_fill_count")
         D = build_decomposition(undirected(n, list(zip(order, order[1:]))), "exact-small")
-        # one fill count per vertex, then at most one per tree edge
-        assert calls[0] < 2 * n
+        # the first counts come from one triangle count per edge, and
+        # each peeled vertex lowers its neighbors' counts without a recount
+        assert calls[0] == 0
         assert D.width == 1
 
 
