@@ -49,7 +49,6 @@ from .fpt_budget import (
 )
 from .fpt_indegree import IndegreeSolver, MemoStats, solve_fpt_indegree
 from .generators import (
-    PartitionInstance,
     complete_embed,
     partition_instance,
     random_instance,
@@ -91,7 +90,6 @@ __all__ = [
     "IndegreeSolver",
     "InstanceTooLargeError",
     "MemoStats",
-    "PartitionInstance",
     "PreconditionError",
     "SolveResult",
     "TreeDecomposition",

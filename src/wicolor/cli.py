@@ -88,22 +88,22 @@ def _write(path: str, text: str) -> None:
         raise _WriteError(exc) from exc
 
 
-def _load_digraph(path: str) -> tuple[WeightedDigraph, str]:
-    from hashlib import sha256  # deferred: loading OpenSSL costs about 3.5 MB per process
-
-    text = _read(path)
-    digest = sha256(text.encode("utf-8")).hexdigest()[:12]
+def _parse_digraph(text: str) -> WeightedDigraph:
+    """The graph in `text`, an undirected one embedded as a digraph."""
     graph = formats.parse_graph_auto(text)
     if isinstance(graph, UndirectedWeightedGraph):
         graph = embed_undirected(graph)
-    return graph, digest
+    return graph
 
 
 def _obtain_decomposition(path: str | None, G: WeightedDigraph, root: int = 1) -> TreeDecomposition:
     """The decomposition in the file at `path`, rooted at its bag `root`,
     or with no path one built for G."""
     if path is not None:
-        return formats.parse_decomposition(_read(path), G.n, root_bag_id=root)
+        D = formats.parse_decomposition(_read(path), G.n)
+        if not 1 <= root <= len(D.bags):
+            raise FormatError(f"root bag {root} outside 1..{len(D.bags)}")
+        return D if root == 1 else D.root_at(root - 1)
     strategy = "exact-small" if G.n <= EXACT_SMALL_LIMIT else "min-fill"
     return build_decomposition(G, strategy)
 
@@ -150,7 +150,11 @@ def cmd_solve(args) -> int:
         print("wicolor solve: error: argument --root: needs --decomposition", file=sys.stderr)
         return EXIT_USAGE
     root = 1 if args.root is None else args.root
-    G, digest = _load_digraph(args.graph)
+    from hashlib import sha256  # deferred: loading OpenSSL costs about 3.5 MB per process
+
+    text = _read(args.graph)
+    digest = sha256(text.encode("utf-8")).hexdigest()[:12]
+    G = _parse_digraph(text)
     print(f"instance={args.graph} digest={digest} n={G.n} arcs={len(G.arcs)}")
     # read or built on first use and shared by both DPs under --all-methods
     decomposition = functools.cache(lambda: _obtain_decomposition(args.decomposition, G, root))
@@ -185,7 +189,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    G, _ = _load_digraph(args.graph)
+    G = _parse_digraph(_read(args.graph))
     decomposition = None
     if args.decomposition is not None:
         decomposition = _obtain_decomposition(args.decomposition, G)
@@ -212,7 +216,7 @@ def cmd_gen_defective(args) -> int:
 
 
 def cmd_gen_complete_embed(args) -> int:
-    G, _ = _load_digraph(args.graph)
+    G = _parse_digraph(_read(args.graph))
     _emit(formats.serialize_digraph(complete_embed(G)), args.out)
     return EXIT_OK
 
@@ -255,7 +259,7 @@ def cmd_decomp_build(args) -> int:
 
 
 def cmd_decomp_validate(args) -> int:
-    G, _ = _load_digraph(args.graph)
+    G = _parse_digraph(_read(args.graph))
     D = _obtain_decomposition(args.decomposition, G)
     violations = validate_decomposition(G, D)
     if not violations:
@@ -268,7 +272,7 @@ def cmd_decomp_validate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    G, _ = _load_digraph(args.graph)
+    G = _parse_digraph(_read(args.graph))
     coloring = formats.parse_coloring(_read(args.coloring))
     violations = coloring_violations(G, coloring)
     if not violations:

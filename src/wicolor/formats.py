@@ -198,10 +198,9 @@ def serialize_coloring(coloring: Coloring) -> str:
     return "".join(f"{v} {coloring[v]}\n" for v in sorted(coloring))
 
 
-def parse_decomposition(text: str, n: int, root_bag_id: int = 1) -> TreeDecomposition:
-    """Parse a decomposition file of a graph on n vertices; a header that
-    declares another vertex count is refused.  `root_bag_id` picks the
-    root (1-based, default bag 1)."""
+def parse_decomposition(text: str, n: int) -> TreeDecomposition:
+    """Parse a decomposition file of a graph on n vertices, rooted at its
+    bag 1; a header that declares another vertex count is refused."""
     lines = _content_lines(text, extra_comment="c")
     if not lines:
         raise FormatError("missing header line")
@@ -254,12 +253,8 @@ def parse_decomposition(text: str, n: int, root_bag_id: int = 1) -> TreeDecompos
     actual_max = max(len(b) for b in bags.values())
     if actual_max != declared_max:
         raise FormatError(f"header claims max bag size {declared_max}, actual {actual_max}")
-    if not 1 <= root_bag_id <= count:
-        raise FormatError(f"root bag {root_bag_id} outside 1..{count}")
     try:
-        return TreeDecomposition(
-            [bags[i] for i in range(1, count + 1)], edges, root=root_bag_id - 1
-        )
+        return TreeDecomposition([bags[i] for i in range(1, count + 1)], edges, root=0)
     except DuplicateEdgeError as exc:
         a, b = sorted(edges[exc.index])
         raise FormatError(f"duplicate tree edge ({a + 1}, {b + 1})", edge_lines[exc.index]) from None

@@ -8,9 +8,8 @@ applies); generators never touch global randomness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .decomposition import TreeDecomposition
 from .errors import PreconditionError
@@ -48,41 +47,6 @@ def complete_embed(G: WeightedDigraph) -> WeightedDigraph:
     return WeightedDigraph(G.n, arcs)
 
 
-@dataclass(frozen=True, init=False)
-class PartitionInstance:
-    """The number-partition gadget's parameters.
-
-    elements are the positive integers to split; total is their sum;
-    epsilon = 1/(2·|elements|·total) is the safety margin keeping each
-    element weight strictly positive and the two-coloring threshold
-    strict.  weights() gives the per-element edge weight
-    min(2x/total - epsilon/|elements|, 1).
-    """
-
-    elements: tuple[int, ...]
-    total: int
-    epsilon: Fraction
-
-    def __init__(self, elements: Iterable[int]):
-        elems = tuple(elements)
-        if not elems:
-            raise PreconditionError("need at least one element")
-        for x in elems:
-            if not isinstance(x, int) or x < 1:
-                raise PreconditionError(f"elements must be positive integers, got {x!r}")
-        total = sum(elems)
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "epsilon", Fraction(1, 2 * len(elems) * total))
-
-    def weights(self) -> tuple[Fraction, ...]:
-        share = self.epsilon / len(self.elements)
-        return tuple(
-            min(Fraction(2 * x, self.total) - share, Fraction(1))
-            for x in self.elements
-        )
-
-
 def partition_instance(
     elements: Sequence[int],
 ) -> tuple[WeightedDigraph, TreeDecomposition]:
@@ -90,24 +54,33 @@ def partition_instance(
     splits into two equal-sum halves, with a width-2 path decomposition.
 
     Vertices: A=1 and B=2 joined by a weight-1 edge, plus one vertex
-    v_i = i+2 per element, joined to both A and B by edges of weight
-    min(2x_i/total - epsilon/n, 1).  In a 2-coloring A and B must
-    differ, each v_i joins one side, and a side's incoming element
-    weights sum below 1 exactly when its elements sum to at most
-    total/2; both sides manage that only at an exact split.  The bags
-    {A, v_i, B} in element order form the decomposition, rooted at the
-    first.
+    v_i = i+2 per element x_i, joined to both A and B by edges of weight
+    min(2x_i/total - epsilon/m, 1), where m is the number of elements
+    and epsilon = 1/(2·m·total) keeps each weight positive and the
+    threshold strict.  In a 2-coloring A and B must differ, each v_i
+    joins one side, and a side's incoming element weights sum below 1
+    exactly when its elements sum to at most total/2; both sides manage
+    that only at an exact split.  The bags {A, v_i, B} in element order
+    form the decomposition, rooted at the first.  The elements must be
+    positive ints (not bools), at least one.
     """
-    inst = PartitionInstance(elements)
-    n = len(inst.elements)
+    elements = tuple(elements)
+    if not elements:
+        raise PreconditionError("need at least one element")
+    for x in elements:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise PreconditionError(f"elements must be positive integers, got {x!r}")
+    m, total = len(elements), sum(elements)
+    epsilon = Fraction(1, 2 * m * total)
     a, b = 1, 2
     edges: list[tuple[int, int, Fraction]] = [(a, b, Fraction(1))]
-    for i, w in enumerate(inst.weights(), start=1):
-        edges.append((a, i + 2, w))
-        edges.append((i + 2, b, w))
-    gadget = UndirectedWeightedGraph(n + 2, edges)
-    bags = [{a, i + 2, b} for i in range(1, n + 1)]
-    tree_edges = [(i, i + 1) for i in range(n - 1)]
+    for i, x in enumerate(elements, start=3):
+        w = min(Fraction(2 * x, total) - epsilon / m, Fraction(1))
+        edges.append((a, i, w))
+        edges.append((i, b, w))
+    gadget = UndirectedWeightedGraph(m + 2, edges)
+    bags = [{a, i, b} for i in range(3, m + 3)]
+    tree_edges = [(i, i + 1) for i in range(m - 1)]
     return embed_undirected(gadget), TreeDecomposition(bags, tree_edges, root=0)
 
 
@@ -162,23 +135,21 @@ def random_subcubic_instance(
     n: int,
     *,
     seed: int,
-    edge_probability: float = 0.7,
     weight_one_probability: float = 0.25,
 ) -> UndirectedWeightedGraph:
     """Seeded random graph with maximum degree 3 in which every vertex
     touches at most one weight-1 edge.
 
     Candidate pairs are visited in a seeded shuffle; a pair becomes an
-    edge when both endpoints still have degree below 3 and a coin
-    accepts it.  An edge gets weight 1 with the given probability when
-    neither endpoint already has a weight-1 edge, otherwise a positive
-    weight in {1/10, ..., 9/10}.  Set weight_one_probability=0 for
-    instances with all weights strictly below 1.
+    edge when both endpoints still have degree below 3 and a draw
+    accepts it with fixed probability 0.7.  An edge gets weight 1 with
+    the given probability when neither endpoint already has a weight-1
+    edge, otherwise a positive weight in {1/10, ..., 9/10}.  Set
+    weight_one_probability=0 for instances with all weights strictly
+    below 1.
     """
     if n < 0:
         raise PreconditionError(f"vertex count must be >= 0, got {n}")
-    if not 0 <= edge_probability <= 1:
-        raise PreconditionError(f"edge probability {edge_probability} outside [0, 1]")
     if not 0 <= weight_one_probability <= 1:
         raise PreconditionError(
             f"weight-1 probability {weight_one_probability} outside [0, 1]"
@@ -192,7 +163,7 @@ def random_subcubic_instance(
     for u, v in pairs:
         if degree[u] >= 3 or degree[v] >= 3:
             continue
-        if rng.random() >= edge_probability:
+        if rng.random() >= 0.7:
             continue
         take_heavy = rng.random() < weight_one_probability
         if take_heavy and not heavy[u] and not heavy[v]:

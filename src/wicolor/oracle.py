@@ -29,14 +29,7 @@ from bisect import bisect_right
 
 from .errors import InstanceTooLargeError, PreconditionError, guard_vertices
 from .generators import reduce_defective
-from .graph import (
-    Coloring,
-    SolveResult,
-    UndirectedWeightedGraph,
-    WeightedDigraph,
-    check_total_coloring,
-    embed_undirected,
-)
+from .graph import Coloring, SolveResult, UndirectedWeightedGraph, WeightedDigraph, is_valid_coloring
 
 DEFAULT_SEARCH_LIMIT = 16
 DEFAULT_CHROMATIC_LIMIT = 20
@@ -191,18 +184,11 @@ def exact_chi_w(
 def is_defective_coloring(H: UndirectedWeightedGraph, coloring: Coloring, d: int) -> bool:
     """True iff every vertex has at most d neighbors of its own color.
 
-    Edge weights are ignored; this is the purely combinatorial defect
-    condition on the undirected structure.
+    Edge weights are ignored; this is validity on the reduction
+    `reduce_defective`, whose weight 1/(d+1) on both arcs of each edge
+    lets a vertex share its color with at most d neighbors.
     """
-    if d < 0:
-        raise PreconditionError(f"defect bound must be >= 0, got {d}")
-    check_total_coloring(H.n, coloring)
-    for v in H.vertices:
-        c = coloring[v]
-        same = sum(1 for u, _ in H.adjacency[v] if coloring[u] == c)
-        if same > d:
-            return False
-    return True
+    return is_valid_coloring(reduce_defective(H, d), coloring)
 
 
 def exact_defective_number(H: UndirectedWeightedGraph, d: int) -> SolveResult:
@@ -215,10 +201,10 @@ def exact_defective_number(H: UndirectedWeightedGraph, d: int) -> SolveResult:
 def exact_chromatic_underlying(H: UndirectedWeightedGraph) -> int:
     """Exact chromatic number of H restricted to its positive-weight edges.
 
-    That is `exact_chi_w` with every positive edge at weight 1 in both
-    directions, since one same-colored neighbor already reaches
-    indegree 1; zero-weight edges never constrain a coloring.  Refuses
-    above DEFAULT_CHROMATIC_LIMIT (20) vertices.
+    That is the d = 0 case of `reduce_defective` (every such edge at
+    weight 1 in both directions) solved by `exact_chi_w`; zero-weight
+    edges never constrain a coloring.  Refuses above
+    DEFAULT_CHROMATIC_LIMIT (20) vertices.
     """
-    hard = UndirectedWeightedGraph(H.n, [(u, v, 1) for u, v, w in H.edges if w > 0])
-    return exact_chi_w(embed_undirected(hard), max_n=DEFAULT_CHROMATIC_LIMIT).chromatic
+    positive = UndirectedWeightedGraph(H.n, [(u, v, w) for u, v, w in H.edges if w > 0])
+    return exact_chi_w(reduce_defective(positive, 0), max_n=DEFAULT_CHROMATIC_LIMIT).chromatic

@@ -183,7 +183,7 @@ class TestSolve:
         lines += [f"e {v} {v + 1} 1/{q}" for v, q in enumerate(qs, start=1)]
         path = tmp_path / "path.wig"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        G, _ = cli._load_digraph(str(path))
+        G = cli._parse_digraph(path.read_text(encoding="utf-8"))
         assert G.scale == {1: 1, **{v + 1: q for v, q in enumerate(qs, start=1)}}
         assert all(pairs == ((v - 1, 1),) for v, pairs in G.in_units.items() if v > 1)
         code, out, _ = run(capsys, "solve", str(path))
@@ -202,7 +202,7 @@ class TestSolve:
         )
         assert code == 0
         tokens = [token.split("=", 1) for token in out.strip().splitlines()[-1].split()]
-        G, _ = cli._load_digraph(str(graph))
+        G = cli._parse_digraph(graph.read_text(encoding="utf-8"))
         solver = solver_class(G, parse_decomposition(td.read_text(encoding="utf-8"), G.n))
         solver.solve()
         stats = solver.memo_stats()
@@ -508,6 +508,25 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert err == "wicolor solve: error: argument --root: needs --decomposition\n"
+
+    @pytest.mark.parametrize(
+        ("td_text", "root", "message"),
+        [
+            ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2 1\n1 2\n", "0", "root bag 0 outside 1..2"),
+            ("s td 2 5 5\nb 1 1 2 3 4 5\nb 2 1\n1 2\n", "99", "root bag 99 outside 1..2"),
+            # the file is read before the root is looked up in it
+            ("s td 2 1 5\nb 1 1\nb 2 2\n", "99", "0 tree edges cannot form a tree on 2 bags"),
+        ],
+        ids=["0", "99", "99-broken-tree"],
+    )
+    def test_root_outside_the_file(self, files, capsys, td_text, root, message):
+        td = files / "g.td"
+        td.write_text(td_text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "solve", str(files / "golden5.wig"), "--decomposition", str(td), "--root", root
+        )
+        assert code == 2
+        assert err == f"parse error: {message}\n"
 
     def test_missing_file(self, files, capsys):
         code, _, err = run(capsys, "solve", str(files / "absent.wig"))

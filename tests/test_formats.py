@@ -504,7 +504,7 @@ class TestDecompositionFormat:
 
     def test_alternate_root(self):
         text = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
-        D = parse_decomposition(text, 3, root_bag_id=2)
+        D = parse_decomposition(text, 3).root_at(1)
         assert D.bags[D.root] == frozenset({2, 3})
 
     def test_empty_bag_round_trip(self):
@@ -581,10 +581,6 @@ class TestDecompositionFormat:
         with pytest.raises(FormatError, match="cannot form a tree") as info:
             parse_decomposition("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n", 1)
         assert info.value.line is None
-
-    def test_bad_root_request(self):
-        with pytest.raises(FormatError, match="root bag"):
-            parse_decomposition("s td 1 1 1\nb 1 1\n", 1, root_bag_id=2)
 
     @pytest.mark.parametrize("declared", [1, 4, 9])
     def test_header_must_declare_the_graphs_vertex_count(self, declared):

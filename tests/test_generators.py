@@ -7,7 +7,6 @@ import pytest
 
 import bruteforce
 from wicolor import (
-    PartitionInstance,
     PreconditionError,
     UndirectedWeightedGraph,
     WeightedDigraph,
@@ -95,34 +94,40 @@ class TestCompleteEmbed:
 
 
 class TestPartitionInstance:
-    def test_parameters(self):
-        inst = PartitionInstance([1, 2, 3])
-        assert inst.elements == (1, 2, 3)
-        assert inst.total == 6
-        assert inst.epsilon == F(1, 36)
+    @staticmethod
+    def element_weights(elements):
+        """Each element's weight, read from its four arcs to and from A and B."""
+        G, _ = partition_instance(elements)
+        weights = []
+        for v in range(3, G.n + 1):
+            (w,) = {G.arc_weights[pair] for pair in ((1, v), (v, 1), (v, 2), (2, v))}
+            weights.append(w)
+        return weights
 
     def test_weights_formula(self):
-        inst = PartitionInstance([1, 2, 3])
-        share = inst.epsilon / 3
-        assert inst.weights() == (
-            F(2, 6) - share,
-            F(4, 6) - share,
-            F(6, 6) - share,
-        )
+        # total 6, epsilon = 1/(2·3·6) = 1/36, epsilon/3 = 1/108
+        assert self.element_weights([1, 2, 3]) == [
+            F(2, 6) - F(1, 108),
+            F(4, 6) - F(1, 108),
+            F(6, 6) - F(1, 108),
+        ]
 
     def test_oversized_element_clamps_to_one(self):
-        inst = PartitionInstance([5, 1, 2])
-        assert inst.weights()[0] == 1
+        assert self.element_weights([5, 1, 2])[0] == 1
 
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
-            PartitionInstance([])
+            partition_instance([])
 
     def test_rejects_nonpositive_elements(self):
         with pytest.raises(PreconditionError):
-            PartitionInstance([1, 0])
+            partition_instance([1, 0])
         with pytest.raises(PreconditionError):
-            PartitionInstance([1, -2])
+            partition_instance([1, -2])
+
+    def test_rejects_bool_elements(self):
+        with pytest.raises(PreconditionError, match="got True"):
+            partition_instance([True, 2])
 
     def test_gadget_shape(self):
         G, D = partition_instance([1, 2, 3])
@@ -248,8 +253,6 @@ class TestRandomSubcubic:
     def test_parameter_validation(self):
         with pytest.raises(PreconditionError):
             random_subcubic_instance(-1, seed=0)
-        with pytest.raises(PreconditionError):
-            random_subcubic_instance(5, seed=0, edge_probability=2.0)
         with pytest.raises(PreconditionError):
             random_subcubic_instance(5, seed=0, weight_one_probability=-0.1)
 

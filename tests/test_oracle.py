@@ -252,6 +252,21 @@ class TestDefective:
         with pytest.raises(PreconditionError):
             is_defective_coloring(UndirectedWeightedGraph(1), {1: 1}, -1)
 
+    @pytest.mark.parametrize("d", range(4))
+    @pytest.mark.parametrize("family", ["subcubic", "underlying"])
+    def test_is_defective_counts_same_colored_neighbors(self, family, d):
+        # underlying graphs of 0, 1/2, 1 arc weights keep weight-0 edges,
+        # which count as neighbors too
+        rng = random.Random(d)
+        for seed in range(30):
+            if family == "subcubic":
+                H = random_subcubic_instance(rng.randint(0, 12), seed=seed)
+            else:
+                H = underlying_graph(random_instance(rng.randint(0, 8), 0.5, seed=seed, bits=1))
+            coloring = {v: rng.randint(1, 3) for v in H.vertices}
+            expected = all(bruteforce.defect_of(H, coloring, v) <= d for v in H.vertices)
+            assert is_defective_coloring(H, coloring, d) == expected
+
     def test_k4_examples(self):
         assert exact_defective_number(k4_undirected(), 0).chromatic == 4
         assert exact_defective_number(k4_undirected(), 1).chromatic == 2
