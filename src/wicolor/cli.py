@@ -4,13 +4,15 @@ Subcommands: solve, bounds, gen, decomp, validate, experiment.  Reports
 are key=value tokens so runs stay easy to script against.  Exit codes:
 0 success, 1 usage, 2 unreadable/unparseable input or unwritable output
 file, 3 violated precondition (also: validation subcommands reporting an
-invalid input), 4 refused resource guard or memory ran out.
+invalid input), 4 refused resource guard or memory ran out.  The cyclic
+garbage collector is paused while a command runs and restored afterwards.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import random
 import sys
 import time
@@ -57,9 +59,9 @@ EXIT_GUARD = 4
 
 # Vertices the oracle may examine under `solve --method auto` before it
 # gives up and the budget DP runs, and under `--method exact` on
-# graphs above the 16-vertex guard before it refuses.  At 0.1-2 us per
+# graphs above the 16-vertex guard before it refuses.  At 0.08-1.7 us per
 # examined vertex on a shared 2-core x86 host, giving up costs about
-# 60-90 ms (the 22-vertex partition gadget of 20 elements).
+# 55-85 ms (the 22-vertex partition gadget of 20 elements).
 ORACLE_WORK_BUDGET = 50_000
 
 
@@ -413,6 +415,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a command's objects hold no reference cycles (tests check parse,
+    # oracle, builds, DPs and bounds), so reference counting frees them
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except FormatError as exc:
@@ -433,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

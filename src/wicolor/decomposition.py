@@ -325,6 +325,79 @@ def _order_greedy(adj: dict[int, set[int]], min_fill: bool, simplicial_only: boo
     return eliminations
 
 
+# The width search of `_order_exact` works on states that map the bit of
+# each vertex of an elimination graph to its neighbors' bits.  Its steps
+# are plain functions, not closures over the search, so a finished build
+# leaves no reference cycle for the cyclic collector to find.
+
+
+def _child(masks: dict[int, int], bit: int) -> dict[int, int]:
+    """The state after eliminating the vertex `bit`: its neighbors become a clique."""
+    out = masks.copy()
+    nbrs = out.pop(bit)
+    todo = nbrs
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        out[low] = (out[low] | nbrs) & ~(low | bit)
+    return out
+
+
+def _almost_simplicial(nbrs: int, masks: dict[int, int]) -> bool:
+    # some neighbor w touches every non-adjacent pair of neighbors;
+    # `cover` holds the neighbors that could still be w
+    cover = nbrs
+    todo = nbrs
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        missed = nbrs & ~masks[low] ^ low
+        if missed:
+            cover &= low | missed if missed & (missed - 1) == 0 else low
+            if not cover:
+                return False
+    return True
+
+
+def _forced(masks: dict[int, int], target: int) -> int:
+    """A vertex safe to eliminate without branching at width `target`, or 0 if none is."""
+    candidates = []
+    for bit, nbrs in masks.items():
+        deg = nbrs.bit_count()
+        if deg <= target:
+            if deg <= 2:
+                return bit
+            candidates.append(bit)
+    for bit in candidates:
+        if _almost_simplicial(masks[bit], masks):
+            return bit
+    return 0
+
+
+def _feasible(eliminated: int, masks: dict[int, int], target: int, failed: set[int]) -> bool:
+    """Whether the state `masks`, left once `eliminated` is, has an order
+    of width <= `target`; adds the sets found infeasible to `failed`."""
+    chain = []
+    while len(masks) > target + 1:
+        if eliminated in failed:
+            break
+        chain.append(eliminated)
+        bit = _forced(masks, target)
+        if not bit:
+            for bit, nbrs in masks.items():
+                if nbrs.bit_count() > target or (eliminated | bit) in failed:
+                    continue
+                if _feasible(eliminated | bit, _child(masks, bit), target, failed):
+                    return True
+            break
+        eliminated |= bit
+        masks = _child(masks, bit)
+    else:
+        return True
+    failed.update(chain)
+    return False
+
+
 def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
     """Elimination order of minimum width, via a decision search per width.
 
@@ -369,70 +442,9 @@ def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
         for u in adj[v]:
             root[bit_of[v]] |= bit_of[u]
 
-    def child(masks: dict[int, int], bit: int) -> dict[int, int]:
-        """The state after eliminating the vertex `bit`: its neighbors become a clique."""
-        out = masks.copy()
-        nbrs = out.pop(bit)
-        todo = nbrs
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            out[low] = (out[low] | nbrs) & ~(low | bit)
-        return out
-
-    def almost_simplicial(nbrs: int, masks: dict[int, int]) -> bool:
-        # some neighbor w touches every non-adjacent pair of neighbors;
-        # `cover` holds the neighbors that could still be w
-        cover = nbrs
-        todo = nbrs
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            missed = nbrs & ~masks[low] ^ low
-            if missed:
-                cover &= low | missed if missed & (missed - 1) == 0 else low
-                if not cover:
-                    return False
-        return True
-
-    def forced(masks: dict[int, int]) -> int:
-        """A vertex safe to eliminate without branching, or 0 if none is."""
-        candidates = []
-        for bit, nbrs in masks.items():
-            deg = nbrs.bit_count()
-            if deg <= target:
-                if deg <= 2:
-                    return bit
-                candidates.append(bit)
-        for bit in candidates:
-            if almost_simplicial(masks[bit], masks):
-                return bit
-        return 0
-
-    def feasible(eliminated: int, masks: dict[int, int]) -> bool:
-        chain = []
-        while len(masks) > target + 1:
-            if eliminated in failed:
-                break
-            chain.append(eliminated)
-            bit = forced(masks)
-            if not bit:
-                for bit, nbrs in masks.items():
-                    if nbrs.bit_count() > target or (eliminated | bit) in failed:
-                        continue
-                    if feasible(eliminated | bit, child(masks, bit)):
-                        return True
-                break
-            eliminated |= bit
-            masks = child(masks, bit)
-        else:
-            return True
-        failed.update(chain)
-        return False
-
     target = min(len(adj[v]) for v in rest)
     failed: set[int] = set()
-    while not feasible(0, root):
+    while not _feasible(0, root, target, failed):
         target += 1
         failed = set()
     eliminated = 0
@@ -443,9 +455,9 @@ def _order_exact(adj: dict[int, set[int]]) -> Eliminations:
         for bit, nbrs in masks.items():
             if nbrs.bit_count() > target:
                 continue
-            after = child(masks, bit)
+            after = _child(masks, bit)
             # the state is feasible, and a forced elimination keeps it so
-            if almost_simplicial(nbrs, masks) or feasible(eliminated | bit, after):
+            if _almost_simplicial(nbrs, masks) or _feasible(eliminated | bit, after, target, failed):
                 eliminations.append((vertex_of[bit], {u for b, u in vertex_of.items() if nbrs & b}))
                 eliminated |= bit
                 masks = after

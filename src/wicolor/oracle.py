@@ -18,7 +18,9 @@ from u would push to 1), plus `nblocked[u]`, the colors with a reason.
 Coloring a vertex updates them for its neighbors and the in-neighbors
 of its same-colored out-neighbors, and backtracking undoes that in
 stack order, so a vertex costs O(1) to examine (DSatur bookkeeping;
-Brélaz, CACM 1979).
+Brélaz, CACM 1979).  The rule walks only the uncolored vertices, kept in
+priority order in a doubly linked list that backtracking restores
+(Knuth's dancing links), so colored vertices cost nothing.
 Witness colors are renamed by first use in vertex-index order, so
 returned witnesses are canonical and stable across runs and platforms.
 """
@@ -76,6 +78,16 @@ def exact_chi_w(
     # scan order for the choice rule: ties on feasible colors go to the
     # most positive-weight neighbors, then the smallest index
     priority = sorted(range(1, n + 1), key=lambda v: (-len(neighbors[v]), v))
+    # the vertices without a frame (the uncolored ones whenever a vertex
+    # is chosen) in priority order, as a doubly linked list headed by 0:
+    # pushing a vertex's frame unlinks it, and popping the frame relinks
+    # it in its old place, since frames are popped in stack order
+    nxt = [0] * (n + 1)
+    prv = [0] * (n + 1)
+    tail = 0
+    for v in priority:
+        nxt[tail], prv[v] = v, tail
+        tail = v
 
     color = [0] * (n + 1)
     spent = [0] * (n + 1)  # same-colored weighted indegree of colored vertices
@@ -140,9 +152,8 @@ def exact_chi_w(
             # choose the most constrained uncolored vertex
             top = min(k, max_used + 1)
             fewest = top + 1
-            for u in priority:
-                if color[u]:
-                    continue
+            u = nxt[0]
+            while u:
                 examined += 1
                 feasible = top - nblocked[u]
                 if feasible < fewest:
@@ -150,6 +161,7 @@ def exact_chi_w(
                     if not fewest:
                         break
                     v = u
+                u = nxt[u]
             if examined > limit:
                 raise InstanceTooLargeError(
                     f"exhaustive search gave up after {examined} examined vertices"
@@ -160,6 +172,7 @@ def exact_chi_w(
             if fewest:
                 untried = [c for c in range(top, 0, -1) if not reasons[v].get(c)]
                 frames.append([v, untried, max_used])
+                nxt[prv[v]], prv[nxt[v]] = nxt[v], prv[v]
             # color the newest frame's vertex with its next untried color,
             # backtracking over frames whose colors are all tried
             while frames:
@@ -176,6 +189,7 @@ def exact_chi_w(
                         max_used = c
                     break
                 frames.pop()
+                nxt[prv[v]] = prv[nxt[v]] = v
             else:
                 break
     return None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import random
 import re
@@ -10,13 +11,21 @@ from fractions import Fraction
 
 import pytest
 
+import bruteforce
 from wicolor import (
+    BudgetSolver,
+    IndegreeSolver,
     InstanceTooLargeError,
+    bound_report,
     build_decomposition,
+    embed_undirected,
+    exact_chi_w,
     is_valid_coloring,
     parse_coloring,
     parse_decomposition,
     parse_digraph,
+    parse_graph_auto,
+    partition_instance,
     random_instance,
     random_subcubic_instance,
     serialize_digraph,
@@ -1140,3 +1149,107 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+@pytest.fixture()
+def collector():
+    """Restores the cyclic collector's state should a test leave it changed."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic collector while a command runs and puts
+    back the state it found, on every way out."""
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        seen = []
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        real = cli._solve
+        monkeypatch.setattr(cli, "_solve", recording)
+        return seen
+
+    def test_paused_while_solve_runs(self, files, capsys, collector, recorded):
+        assert gc.isenabled()
+        assert run(capsys, "solve", str(files / "golden5.wig"))[0] == 0
+        assert recorded == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("case", ["answer", "parse error", "invalid td", "exact refused"])
+    def test_enabled_again_after_each_exit_code(self, tmp_path, capsys, collector, recorded, case):
+        graph = tmp_path / "g.wig"
+        graph.write_text("p wig 3 3\ne 1 2 1\ne 2 3 1\ne 3 1 1\n", encoding="utf-8")
+        argv = ["solve", str(graph)]
+        expected = 0
+        if case == "parse error":
+            graph.write_text("p wig 3 1\ne 1 4 1\n", encoding="utf-8")
+            expected = 2
+        elif case == "invalid td":
+            td = tmp_path / "singletons.td"
+            td.write_text("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\n1 2\n2 3\n", encoding="utf-8")
+            argv += ["--decomposition", str(td)]
+            expected = 3
+        elif case == "exact refused":
+            elements = "5 9 4 11 19 6 1 14 14 3 4 5 11 16 19 15 14 7 7 11".split()
+            assert run(capsys, "gen", "partition", *elements, "--out", str(tmp_path / "m20"))[0] == 0
+            argv = ["solve", str(tmp_path / "m20.wig"), "--method", "exact"]
+            expected = 4
+        assert gc.isenabled()
+        assert run(capsys, *argv)[0] == expected
+        assert gc.isenabled()
+
+    def test_enabled_again_when_the_solve_fails(self, files, collector, monkeypatch):
+        def failing(*args):
+            assert not gc.isenabled()
+            raise AssertionError("refusing to emit an invalid witness")
+
+        monkeypatch.setattr(cli, "_solve", failing)
+        with pytest.raises(AssertionError, match="invalid witness"):
+            main(["solve", str(files / "golden5.wig")])
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, files, capsys, collector, recorded):
+        gc.disable()
+        assert run(capsys, "solve", str(files / "golden5.wig"))[0] == 0
+        assert recorded == [False]
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "family", ["random", "ladder", "subcubic", "partition"]
+    )
+    def test_commands_leave_no_cycles(self, collector, family):
+        # what the pause relies on: parse, the oracle, every build, both
+        # DPs and the bounds free their objects by reference counting, so
+        # a collection after each call finds nothing.  exact-small runs
+        # its width search on the first three graphs.
+        G = {
+            "random": lambda: random_instance(12, 0.3, seed=3, bits=2),
+            "ladder": lambda: bruteforce.dyadic_ladder(8, 2, seed=1),
+            "subcubic": lambda: embed_undirected(random_subcubic_instance(14, seed=2)),
+            "partition": lambda: partition_instance([5, 9, 4, 11, 19, 6, 1, 14])[0],
+        }[family]()
+        text = serialize_digraph(G)
+        D = build_decomposition(G, "min-fill")
+        calls = {
+            "parse_graph_auto": lambda: parse_graph_auto(text),
+            "exact_chi_w": lambda: exact_chi_w(G),
+            "BudgetSolver": lambda: BudgetSolver(G, D).solve(),
+            "IndegreeSolver": lambda: IndegreeSolver(G, D).solve(),
+            "bound_report": lambda: bound_report(G),
+        }
+        for strategy in STRATEGIES:
+            calls[strategy] = lambda strategy=strategy: build_decomposition(G, strategy)
+        gc.collect()
+        gc.disable()
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name

@@ -18,6 +18,7 @@ from wicolor import (
     exact_defective_number,
     is_defective_coloring,
     is_valid_coloring,
+    partition_instance,
     random_instance,
     random_subcubic_instance,
     underlying_graph,
@@ -230,6 +231,16 @@ class TestMatchesReference:
     @pytest.mark.parametrize("scale", [2, 8, 10])
     def test_ladders(self, k, scale):
         assert_matches_reference(ladder(k, scale, seed=k * scale))
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_partition_gadgets(self, seed):
+        # the search backtracks out of dead ends here, so the scan often
+        # stops at a vertex with no feasible color that sits behind
+        # colored ones; examined counts only the uncolored ones before it
+        rng = random.Random(seed)
+        for m in range(4, 13):
+            G, _ = partition_instance([rng.randint(1, 20) for _ in range(m)])
+            assert_matches_reference(G)
 
 
 class TestDefective:
