@@ -19,6 +19,7 @@ from .graph import (
     Coloring,
     UndirectedWeightedGraph,
     WeightedDigraph,
+    _check_int,
     cap,
     max_weighted_indegree,
     underlying_graph,
@@ -174,6 +175,7 @@ def _recolor(
 
 def greedy_recolor_trace(G: WeightedDigraph, k: int) -> tuple[Coloring, int]:
     """greedy_recolor plus the number of recolor steps performed."""
+    _check_int(k, "color count", PreconditionError)
     und = underlying_graph(G)
     w_max = _max_weight(und)
     bound = _degree_weight_bound(und, w_max)

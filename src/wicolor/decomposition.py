@@ -77,7 +77,7 @@ class TreeDecomposition:
                 raise ValueError(f"self-loop at bag {a}")
             e = (a, b) if a < b else (b, a)
             if e in seen:
-                raise DuplicateEdgeError(f"duplicate tree edge {e}", len(canon))
+                raise DuplicateEdgeError(f"duplicate tree edge {e}")
             seen.add(e)
             canon.append(e)
         canon.sort()
@@ -599,19 +599,20 @@ class TreeDP:
     def shared_key(self, bag: int, colors: Coloring) -> tuple[int, ...]:
         """The colors of bag's shared vertices in order[bag], the prefix a
         table key starts with; `colors` must cover exactly the shared set,
-        with colors in 1..k for the k of the last decide(k)."""
+        with int colors in 1..k for the k of the last decide(k)."""
         shared = self.shared_set[bag]
         if set(colors) != shared:
             raise PreconditionError(
                 f"colors must cover exactly the shared set of bag {bag}", witness=bag
             )
         key = tuple(colors[v] for v in self.order[bag][: len(shared)])
-        if not all(1 <= c <= self.k for c in key):
+        if not all(isinstance(c, int) and not isinstance(c, bool) and 1 <= c <= self.k for c in key):
             raise PreconditionError(f"coloring uses a color outside 1..{self.k}", witness=bag)
         return key
 
     def decide(self, k: int) -> bool:
         """Whether the graph is k-colorable; fills fresh tables for k."""
+        _check_int(k, "color count", PreconditionError)
         if k < 1:
             raise PreconditionError(f"color count must be >= 1, got {k}")
         self.k, self.accepted = k, False

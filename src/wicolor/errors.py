@@ -23,15 +23,7 @@ class FormatError(ValueError):
 
 class DuplicateEdgeError(ValueError):
     """Raised when a graph is given the same arc or edge twice, or a tree
-    decomposition the same bag-tree edge.
-
-    `index` is the 0-based position, in the input sequence, of the
-    triple (or bag pair) that repeats an earlier one.
-    """
-
-    def __init__(self, message: str, index: int):
-        self.index = index
-        super().__init__(message)
+    decomposition the same bag-tree edge."""
 
 
 class PreconditionError(ValueError):

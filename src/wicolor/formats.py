@@ -19,13 +19,14 @@ so values and errors are theirs, and a repeated pair is looked up in
 one set.  The graph then stores the checked arcs through the helper
 both constructors use, without their second check.  Each distinct
 weight spelling is parsed once per file and reused for its later
-lines.  Errors come in line order, except that the first duplicate is raised only once every
-line and the edge count have passed: a bad token on a later line, or a
-short count, is reported instead.  Two limits guard the parse: a graph
-header may declare at most MAX_VERTICES (100 000) vertices, and a weight's
-decimal exponent may be at most MAX_EXPONENT (4300) in magnitude.
-Parse failures raise FormatError carrying the 1-based line number; for
-a duplicate arc, edge or bag-tree edge, that of the line repeating it.
+lines.  Errors come in line order: a line's own bad token first, then a
+repeated arc, edge or bag-tree edge at the line that repeats it; the
+whole-file checks (the edge count, an undeclared bag, the max bag size
+and the tree shape) come after the last line.  Two limits guard the
+parse: a graph header may declare at most MAX_VERTICES (100 000)
+vertices, and a weight's decimal exponent may be at most MAX_EXPONENT
+(4300) in magnitude.  Parse failures raise FormatError carrying the
+1-based line number, or None for a whole-file check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .decomposition import TreeDecomposition
-from .errors import DuplicateEdgeError, FormatError
+from .errors import FormatError
 from .graph import (
     MAX_EXPONENT,
     Coloring,
@@ -102,10 +103,7 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
         raise FormatError(f"vertex count {n} above the limit {MAX_VERTICES}", head_no)
     digraph = header_kind == "wig"
     triples: list[tuple[int, int, Fraction]] = []
-    # the first repeated pair, raised once the lines and the count pass,
-    # so that a bad token on a later line still raises first
     seen: set[tuple[int, int]] = set()
-    duplicate: FormatError | None = None
     # each distinct spelling is parsed and range-checked once per file; a
     # bad token raises before it is stored, so it raises at its first line
     weights: dict[str, Fraction] = {}
@@ -131,19 +129,16 @@ def _parse_graph(lines: list[tuple[int, list[str]]], header_kind: str):
             raise FormatError(f"self-loop at vertex {a}", line_no)
         if not digraph and a > b:
             a, b = b, a
-        if (a, b) not in seen:
-            seen.add((a, b))
-        elif duplicate is None:
-            what = f"arc ({a}, {b})" if digraph else f"edge {{{a}, {b}}}"
-            duplicate = FormatError(f"duplicate {what}", line_no)
         w = weights.get(tw)
         if w is None:
             w = weights[tw] = _parse_weight(tw, line_no)
+        if (a, b) in seen:
+            what = f"arc ({a}, {b})" if digraph else f"edge {{{a}, {b}}}"
+            raise FormatError(f"duplicate {what}", line_no)
+        seen.add((a, b))
         triples.append((a, b, w))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")
-    if duplicate is not None:
-        raise duplicate
     # every triple is checked above, so the graph takes them as they are
     return _store(object.__new__(WeightedDigraph if digraph else UndirectedWeightedGraph), n, triples)
 
@@ -213,8 +208,7 @@ def parse_decomposition(text: str, n: int) -> TreeDecomposition:
     if declared_n != n:
         raise FormatError(f"header vertex count {declared_n} is not the graph's {n}", head_no)
     bags: dict[int, frozenset[int]] = {}
-    edges: list[tuple[int, int]] = []
-    edge_lines: list[int] = []
+    edges: set[tuple[int, int]] = set()
     for line_no, tokens in lines[1:]:
         if tokens[0] == "s":
             raise FormatError("duplicate header", line_no)
@@ -244,8 +238,10 @@ def parse_decomposition(text: str, n: int) -> TreeDecomposition:
                 raise FormatError(f"bag id outside 1..{count}", line_no)
             if a == b:
                 raise FormatError(f"self-loop at bag {a}", line_no)
-            edges.append((a - 1, b - 1))
-            edge_lines.append(line_no)
+            edge = (a - 1, b - 1) if a < b else (b - 1, a - 1)
+            if edge in edges:
+                raise FormatError(f"duplicate tree edge ({edge[0] + 1}, {edge[1] + 1})", line_no)
+            edges.add(edge)
     # the ids are distinct, so this stops by id len(bags) + 1 whatever the count
     missing = next((i for i in range(1, count + 1) if i not in bags), None)
     if missing is not None:
@@ -255,9 +251,6 @@ def parse_decomposition(text: str, n: int) -> TreeDecomposition:
         raise FormatError(f"header claims max bag size {declared_max}, actual {actual_max}")
     try:
         return TreeDecomposition([bags[i] for i in range(1, count + 1)], edges, root=0)
-    except DuplicateEdgeError as exc:
-        a, b = sorted(edges[exc.index])
-        raise FormatError(f"duplicate tree edge ({a + 1}, {b + 1})", edge_lines[exc.index]) from None
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -103,9 +103,9 @@ def cap(w: Fraction) -> int:
     return (w.denominator - 1) // w.numerator
 
 
-def _check_int(v: object, role: str) -> None:
+def _check_int(v: object, role: str, error: type[Exception] = TypeError) -> None:
     if not isinstance(v, int) or isinstance(v, bool):
-        raise TypeError(f"{role} must be an int, got {v!r}")
+        raise error(f"{role} must be an int, got {v!r}")
 
 
 def _check_vertex(n: int, v: object, role: str) -> int:
@@ -136,7 +136,7 @@ def _checked(n: int, triples: Iterable[tuple], directed: bool) -> list[tuple[int
             a, b = b, a
         if (a, b) in seen:
             what = f"arc ({a}, {b})" if directed else f"edge {{{a}, {b}}}"
-            raise DuplicateEdgeError(f"duplicate {what}", len(canon))
+            raise DuplicateEdgeError(f"duplicate {what}")
         seen.add((a, b))
         if type(weight) is not Fraction or not 0 <= weight.numerator <= weight.denominator:
             weight = as_weight(weight)

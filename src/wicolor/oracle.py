@@ -32,6 +32,7 @@ from bisect import bisect_right
 from .errors import InstanceTooLargeError, PreconditionError, guard_vertices
 from .generators import reduce_defective
 from .graph import Coloring, SolveResult, UndirectedWeightedGraph, WeightedDigraph, is_valid_coloring
+from .graph import _check_int
 
 DEFAULT_SEARCH_LIMIT = 16
 DEFAULT_CHROMATIC_LIMIT = 20
@@ -57,6 +58,7 @@ def exact_chi_w(
     guard_vertices("exhaustive search", G.n, max_n)
     if k_limit is None:
         k_limit = max(1, G.n)
+    _check_int(k_limit, "k_limit", PreconditionError)
     if k_limit < 1:
         raise PreconditionError(f"k_limit must be >= 1, got {k_limit}")
     n = G.n

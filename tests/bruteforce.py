@@ -16,7 +16,6 @@ from math import floor, isqrt, lcm
 
 from wicolor import (
     DecompositionViolation,
-    DuplicateEdgeError,
     FormatError,
     InstanceTooLargeError,
     PreconditionError,
@@ -66,8 +65,9 @@ def reference_parse_graph(text: str):
     """`formats.parse_graph_auto` as it was before each arc was checked
     once: every line stripped, then split; each endpoint through
     `parse_int`; each distinct weight spelling through `Fraction(token)`
-    and one Fraction range check, once per file; then one graph
-    constructor call."""
+    and one Fraction range check, once per file; a repeated pair raised
+    at its line, after that line's weight; then one graph constructor
+    call."""
 
     def content_lines(text):
         out = []
@@ -110,6 +110,7 @@ def reference_parse_graph(text: str):
     m = parse_int(head[3], head_no, "edge count")
     triples = []
     weights = {}
+    pairs = set()
     for line_no, tokens in lines[1:]:
         if tokens[0] == "p":
             raise FormatError("duplicate header", line_no)
@@ -128,14 +129,16 @@ def reference_parse_graph(text: str):
         w = weights.get(tokens[3])
         if w is None:
             w = weights[tokens[3]] = parse_weight(tokens[3], line_no)
+        pair = (a, b) if header_kind == "wig" else (min(a, b), max(a, b))
+        if pair in pairs:
+            what = "arc (%d, %d)" if header_kind == "wig" else "edge {%d, %d}"
+            raise FormatError("duplicate " + what % pair, line_no)
+        pairs.add(pair)
         triples.append((a, b, w))
     if len(triples) != m:
         raise FormatError(f"declared {m} edges but found {len(triples)}")
     graph_type = WeightedDigraph if header_kind == "wig" else UndirectedWeightedGraph
-    try:
-        return graph_type(n, triples)
-    except DuplicateEdgeError as exc:
-        raise FormatError(str(exc), lines[1 + exc.index][0]) from None
+    return graph_type(n, triples)
 
 
 def reference_fixed_point(G: WeightedDigraph, bits: int):

@@ -239,6 +239,14 @@ class TestGreedyRecolor:
         with pytest.raises(PreconditionError):
             greedy_recolor(golden5, 2)
 
+    @pytest.mark.parametrize("k", [7.5, True, "8"])
+    def test_color_count_must_be_an_int(self, k):
+        # a float k would color with floats
+        G = random_instance(8, 0.4, seed=3, bits=2)
+        with pytest.raises(PreconditionError) as info:
+            greedy_recolor_trace(G, k)
+        assert str(info.value) == f"color count must be an int, got {k!r}"
+
     def test_arcless_single_color(self):
         G = WeightedDigraph(4)
         coloring, steps = greedy_recolor_trace(G, 1)

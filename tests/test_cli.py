@@ -1130,6 +1130,19 @@ class TestExperiment:
         code, _, _ = run(capsys, "experiment", "conjecture", "--trials", "-1")
         assert code == 3
 
+    def test_counterexample_is_reported(self, capsys, monkeypatch):
+        # no 2-coloring found: the first trial's graph is printed, drawn as
+        # the command draws it
+        monkeypatch.setattr(cli, "exact_chi_w", lambda *args, **kwargs: None)
+        code, out, _ = run(
+            capsys, "experiment", "conjecture", "--max-n", "6", "--trials", "3", "--seed", "1"
+        )
+        assert code == 0
+        rng = random.Random(1)
+        n = rng.randint(4, 6)
+        H = random_subcubic_instance(n, seed=rng.randrange(1 << 30))
+        assert out == f"counterexample trial=0 n={n}\n" + serialize_undirected(H)
+
 
 class TestEntryPoint:
     def test_module_execution(self, tmp_path):

@@ -166,11 +166,17 @@ def test_one_decision_protocol(solver_class, seed, strategy):
         if shared:
             with pytest.raises(PreconditionError, match="shared set"):
                 solver.shared_key(bag, dict(list(colors.items())[1:]))
-            for color in (0, k + 1):
+            # a color is an int, as check_total_coloring requires; 1.5 lies
+            # in 1..k and True equals 1, so only the type refuses them
+            for color in (0, k + 1, 1.5, True):
                 with pytest.raises(PreconditionError, match=f"outside 1..{k}"):
                     solver.shared_key(bag, {**colors, min(shared): color})
     with pytest.raises(PreconditionError, match=">= 1"):
         solver.decide(0)
+    # a float count would color with 1..ceil(k), and True would run as 1
+    for k in (2.5, True, "2"):
+        with pytest.raises(PreconditionError, match=f"^color count must be an int, got {k!r}$"):
+            solver.decide(k)
 
 
 @pytest.mark.parametrize("solver_class", (IndegreeSolver, BudgetSolver), ids=lambda c: c.__name__)

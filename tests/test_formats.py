@@ -252,8 +252,8 @@ def bench_family_graphs():
 class TestCheckedOnce:
     """The parser checks each arc once and builds the graph without the
     constructors' second check; it must still give the graph, and the
-    hash, that the checked constructors give, and raise the errors in
-    the order they raised them."""
+    hash, that the checked constructors give, and raise each error at
+    the line that causes it."""
 
     def test_bench_families(self):
         rng = random.Random(28)
@@ -280,12 +280,14 @@ class TestCheckedOnce:
     @pytest.mark.parametrize(
         "text, line, message",
         [
-            # a bad token on a later line is reported before a duplicate
-            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\ne 2 3 x\n", 4, "weight 'x' is not a rational"),
-            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\ne 2 9 1/2\n", 4, "endpoint outside 1..3"),
-            ("p wig 3 2\ne 1 2 1/2\ne 1 2 1/4\ne 2 3 1/2\n", 4, "more than the declared 2 edge lines"),
-            # so is a short edge count
-            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\n", None, "declared 3 edges but found 2"),
+            # a duplicate is reported at its line, before a bad token on a later line
+            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\ne 2 3 x\n", 3, "duplicate arc (1, 2)"),
+            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\ne 2 9 1/2\n", 3, "duplicate arc (1, 2)"),
+            ("p wig 3 2\ne 1 2 1/2\ne 1 2 1/4\ne 2 3 1/2\n", 3, "duplicate arc (1, 2)"),
+            # and before a short edge count
+            ("p wig 3 3\ne 1 2 1/2\ne 1 2 1/4\n", 3, "duplicate arc (1, 2)"),
+            # but after its own line's bad weight
+            ("p wig 3 2\ne 1 2 1/2\ne 1 2 x\n", 3, "weight 'x' is not a rational"),
             # of two duplicates, the first to repeat
             ("p wig 3 4\ne 1 2 1/2\ne 2 3 1/2\ne 2 3 1/4\ne 1 2 1/4\n", 4, "duplicate arc (2, 3)"),
             # a reversed edge repeats it, at the repeating line
@@ -567,6 +569,10 @@ class TestDecompositionFormat:
             ("s td 2 1 1\nb 1 1\nb 2 1\n1 2\n2 1\n", "duplicate tree edge (1, 2)", 5),
             ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n2 3\n1 2\n3 2\n", "duplicate tree edge (2, 3)", 7),
             ("s td 2 1 1\nb 1 1\n2 1\nc note\nb 2 1\n1 2\n", "duplicate tree edge (1, 2)", 6),
+            # a repeat is reported at its line, before the whole-file checks:
+            # bag 3 is never declared, and the max bag size is 1, not 2
+            ("s td 3 1 1\nb 1 1\nb 2 1\n1 2\n2 1\n", "duplicate tree edge (1, 2)", 5),
+            ("s td 2 2 1\nb 1 1\nb 2 1\n1 2\n2 1\n", "duplicate tree edge (1, 2)", 5),
             ("s td 2 1 1\nb 1 1\nb 2 1\n1 1\n", "self-loop at bag 1", 4),
             ("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n2 2\n", "self-loop at bag 2", 6),
         ],

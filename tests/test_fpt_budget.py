@@ -470,6 +470,17 @@ class TestPreconditions:
         with pytest.raises(PreconditionError, match="shared set"):
             solver.demands(1, {1: 1, 2: 1})
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_demand_colors_must_be_ints(self, bad):
+        # first-use renaming would read 1.5 as it reads the color 1
+        G = random_instance(8, 0.4, seed=3, bits=2)
+        solver = BudgetSolver(G, build_decomposition(G, "min-fill"))
+        solver.solve()
+        colors = {2: 1, 5: 2, 6: 1, 8: 2}
+        assert solver.demands(2, colors) == [dict.fromkeys(colors, F(0))]
+        with pytest.raises(PreconditionError, match="outside 1..2"):
+            solver.demands(2, {v: bad if c == 1 else c for v, c in colors.items()})
+
 
 class TestWitnessFromTheTables:
     def test_each_entry_records_a_coloring_and_child_vectors(self):

@@ -126,6 +126,19 @@ class TestPreconditions:
         with pytest.raises(PreconditionError, match="outside 1..1"):
             solver.bag_coloring(1, {1: 1, 2: 2, 3: 1})
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_state_colors_must_be_ints(self, bad):
+        # a non-int color would be searched and stored as a new state
+        G = random_instance(8, 0.4, seed=3, bits=2)
+        solver = IndegreeSolver(G, build_decomposition(G, "min-fill"))
+        solver.solve()
+        state = {1: 1, 2: 2, 3: 2, 5: 1, 8: 1}
+        assert solver.bag_coloring(1, state) == state
+        entries = dict(solver.memo)
+        with pytest.raises(PreconditionError, match="outside 1..2"):
+            solver.bag_coloring(1, {v: bad if c == 1 else c for v, c in state.items()})
+        assert solver.memo == entries
+
 
 class TestAgainstOracle:
     def test_random_instances(self):

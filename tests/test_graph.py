@@ -189,9 +189,8 @@ class TestWeightedDigraph:
             WeightedDigraph(2, [(1, 1, F(1, 2))])
 
     def test_rejects_duplicate_arc(self):
-        with pytest.raises(DuplicateEdgeError, match=r"duplicate arc \(1, 2\)") as info:
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate arc \(1, 2\)"):
             WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 1, F(1, 4)), (1, 2, F(1, 4))])
-        assert info.value.index == 2
 
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
@@ -302,9 +301,8 @@ class TestUndirectedWeightedGraph:
         assert H.edges == ((1, 3, F(1, 2)),)
 
     def test_rejects_duplicate_even_reversed(self):
-        with pytest.raises(DuplicateEdgeError, match=r"duplicate edge \{1, 2\}") as info:
+        with pytest.raises(DuplicateEdgeError, match=r"duplicate edge \{1, 2\}"):
             UndirectedWeightedGraph(2, [(1, 2, F(1, 2)), (2, 1, F(1, 4))])
-        assert info.value.index == 1
 
     def test_rejects_bool_vertex_count(self):
         with pytest.raises(ValueError, match="vertex count must be a nonnegative int"):

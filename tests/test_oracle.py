@@ -94,6 +94,13 @@ class TestExactChiW:
         with pytest.raises(PreconditionError):
             exact_chi_w(golden5, k_limit=0)
 
+    @pytest.mark.parametrize("k_limit", [2.5, True, "2"])
+    def test_k_limit_must_be_an_int(self, k_limit):
+        G = random_instance(8, 0.4, seed=3, bits=2)
+        with pytest.raises(PreconditionError) as info:
+            exact_chi_w(G, k_limit=k_limit)
+        assert str(info.value) == f"k_limit must be an int, got {k_limit!r}"
+
     def test_size_guard(self):
         with pytest.raises(InstanceTooLargeError) as info:
             exact_chi_w(WeightedDigraph(17))
