@@ -16,7 +16,7 @@ loop and the witness read both share.  Bag indices are 0-based internally (the t
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, PreconditionError, guard_vertices
@@ -34,13 +34,10 @@ class TreeDecomposition:
     index pairs forming a tree over all bags; `root` selects the bag
     the dynamic programs start from.  Structural validity against a
     concrete graph is a separate check (`validate_decomposition`); the
-    constructor only enforces the tree shape, and that each bag vertex
-    and edge endpoint is an int (TypeError otherwise, as for a graph's
-    vertices).  It also walks the tree once from the root, setting
-    `parent` (None at the root), `children` (ascending; the order fixes
-    child ordinals) and `preorder`, in time linear in the bag count once
-    the edges are sorted, on any edge set: it refuses at the first bag
-    it reaches twice.
+    constructor checks that each bag vertex and edge endpoint is an int
+    (TypeError otherwise, as for a graph's vertices) and that each edge
+    joins two distinct bags once, then links the tree with `_link`.  The
+    `.td` parser, the builder and `root_at` link theirs without the checks.
     """
 
     bags: tuple[frozenset[int], ...]
@@ -61,12 +58,10 @@ class TreeDecomposition:
                 for v in members:
                     _check_int(v, "bag vertex")
             bag_list.append(frozenset(members))
-        bag_tuple = tuple(bag_list)
-        if not bag_tuple:
+        count = len(bag_list)
+        if not count:
             raise ValueError("a decomposition needs at least one bag")
-        count = len(bag_tuple)
-        canon: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        edges: set[tuple[int, int]] = set()
         for a, b in tree_edges:
             if type(a) is not int or type(b) is not int:
                 _check_int(a, "tree edge endpoint")
@@ -76,49 +71,10 @@ class TreeDecomposition:
             if a == b:
                 raise ValueError(f"self-loop at bag {a}")
             e = (a, b) if a < b else (b, a)
-            if e in seen:
+            if e in edges:
                 raise DuplicateEdgeError(f"duplicate tree edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        if len(canon) != count - 1:
-            raise ValueError(f"{len(canon)} tree edges cannot form a tree on {count} bags")
-        if not isinstance(root, int) or isinstance(root, bool) or not 0 <= root < count:
-            raise ValueError(f"root index {root!r} out of range")
-        object.__setattr__(self, "bags", bag_tuple)
-        object.__setattr__(self, "tree_edges", tuple(canon))
-        object.__setattr__(self, "root", root)
-        # each bag's neighbors, ascending since the edges are sorted
-        adjacency: list[list[int]] = [[] for _ in range(count)]
-        for a, b in canon:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        # one walk from the root, children ascending as the neighbors are;
-        # with count-1 edges, reaching every bag exactly once proves a
-        # tree, and the walk stops at the first bag reached twice (a
-        # cycle), so each bag is pushed at most once
-        parent: list[int | None] = [None] * count
-        children: list[tuple[int, ...]] = [()] * count
-        preorder: list[int] = []
-        reached = bytearray(count)
-        reached[root] = 1
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            preorder.append(cur)
-            up = parent[cur]
-            kids = children[cur] = tuple([b for b in adjacency[cur] if b != up])
-            for b in kids:
-                if reached[b]:
-                    raise ValueError("tree edges do not connect all bags")
-                reached[b] = 1
-                parent[b] = cur
-            stack += reversed(kids)
-        if len(preorder) != count:
-            raise ValueError("tree edges do not connect all bags")
-        object.__setattr__(self, "parent", tuple(parent))
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "preorder", tuple(preorder))
+            edges.add(e)
+        _link(self, tuple(bag_list), edges, root)
 
     @property
     def width(self) -> int:
@@ -126,7 +82,53 @@ class TreeDecomposition:
 
     def root_at(self, i: int) -> TreeDecomposition:
         """Same bags and tree, re-rooted at bag i."""
-        return replace(self, root=i)
+        return _link(object.__new__(TreeDecomposition), self.bags, self.tree_edges, i)
+
+
+def _link(D: TreeDecomposition, bags: tuple, edges: Iterable[tuple[int, int]], root: int) -> TreeDecomposition:
+    """Give `D` the bags, the checked edges (smaller bag first) sorted and
+    the root, and return it.  Past the edge-count and root rules, one walk
+    from the root sets `parent` (None at the root), `children` (ascending,
+    fixing child ordinals) and `preorder` in time linear in the bag count
+    past the sort, on any edge set: it refuses at the first bag reached twice."""
+    count = len(bags)
+    canon = sorted(edges)
+    if len(canon) != count - 1:
+        raise ValueError(f"{len(canon)} tree edges cannot form a tree on {count} bags")
+    if not isinstance(root, int) or isinstance(root, bool) or not 0 <= root < count:
+        raise ValueError(f"root index {root!r} out of range")
+    object.__setattr__(D, "bags", bags)
+    object.__setattr__(D, "tree_edges", tuple(canon))
+    object.__setattr__(D, "root", root)
+    # each bag's neighbors, ascending since the edges are sorted
+    adjacency: list[list[int]] = [[] for _ in range(count)]
+    for a, b in canon:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    # with count-1 edges, reaching every bag exactly once proves a tree
+    parent: list[int | None] = [None] * count
+    children: list[tuple[int, ...]] = [()] * count
+    preorder: list[int] = []
+    reached = bytearray(count)
+    reached[root] = 1
+    stack = [root]
+    while stack:
+        cur = stack.pop()
+        preorder.append(cur)
+        up = parent[cur]
+        kids = children[cur] = tuple([b for b in adjacency[cur] if b != up])
+        for b in kids:
+            if reached[b]:
+                raise ValueError("tree edges do not connect all bags")
+            reached[b] = 1
+            parent[b] = cur
+        stack += reversed(kids)
+    if len(preorder) != count:
+        raise ValueError("tree edges do not connect all bags")
+    object.__setattr__(D, "parent", tuple(parent))
+    object.__setattr__(D, "children", tuple(children))
+    object.__setattr__(D, "preorder", tuple(preorder))
+    return D
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,8 @@ def validate_decomposition(G: WeightedDigraph, D: TreeDecomposition) -> list[Dec
                 )
             )
 
-    violations.sort(key=lambda viol: (viol.property_index, _witness_key(viol.witness)))
+    # within one property every witness is an int, or for property 2 a pair
+    violations.sort(key=lambda viol: (viol.property_index, viol.witness))
     return violations
 
 
@@ -205,12 +208,6 @@ def require_valid(violations: list[DecompositionViolation]) -> None:
         raise PreconditionError(
             f"decomposition invalid: {violations[0].message}", witness=violations[0]
         )
-
-
-def _witness_key(witness: int | tuple[int, int]) -> tuple[int, int]:
-    if isinstance(witness, tuple):
-        return witness
-    return (witness, 0)
 
 
 def _underlying_sets(graph: WeightedDigraph | UndirectedWeightedGraph) -> dict[int, set[int]]:
@@ -491,7 +488,7 @@ def _decomposition_from_order(eliminations: Eliminations) -> TreeDecomposition:
     """
     n = len(eliminations)
     if n == 0:
-        return TreeDecomposition([frozenset()])
+        return _link(object.__new__(TreeDecomposition), (frozenset(),), (), 0)
     position = {v: i for i, (v, _) in enumerate(eliminations)}
     # keeper[i]: the position of the bag that stands in for bag i (i itself
     # unless a child took its place); final once bag i's children are linked
@@ -507,9 +504,9 @@ def _decomposition_from_order(eliminations: Eliminations) -> TreeDecomposition:
     root = keeper[n - 1]
     kept = [root, *(i for i in range(n) if keeper[i] == i and i != root)]
     index = {i: new for new, i in enumerate(kept)}
-    bags = [frozenset((eliminations[i][0], *eliminations[i][1])) for i in kept]
+    bags = tuple([frozenset((eliminations[i][0], *eliminations[i][1])) for i in kept])
     edges = [(index[keeper[a]], index[keeper[b]]) for a, b in links]
-    return TreeDecomposition(bags, edges, root=0)
+    return _link(object.__new__(TreeDecomposition), bags, [(a, b) if a < b else (b, a) for a, b in edges], 0)
 
 
 def build_decomposition(

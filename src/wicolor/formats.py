@@ -15,14 +15,15 @@ Weights may be written as a fraction `7/10`, an integer, or a decimal
 graph line is split once and each arc checked once, in the parse loop:
 endpoints are read by `int`, a plain ASCII `p/q` weight as
 `Fraction(int(p), int(q))` and any other spelling by `Fraction(token)`,
-so values and errors are theirs, and a repeated pair is looked up in
-one set.  The graph then stores the checked arcs through the helper
-both constructors use, without their second check.  Each distinct
-weight spelling is parsed once per file and reused for its later
-lines.  Errors come in line order: a line's own bad token first, then a
-repeated arc, edge or bag-tree edge at the line that repeats it; the
-whole-file checks (the edge count, an undeclared bag, the max bag size
-and the tree shape) come after the last line.  Two limits guard the
+so values and errors are theirs, and a repeated pair is looked up in one
+set.  The graph then stores the checked arcs through the helper both
+constructors use, and a `.td` links its checked bags and edges through
+the decomposition constructor's one tree walk, neither checked again.
+Each distinct weight spelling is parsed once per file and reused for its
+later lines.  Errors come in line order: a line's own bad token first,
+then a repeated arc, edge or bag-tree edge at the line that repeats it;
+the whole-file checks (the edge count, an undeclared bag, the max bag
+size and the tree shape) come after the last line.  Two limits guard the
 parse: a graph header may declare at most MAX_VERTICES (100 000)
 vertices, and a weight's decimal exponent may be at most MAX_EXPONENT
 (4300) in magnitude.  Parse failures raise FormatError carrying the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, _link
 from .errors import FormatError
 from .graph import (
     MAX_EXPONENT,
@@ -249,8 +250,9 @@ def parse_decomposition(text: str, n: int) -> TreeDecomposition:
     actual_max = max(len(b) for b in bags.values())
     if actual_max != declared_max:
         raise FormatError(f"header claims max bag size {declared_max}, actual {actual_max}")
+    ordered = tuple([bags[i] for i in range(1, count + 1)])
     try:
-        return TreeDecomposition([bags[i] for i in range(1, count + 1)], edges, root=0)
+        return _link(object.__new__(TreeDecomposition), ordered, edges, 0)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -48,7 +48,7 @@ from typing import Collection, TypeVar
 
 from .decomposition import TreeDecomposition, TreeDP, require_valid, validate_decomposition
 from .errors import PreconditionError
-from .graph import Coloring, SolveResult, WeightedDigraph, is_valid_coloring
+from .graph import Coloring, SolveResult, WeightedDigraph, _check_int, is_valid_coloring
 
 Vector = tuple[int, ...]
 Origin = TypeVar("Origin")
@@ -83,6 +83,7 @@ def check_fixed_point(G: WeightedDigraph, bits: int) -> tuple[int, int, object] 
     offending arc in canonical order.  A vertex's in-arc denominators all
     divide 2^bits exactly when their lcm, `G.scale`, does, so the arcs
     are scanned only when some vertex fails."""
+    _check_int(bits, "bits", PreconditionError)
     if bits < 1:
         raise PreconditionError(f"bits must be >= 1, got {bits}")
     unit = 1 << bits

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .decomposition import TreeDecomposition
 from .errors import PreconditionError
-from .graph import UndirectedWeightedGraph, WeightedDigraph, embed_undirected
+from .graph import UndirectedWeightedGraph, WeightedDigraph, _check_int, embed_undirected
 
 
 def reduce_defective(H: UndirectedWeightedGraph, d: int) -> WeightedDigraph:
@@ -24,6 +24,7 @@ def reduce_defective(H: UndirectedWeightedGraph, d: int) -> WeightedDigraph:
     neighbors before its same-color indegree reaches 1.  Edge weights
     of H are ignored; only its structure matters.
     """
+    _check_int(d, "defect bound")
     if d < 0:
         raise PreconditionError(f"defect bound must be >= 0, got {d}")
     w = Fraction(1, d + 1)
@@ -106,6 +107,7 @@ def random_instance(
     if not 0 <= arc_probability <= 1:
         raise PreconditionError(f"arc probability {arc_probability} outside [0, 1]")
     if weight_model == "dyadic":
+        _check_int(bits, "bits", PreconditionError)
         if bits < 1:
             raise PreconditionError(f"bits must be >= 1, got {bits}")
     elif weight_model == "uniform-rational":

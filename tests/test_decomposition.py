@@ -16,9 +16,11 @@ from wicolor import (
     build_decomposition,
     embed_undirected,
     extended_bags,
+    parse_decomposition,
     partition_instance,
     random_instance,
     random_subcubic_instance,
+    serialize_decomposition,
     validate_decomposition,
 )
 from wicolor import decomposition
@@ -730,3 +732,32 @@ class TestStructuralQueries:
             D = build_decomposition(G, "min-fill")
             extended = TreeDecomposition(extended_bags(D, G), D.tree_edges, D.root)
             assert validate_decomposition(G, extended) == []
+
+
+def linked(D: TreeDecomposition) -> tuple:
+    return (D.bags, D.tree_edges, D.root, D.parent, D.children, D.preorder)
+
+
+class TestLinkedWithoutTheConstructor:
+    """The `.td` parser, the builder and `root_at` link their trees through
+    the constructor's one walk, not through the constructor: with
+    `TreeDecomposition.__init__` refusing, each still gives what the
+    constructor gives on the same bags, tree edges and root."""
+
+    def test_parse_build_and_root_at(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("TreeDecomposition.__init__ called")
+
+        for graph in [*benchmark_cases(), WeightedDigraph(0)]:
+            for strategy in STRATEGIES:
+                if strategy == "exact-small" and graph.n > decomposition.EXACT_SMALL_LIMIT:
+                    continue
+                with monkeypatch.context() as patched:
+                    patched.setattr(TreeDecomposition, "__init__", refuse)
+                    D = build_decomposition(graph, strategy)
+                    parsed = parse_decomposition(serialize_decomposition(D, graph.n), graph.n)
+                    rerooted = [D.root_at(i) for i in range(len(D.bags))]
+                assert linked(D) == linked(TreeDecomposition(D.bags, D.tree_edges, D.root))
+                assert linked(parsed) == linked(TreeDecomposition(parsed.bags, parsed.tree_edges))
+                for i, R in enumerate(rerooted):
+                    assert linked(R) == linked(TreeDecomposition(D.bags, D.tree_edges, i))

@@ -588,6 +588,14 @@ class TestDecompositionFormat:
             parse_decomposition("s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n", 1)
         assert info.value.line is None
 
+    def test_cycle_with_a_detached_bag_has_no_line(self):
+        # three edges on four bags pass the count, so the walk finds the
+        # cycle 1-2-3 that leaves bag 4 out
+        with pytest.raises(FormatError) as info:
+            parse_decomposition("s td 4 1 1\nb 1 1\nb 2 1\nb 3 1\nb 4 1\n1 2\n2 3\n1 3\n", 1)
+        assert info.value.bare_message == "tree edges do not connect all bags"
+        assert info.value.line is None
+
     @pytest.mark.parametrize("declared", [1, 4, 9])
     def test_header_must_declare_the_graphs_vertex_count(self, declared):
         # the header is checked before any bag, so a vertex above a low

@@ -110,6 +110,16 @@ class TestFixedPointChecks:
         with pytest.raises(PreconditionError):
             check_fixed_point(WeightedDigraph(1), 0)
 
+    @pytest.mark.parametrize("bits", [True, 2.0, "2"])
+    def test_bits_must_be_an_int(self, bits):
+        # True is not 1 bit, and 2.0 never reaches the shift
+        G = WeightedDigraph(3, [(1, 2, F(1, 2)), (2, 3, F(3, 4))])
+        message = f"^bits must be an int, got {bits!r}$"
+        with pytest.raises(PreconditionError, match=message):
+            check_fixed_point(G, bits)
+        with pytest.raises(PreconditionError, match=message):
+            BudgetSolver(G, build_decomposition(G), bits=bits)
+
     def test_min_precision_examples(self):
         assert min_precision_bits(WeightedDigraph(2)) == 1
         assert min_precision_bits(WeightedDigraph(2, [(1, 2, F(1, 2))])) == 1

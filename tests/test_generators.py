@@ -13,6 +13,8 @@ from wicolor import (
     check_fixed_point,
     complete_embed,
     exact_chi_w,
+    exact_defective_number,
+    is_defective_coloring,
     is_valid_coloring,
     partition_instance,
     random_instance,
@@ -48,6 +50,18 @@ class TestReduceDefective:
     def test_rejects_negative_defect(self):
         with pytest.raises(PreconditionError):
             reduce_defective(UndirectedWeightedGraph(1), -1)
+
+    @pytest.mark.parametrize("d", [True, 1.5, "1"])
+    def test_defect_bound_must_be_an_int(self, d):
+        # True would encode d = 1, and 1.5 would fail inside Fraction
+        H = UndirectedWeightedGraph(2, [(1, 2, F(1))])
+        message = f"^defect bound must be an int, got {d!r}$"
+        with pytest.raises(TypeError, match=message):
+            reduce_defective(H, d)
+        with pytest.raises(TypeError, match=message):
+            is_defective_coloring(H, {1: 1, 2: 2}, d)
+        with pytest.raises(TypeError, match=message):
+            exact_defective_number(H, d)
 
     def test_reduction_preserves_the_defective_number(self):
         for seed in range(15):
@@ -219,6 +233,12 @@ class TestRandomInstance:
     def test_parameter_validation(self, kwargs):
         with pytest.raises(PreconditionError):
             random_instance(seed=0, **kwargs)
+
+    @pytest.mark.parametrize("bits", [True, 2.0, "2"])
+    def test_bits_must_be_an_int(self, bits):
+        # True would draw 1-bit weights
+        with pytest.raises(PreconditionError, match=f"^bits must be an int, got {bits!r}$"):
+            random_instance(3, 0.5, seed=0, bits=bits)
 
     def test_seed_is_keyword_only(self):
         with pytest.raises(TypeError):
